@@ -10,14 +10,21 @@ Determinism rules, which the tests check bitwise:
 * element-wise kernels write disjoint row slices, so any chunking produces
   the same bits as a single serial pass;
 * reductions are tiled on a fixed grid of ``REDUCTION_TILE`` rows (never a
-  function of the worker count) and the per-tile partial sums are combined
-  in tile order on the calling thread;
+  function of the worker count or the kind) and the per-tile partial sums are
+  combined in tile order on the calling thread;
 * SpMV accumulates each row's products left to right (``np.bincount`` adds
   its weights sequentially), so splitting the row range does not change any
   per-row sum.
 
-Together these make parallel results independent of the worker count, and
-keep the reference and parallel kinds within a few ulps of each other.
+SpMV, ``dot`` and ``norm2`` have one body registered for both kinds; a
+reference executor has one worker, so it runs that body serially.  Together
+these make element-wise, SpMV and reduction results bitwise identical across
+kinds and worker counts.  Only the dense products may differ in the last bits.
+
+The tile width also keeps every ``np.dot`` call at or below 8,192 elements,
+under the 10,000 above which OpenBLAS splits ``ddot`` across its own
+threads.  An untiled dot on a long vector pays that thread wake-up, which
+was seen to stall single calls for milliseconds.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from .executor import Executor, ExecutorKind, register_kernel, split_ranges, wor
 #: Row counts below this run as a single chunk even on parallel executors.
 ELEMENTWISE_MIN_PARALLEL = 1024
 
-#: Fixed reduction tile width. Must not depend on the worker count.
+#: Fixed reduction tile width. Must not depend on the worker count, and must
+#: stay below the length at which OpenBLAS threads ``ddot`` (see above).
 REDUCTION_TILE = 8192
 
 _REF = ExecutorKind.REFERENCE
@@ -137,13 +145,13 @@ def _waxpby_par(exec_, w, alpha, x, beta, y):
 
 @register_kernel("diag_scale", _REF)
 def _diag_scale_ref(exec_, z, d, r):
-    z[...] = d[:, None] * r
+    np.multiply(d[:, None], r, out=z)
 
 
 @register_kernel("diag_scale", _PAR)
 def _diag_scale_par(exec_, z, d, r):
     def body(lo, hi):
-        z[lo:hi] = d[lo:hi, None] * r[lo:hi]
+        np.multiply(d[lo:hi, None], r[lo:hi], out=z[lo:hi])
 
     _foreach_rows(exec_, z.shape[0], body)
 
@@ -152,45 +160,29 @@ def _diag_scale_par(exec_, z, d, r):
 
 
 def _tile_dot(a, b, lo, hi):
-    return np.array([np.dot(a[lo:hi, j], b[lo:hi, j]) for j in range(a.shape[1])])
-
-
-def _tiled_dot(exec_, a, b):
-    """Columnwise dot, tiled on the fixed grid and combined in tile order."""
-    n, k = a.shape
-    starts = list(range(0, n, REDUCTION_TILE))
-    if len(starts) <= 1:
-        return _tile_dot(a, b, 0, n)
-    bounds = [(s, min(s + REDUCTION_TILE, n)) for s in starts]
-    if exec_.worker_count == 1:
-        partials = [_tile_dot(a, b, lo, hi) for lo, hi in bounds]
-    else:
-        pool = worker_pool(exec_)
-        partials = list(pool.map(lambda r: _tile_dot(a, b, r[0], r[1]), bounds))
-    out = np.zeros(k)
-    for p in partials:  # in-order combine, independent of which thread ran what
-        out += p
-    return out
+    return [np.dot(a[lo:hi, j], b[lo:hi, j]) for j in range(a.shape[1])]
 
 
 @register_kernel("dot", _REF)
-def _dot_ref(exec_, a, b):
-    return _tile_dot(a, b, 0, a.shape[0])
-
-
 @register_kernel("dot", _PAR)
-def _dot_par(exec_, a, b):
-    return _tiled_dot(exec_, a, b)
+def _dot(exec_, a, b):
+    """Columnwise dot, tiled on the fixed grid and combined in tile order."""
+    n = a.shape[0]
+    bounds = [(lo, min(lo + REDUCTION_TILE, n)) for lo in range(0, n, REDUCTION_TILE)]
+    if exec_.worker_count == 1 or len(bounds) <= 1:
+        partials = [_tile_dot(a, b, lo, hi) for lo, hi in bounds]
+    else:
+        partials = worker_pool(exec_).map(lambda r: _tile_dot(a, b, r[0], r[1]), bounds)
+    sums = [0.0] * a.shape[1]
+    for p in partials:  # in-order combine, independent of which thread ran what
+        sums = [s + x for s, x in zip(sums, p)]
+    return np.array(sums)
 
 
 @register_kernel("norm2", _REF)
-def _norm2_ref(exec_, a):
-    return np.sqrt(_tile_dot(a, a, 0, a.shape[0]))
-
-
 @register_kernel("norm2", _PAR)
-def _norm2_par(exec_, a):
-    return np.sqrt(_tiled_dot(exec_, a, a))
+def _norm2(exec_, a):
+    return np.sqrt(_dot(exec_, a, a))
 
 
 # --- sparse matrix-vector products -----------------------------------------
@@ -199,55 +191,45 @@ def _norm2_par(exec_, a):
 # row_ptrs); callers cache it once per matrix.
 
 
-def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, lo, hi):
-    p0, p1 = int(row_ptrs[lo]), int(row_ptrs[hi])
-    ids = row_ids[p0:p1] - lo
-    cols = col_idxs[p0:p1]
-    vals = values[p0:p1]
-    for j in range(b.shape[1]):
-        prod = vals * b[cols, j]
-        out[lo:hi, j] = np.bincount(ids, weights=prod, minlength=hi - lo)
+def _spmv_rows(exec_, row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
+    """``out = A b`` when ``alpha`` is None, else ``out = alpha A b + beta out``.
+
+    Each row sum is ``np.bincount`` over the products ``b[col] * value`` of
+    that row, added left to right.  ``take`` on one column gathers about three
+    times faster than 2-D fancy indexing (less when ``col_idxs`` is read-only,
+    because ``take`` copies such an index array first), and multiplying in
+    place saves a temporary; neither changes a bit of the result.
+    """
+
+    def body(lo, hi):
+        p0, p1 = int(row_ptrs[lo]), int(row_ptrs[hi])
+        ids = row_ids[p0:p1] - lo if lo else row_ids[p0:p1]
+        cols = col_idxs[p0:p1]
+        vals = values[p0:p1]
+        for j in range(b.shape[1]):
+            prod = b[:, j].take(cols)
+            prod *= vals
+            s = np.bincount(ids, weights=prod, minlength=hi - lo)
+            if alpha is None:
+                out[lo:hi, j] = s
+            elif beta == 0.0:
+                out[lo:hi, j] = alpha * s
+            else:
+                out[lo:hi, j] = alpha * s + beta * out[lo:hi, j]
+
+    _foreach_rows(exec_, len(row_ptrs) - 1, body)
 
 
 @register_kernel("spmv", _REF)
-def _spmv_ref(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
-    _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, 0, len(row_ptrs) - 1)
-
-
 @register_kernel("spmv", _PAR)
-def _spmv_par(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
-    def body(lo, hi):
-        _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, lo, hi)
-
-    _foreach_rows(exec_, len(row_ptrs) - 1, body)
-
-
-def _spmv_advanced_rows(row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out, lo, hi):
-    p0, p1 = int(row_ptrs[lo]), int(row_ptrs[hi])
-    ids = row_ids[p0:p1] - lo
-    cols = col_idxs[p0:p1]
-    vals = values[p0:p1]
-    for j in range(b.shape[1]):
-        s = np.bincount(ids, weights=vals * b[cols, j], minlength=hi - lo)
-        if beta == 0.0:
-            out[lo:hi, j] = alpha * s
-        else:
-            out[lo:hi, j] = alpha * s + beta * out[lo:hi, j]
+def _spmv(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
+    _spmv_rows(exec_, row_ptrs, row_ids, col_idxs, values, b, out, None, 0.0)
 
 
 @register_kernel("spmv_advanced", _REF)
-def _spmv_advanced_ref(exec_, row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out):
-    _spmv_advanced_rows(
-        row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out, 0, len(row_ptrs) - 1
-    )
-
-
 @register_kernel("spmv_advanced", _PAR)
-def _spmv_advanced_par(exec_, row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out):
-    def body(lo, hi):
-        _spmv_advanced_rows(row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out, lo, hi)
-
-    _foreach_rows(exec_, len(row_ptrs) - 1, body)
+def _spmv_advanced(exec_, row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out):
+    _spmv_rows(exec_, row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta)
 
 
 # --- dense matrix application ----------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from linopkit.container import Dim, array_view
 from linopkit.errors import (
     ConfigurationError,
     InvalidArgumentError,
@@ -21,7 +22,9 @@ from linopkit.executor import (
     registered_kernel_names,
     split_ranges,
 )
+from linopkit.facade import AppVector
 from linopkit.kernels import ELEMENTWISE_MIN_PARALLEL, REDUCTION_TILE
+from linopkit.linop import Dense
 
 ALL_KERNELS = (
     "fill", "copy", "scale", "axpy", "aypx", "waxpby", "diag_scale",
@@ -122,8 +125,8 @@ def _rand(rng, shape):
 
 class TestBackendEquivalence:
     """Reference and parallel kernels must agree; parallel must not depend on
-    the worker count.  Element-wise kernels and SpMV perform identical per-row
-    arithmetic on both kinds, so they are compared bitwise; reductions and
+    the worker count.  Element-wise kernels, SpMV and the tiled reductions
+    perform identical arithmetic on both kinds, so they are compared bitwise;
     dense products may associate differently and get a relative tolerance.
     """
 
@@ -166,16 +169,16 @@ class TestBackendEquivalence:
         for other in results[1:]:
             assert np.array_equal(results[0], other)
 
-    def test_reductions_match_reference_within_rounding(self, ref, par, rng):
+    def test_reductions_bitwise_across_kinds_and_worker_counts(self, ref, rng):
         n = 3 * REDUCTION_TILE + 123
         a = _rand(rng, (n, 2))
         b = _rand(rng, (n, 2))
         dr = dispatch(ref, "dot")(a, b)
-        dp = dispatch(par, "dot")(a, b)
-        assert np.allclose(dr, dp, rtol=1e-8, atol=0)
         nr = dispatch(ref, "norm2")(a)
-        npar = dispatch(par, "norm2")(a)
-        assert np.allclose(nr, npar, rtol=1e-8, atol=0)
+        for wc in (1, 2, 4):
+            par = executor_from_name("parallel", wc)
+            assert np.array_equal(dr, dispatch(par, "dot")(a, b)), wc
+            assert np.array_equal(nr, dispatch(par, "norm2")(a)), wc
 
     def test_dense_apply_close_across_kinds(self, ref, par, rng):
         a = _rand(rng, (40, 30))
@@ -195,6 +198,88 @@ class TestBackendEquivalence:
             outs.append(out)
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+
+
+def _bincount_spmv(row_ptrs, row_ids, col_idxs, values, b):
+    """The SpMV formula the kernels must reproduce bit for bit."""
+    n = len(row_ptrs) - 1
+    return np.stack(
+        [np.bincount(row_ids, weights=values * b[col_idxs, j], minlength=n)
+         for j in range(b.shape[1])],
+        axis=1,
+    )
+
+
+def _same_bits(x, y):
+    x = np.ascontiguousarray(x)
+    y = np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestSpmvKernel:
+    """``spmv`` and ``spmv_advanced`` equal the bincount formula bit for bit on
+    both kinds and every worker count, including rows that straddle the
+    parallel chunk boundaries.
+    """
+
+    ROWS = ELEMENTWISE_MIN_PARALLEL + 333  # force the chunked path
+    COLS = 1100
+    EXECUTORS = (
+        ("reference", None), ("parallel", 1), ("parallel", 2), ("parallel", 3),
+    )
+
+    def _matrix(self, rng):
+        lengths = rng.integers(0, 7, size=self.ROWS)
+        lengths[::7] = 0
+        for wc in (2, 3):  # empty rows on either side of each chunk boundary
+            for lo, _ in split_ranges(self.ROWS, wc)[1:]:
+                lengths[lo - 1 : lo + 1] = 0
+        lengths[0] = lengths[-1] = 0
+        lengths[600] = 900  # one long row
+        row_ptrs = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        row_ids = np.repeat(np.arange(self.ROWS, dtype=np.int64), lengths)
+        col_idxs = np.concatenate(
+            [np.sort(rng.choice(self.COLS, size=k, replace=False)) for k in lengths]
+        ).astype(np.int64)
+        values = rng.normal(size=row_ptrs[-1])
+        return row_ptrs, row_ids, col_idxs, values
+
+    def _b(self, rng, k, layout):
+        b = rng.normal(size=(self.COLS, k))
+        b[rng.choice(self.COLS, size=40, replace=False), 0] = -0.0
+        b[rng.choice(self.COLS, size=3, replace=False), k - 1] = np.inf
+        b[rng.choice(self.COLS, size=3, replace=False), 0] = np.nan
+        if layout == "contiguous":
+            return b
+        vec = AppVector.from_values(b, stride=k + 2)
+        ref = executor_from_name("reference")
+        arr = array_view(ref, vec.total_size(), vec.data(), const=True)
+        view = Dense.create_const(ref, Dim(self.COLS, k), arr, stride=vec.stride).view2d()
+        assert not view.flags.writeable and not view.flags.c_contiguous
+        return view
+
+    @pytest.mark.parametrize("k, layout", [(1, "contiguous"), (3, "contiguous"), (3, "padded_const")])
+    def test_bitwise_equal_to_bincount_formula(self, rng, k, layout):
+        row_ptrs, row_ids, col_idxs, values = self._matrix(rng)
+        b = self._b(rng, k, layout)
+        s = _bincount_spmv(row_ptrs, row_ids, col_idxs, values, b)
+        assert np.isnan(s).any() and np.isinf(s).any() and (s == 0.0).any()
+        out0 = rng.normal(size=(self.ROWS, k))
+        args = (row_ptrs, row_ids, col_idxs, values)
+        for name, workers in self.EXECUTORS:
+            exec_ = executor_from_name(name, workers)
+            out = np.full((self.ROWS, k), np.nan)
+            dispatch(exec_, "spmv")(*args, b, out)
+            assert _same_bits(out, s), (name, workers)
+            for alpha, beta in ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25)):
+                if beta == 0.0:
+                    out = np.full((self.ROWS, k), np.nan)
+                    expected = alpha * s
+                else:
+                    out = out0.copy()
+                    expected = alpha * s + beta * out0
+                dispatch(exec_, "spmv_advanced")(*args, alpha, b, beta, out)
+                assert _same_bits(out, expected), (name, workers, alpha, beta)
 
 
 class TestRunPartitioned:
