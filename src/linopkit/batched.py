@@ -2,16 +2,21 @@
 
 A :class:`BatchCsr` stores one copy of the CSR structure and a (num_systems,
 nnz) value block; a :class:`BatchDense` stacks the per-system vectors.  The
-batched CG and BiCGStab below run all systems in lockstep with an active
-mask, so each system performs exactly the update sequence the single-system
-solver would, stops by its own criteria, and a breakdown in one system marks
-that system failed without disturbing its siblings.
+batched CG and BiCGStab below run the systems in lockstep, each performing
+exactly the update sequence the single-system solver would.  A system leaves
+the lockstep when its own criteria stop it, or when it breaks down, which
+marks it failed without disturbing its siblings.  Its solution and report are
+written back once, and the state arrays are compacted to the systems still
+iterating, so a finished system costs nothing further.  Each lane's
+arithmetic and summation order do not depend on which other lanes are live.
 
 On parallel executors the batch is split into contiguous system ranges
-through the ``run_partitioned`` kernel.  Block bodies touch only their own
-slice of every array and use plain numpy internally (never the dispatched
-kernels, which keeps the worker pool free of nested submissions), so the
-partitioning cannot change any result.
+through the ``run_partitioned`` kernel, and each range is solved in
+contiguous groups of at most ``GROUP_ENTRIES`` stored entries' worth of
+systems.  Block bodies touch only their own slice of every array and use
+plain numpy internally (never the dispatched kernels, which keeps the worker
+pool free of nested submissions), so neither the partitioning nor the
+grouping can change any result.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ STOP_BREAKDOWN = "breakdown"
 STOP_SINGULAR_PRECONDITIONER = "singular_preconditioner"
 
 BATCH_ALGORITHMS = ("cg", "bicgstab")
+
+#: Systems are solved in groups of at most this many stored pattern entries,
+#: so every state array and SpMV temporary of a group stays near a megabyte
+#: however large the batch: the working set stays cache-sized and the memory
+#: a solve needs does not grow with the batch.
+GROUP_ENTRIES = 1 << 17
 
 
 class BatchCsr:
@@ -252,22 +263,13 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     xvals = x.values[:, :, 0]
     block = _cg_block if algorithm == "cg" else _bicgstab_block
 
+    group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
+
     def body(lo, hi):
-        block(
-            a._row_ids,
-            a.col_idxs,
-            n,
-            a.values[lo:hi],
-            bvals[lo:hi],
-            xvals[lo:hi],
-            criteria,
-            diag_pos,
-            DEFAULT_TOL_BREAKDOWN,
-            iters[lo:hi],
-            finals[lo:hi],
-            conv[lo:hi],
-            reasons[lo:hi],
-        )
+        for start in range(lo, hi, group):
+            g = slice(start, min(start + group, hi))
+            block(a._row_ids, a.col_idxs, n, a.values[g], bvals[g], xvals[g], criteria,
+                  diag_pos, DEFAULT_TOL_BREAKDOWN, iters[g], finals[g], conv[g], reasons[g])
 
     dispatch(a.executor, "run_partitioned")(num, body)
     return BatchSolveReport(iters, finals, conv, list(reasons))
@@ -284,12 +286,23 @@ def _structural_diagonal(a: BatchCsr) -> np.ndarray:
     return pos
 
 
-def _spmv_block(vals, row_ids, col_idxs, n, xb) -> np.ndarray:
-    """Per-system SpMV; row sums accumulate left to right like the solo kernel."""
+def _flat_rows(row_ids, n, m) -> np.ndarray:
+    """Output slot of every stored entry of ``m`` stacked systems, lane-major.
+
+    The first ``k * nnz`` entries are the index for the first ``k`` lanes.
+    """
+    return (np.arange(m)[:, None] * n + row_ids[None, :]).ravel()
+
+
+def _spmv_block(vals, flat, col_idxs, n, xb) -> np.ndarray:
+    """Per-system SpMV; row sums accumulate left to right like the solo kernel.
+
+    ``flat`` is :func:`_flat_rows` for at least ``xb.shape[0]`` lanes.
+    """
     m = xb.shape[0]
-    prod = vals * xb[:, col_idxs]
-    flat = (np.arange(m)[:, None] * n + row_ids[None, :]).ravel()
-    return np.bincount(flat, weights=prod.ravel(), minlength=m * n).reshape(m, n)
+    prod = np.take(xb, col_idxs, axis=1)
+    prod *= vals
+    return np.bincount(flat[: prod.size], weights=prod.ravel(), minlength=m * n).reshape(m, n)
 
 
 def _rowdot(u, v) -> np.ndarray:
@@ -301,6 +314,7 @@ def _rownorm(u) -> np.ndarray:
 
 
 def _criteria_masks(criteria, k, r0, rk):
+    """Lanes meeting a residual criterion, and whether the iteration cap is hit."""
     res = np.zeros(r0.shape, dtype=bool)
     iteration_hit = False
     for crit in criteria:
@@ -308,202 +322,172 @@ def _criteria_masks(criteria, k, r0, rk):
             res |= (r0 == 0.0) | (rk <= crit.reduction_factor * r0)
         else:
             iteration_hit = iteration_hit or (k >= crit.max_iters)
-    return res, np.full(r0.shape, iteration_hit)
+    return res, iteration_hit
 
 
-def _residual_only_mask(criteria, r0, rk):
-    res = np.zeros(r0.shape, dtype=bool)
-    for crit in criteria:
-        if isinstance(crit, ResidualNorm):
-            res |= (r0 == 0.0) | (rk <= crit.reduction_factor * r0)
-    return res
+class _Lanes:
+    """The systems of one block that are still iterating.
+
+    Every array attribute holds one row per live lane, in block order, and
+    ``ids`` maps each row to its block slot.  Until the first lane stops, ``x``
+    and ``vals`` are views of the caller's storage; :meth:`stop` writes the
+    results of stopping lanes back once and drops those lanes from every array
+    attribute, so the recurrences never compute on a finished system.
+    """
+
+    def __init__(self, xv, vals, iters, finals, conv, reasons):
+        self._out = (xv, iters, finals, conv, reasons)  # a tuple: never compacted
+        self.ids = np.arange(xv.shape[0])
+        self.x = xv
+        self.vals = vals
+
+    @property
+    def count(self) -> int:
+        return self.ids.shape[0]
+
+    def stop(self, mask, k, converged, reason, *temps):
+        """Record lanes in ``mask`` as stopped after ``k`` iterations.
+
+        Returns ``temps`` (loop temporaries with one row per lane) compacted
+        the same way.
+        """
+        if not mask.any():
+            return temps
+        xv, iters, finals, conv, reasons = self._out
+        gone = self.ids[mask]
+        xv[gone] = self.x[mask]
+        finals[gone] = self.rk[mask]
+        iters[gone] = k
+        conv[gone] = converged
+        reasons[gone] = reason
+        keep = np.flatnonzero(~mask)
+        # One array at a time, so each full-size original is freed before
+        # the next copy is made.
+        for name in [n for n, v in vars(self).items() if isinstance(v, np.ndarray)]:
+            setattr(self, name, getattr(self, name).take(keep, axis=0))
+        return tuple(t.take(keep, axis=0) for t in temps)
+
+    def stop_by_criteria(self, criteria, k):
+        res, iteration_hit = _criteria_masks(criteria, k, self.r0, self.rk)
+        self.stop(res, k, True, STOP_RESIDUAL)
+        if iteration_hit:
+            self.stop(np.ones(self.count, dtype=bool), k, False, STOP_ITERATION)
 
 
-def _record(mask, k, converged, reason, iters, conv, reasons, active):
-    if mask.any():
-        iters[mask] = k
-        conv[mask] = converged
-        reasons[mask] = reason
-        active &= ~mask
+def _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out):
+    """Initial residual, Jacobi set-up and the checks before the first iteration.
+
+    Returns the live lanes (with ``r``, ``r0``, ``rk``, ``b_norm_sq`` and
+    ``invd``) and the block's flat SpMV index.
+    """
+    flat = _flat_rows(row_ids, n, bv.shape[0])
+    lanes = _Lanes(xv, vals, *out)
+    lanes.r = bv - _spmv_block(vals, flat, col_idxs, n, xv)
+    lanes.r0 = _rownorm(lanes.r)
+    lanes.rk = lanes.r0.copy()
+    lanes.b_norm_sq = _rowdot(bv, bv)
+    lanes.invd = None
+    if diag_pos is not None:
+        if (diag_pos < 0).any():
+            dvals = np.zeros(bv.shape)
+        else:
+            dvals = vals[:, diag_pos]
+        lanes.invd = np.zeros(bv.shape)
+        np.divide(1.0, dvals, out=lanes.invd, where=dvals != 0.0)
+        # Such lanes keep their initial residual as the final one.
+        lanes.stop((dvals == 0.0).any(axis=1), 0, False, STOP_SINGULAR_PRECONDITIONER)
+    lanes.stop_by_criteria(criteria, 0)
+    return lanes, flat
 
 
 def _cg_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
-              tol_breakdown, iters, finals, conv, reasons):
-    m = bv.shape[0]
-    active = np.ones(m, dtype=bool)
-
-    invd = None
-    if diag_pos is not None:
-        invd, active = _jacobi_rows(row_ids, col_idxs, n, vals, bv, xv, diag_pos,
-                                    iters, finals, conv, reasons, active)
-
-    r = bv - _spmv_block(vals, row_ids, col_idxs, n, xv)
-    r0 = _rownorm(r)
-    rk = r0.copy()
-    b_norm_sq = _rowdot(bv, bv)
-
-    res0, it0 = _criteria_masks(criteria, 0, r0, rk)
-    stopped = active & (res0 | it0)
-    conv[stopped] = res0[stopped]
-    reasons[stopped & res0] = STOP_RESIDUAL
-    reasons[stopped & ~res0] = STOP_ITERATION
-    iters[stopped] = 0
-    active &= ~stopped
-
-    z = r * invd if invd is not None else r.copy()
-    p = z.copy()
-    rho = _rowdot(r, z)
+              tol_breakdown, *out):
+    lanes, flat = _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out)
+    z = lanes.r * lanes.invd if lanes.invd is not None else lanes.r
+    lanes.p = z.copy()
+    lanes.rho = _rowdot(lanes.r, z)
     k = 0
-    while active.any():
+    while lanes.count:
         k += 1
-        bd = active & (np.abs(rho) < tol_breakdown * b_norm_sq)
-        _record(bd, k - 1, False, STOP_BREAKDOWN, iters, conv, reasons, active)
-        if not active.any():
+        lanes.stop(np.abs(lanes.rho) < tol_breakdown * lanes.b_norm_sq,
+                   k - 1, False, STOP_BREAKDOWN)
+        if not lanes.count:
             break
-        q = _spmv_block(vals, row_ids, col_idxs, n, p)
-        pq = _rowdot(p, q)
-        bad = active & ((pq == 0.0) | ~np.isfinite(pq))
-        _record(bad, k - 1, False, STOP_BREAKDOWN, iters, conv, reasons, active)
-        if not active.any():
+        q = _spmv_block(lanes.vals, flat, col_idxs, n, lanes.p)
+        pq = _rowdot(lanes.p, q)
+        q, pq = lanes.stop((pq == 0.0) | ~np.isfinite(pq), k - 1, False, STOP_BREAKDOWN, q, pq)
+        if not lanes.count:
             break
-        alpha = np.zeros(m)
-        np.divide(rho, pq, out=alpha, where=active)
-        xv[active] += alpha[active, None] * p[active]
-        r[active] -= alpha[active, None] * q[active]
-        rk[active] = _rownorm(r[active])
-        res, itr = _criteria_masks(criteria, k, r0, rk)
-        done = active & (res | itr)
-        conv[done] = res[done]
-        reasons[done & res] = STOP_RESIDUAL
-        reasons[done & ~res] = STOP_ITERATION
-        iters[done] = k
-        active &= ~done
-        if not active.any():
+        alpha = lanes.rho / pq
+        lanes.x += alpha[:, None] * lanes.p
+        lanes.r -= alpha[:, None] * q
+        del q  # no full-size temporary may outlive a compaction
+        lanes.rk = _rownorm(lanes.r)
+        lanes.stop_by_criteria(criteria, k)
+        if not lanes.count:
             break
-        if invd is not None:
-            z[active] = r[active] * invd[active]
-        else:
-            z[active] = r[active]
-        rho_new = rho.copy()
-        rho_new[active] = _rowdot(r[active], z[active])
-        beta = np.zeros(m)
-        np.divide(rho_new, rho, out=beta, where=active & (rho != 0.0))
-        p[active] = z[active] + beta[active, None] * p[active]
-        rho = rho_new
-    finals[...] = rk
+        z = lanes.r * lanes.invd if lanes.invd is not None else lanes.r
+        rho_new = _rowdot(lanes.r, z)
+        # rho is 0 only where b is 0, which the breakdown test cannot catch.
+        beta = np.zeros(lanes.count)
+        np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
+        lanes.p = z + beta[:, None] * lanes.p
+        lanes.rho = rho_new
 
 
 def _bicgstab_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
-                    tol_breakdown, iters, finals, conv, reasons):
-    m = bv.shape[0]
-    active = np.ones(m, dtype=bool)
-
-    invd = None
-    if diag_pos is not None:
-        invd, active = _jacobi_rows(row_ids, col_idxs, n, vals, bv, xv, diag_pos,
-                                    iters, finals, conv, reasons, active)
-
-    r = bv - _spmv_block(vals, row_ids, col_idxs, n, xv)
-    rhat = r.copy()
-    r0 = _rownorm(r)
-    rk = r0.copy()
-    b_norm_sq = _rowdot(bv, bv)
-
-    res0, it0 = _criteria_masks(criteria, 0, r0, rk)
-    stopped = active & (res0 | it0)
-    conv[stopped] = res0[stopped]
-    reasons[stopped & res0] = STOP_RESIDUAL
-    reasons[stopped & ~res0] = STOP_ITERATION
-    iters[stopped] = 0
-    active &= ~stopped
-
-    rho_prev = np.ones(m)
-    alpha = np.ones(m)
-    omega = np.ones(m)
-    p = np.zeros_like(r)
-    v = np.zeros_like(r)
-    s = np.zeros_like(r)
+                    tol_breakdown, *out):
+    lanes, flat = _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out)
+    lanes.rhat = lanes.r.copy()
+    lanes.rho = np.ones(lanes.count)
+    lanes.alpha = np.ones(lanes.count)
+    lanes.omega = np.ones(lanes.count)
     k = 0
-    while active.any():
+    while lanes.count:
         k += 1
-        rho = _rowdot(rhat, r)
-        bd = active & (np.abs(rho) < tol_breakdown * b_norm_sq)
-        _record(bd, k - 1, False, STOP_BREAKDOWN, iters, conv, reasons, active)
-        if k > 1:
-            bd = active & (omega == 0.0)
-            _record(bd, k - 1, False, STOP_BREAKDOWN, iters, conv, reasons, active)
-        if not active.any():
+        rho = _rowdot(lanes.rhat, lanes.r)
+        bd = (np.abs(rho) < tol_breakdown * lanes.b_norm_sq) | (lanes.omega == 0.0)
+        (rho,) = lanes.stop(bd, k - 1, False, STOP_BREAKDOWN, rho)
+        if not lanes.count:
             break
         if k == 1:
-            p[active] = r[active]
+            lanes.p = lanes.r.copy()
         else:
             # (rho / rho_prev) * (alpha / omega), factored exactly like the
-            # single-system recurrence so the rounding matches.
-            beta = np.zeros(m)
-            np.divide(rho, rho_prev, out=beta, where=active & (rho_prev != 0.0))
-            ao = np.zeros(m)
-            np.divide(alpha, omega, out=ao, where=active & (omega != 0.0))
-            beta *= ao
-            p[active] = r[active] + beta[active, None] * (
-                p[active] - omega[active, None] * v[active]
-            )
-        phat = p * invd if invd is not None else p
-        v = _spmv_block(vals, row_ids, col_idxs, n, phat)
-        rhat_v = _rowdot(rhat, v)
-        bad = active & ((rhat_v == 0.0) | ~np.isfinite(rhat_v))
-        _record(bad, k - 1, False, STOP_BREAKDOWN, iters, conv, reasons, active)
-        if not active.any():
+            # single-system recurrence so the rounding matches; rho_prev is 0
+            # only where b is 0, which the breakdown test cannot catch.
+            beta = np.zeros(lanes.count)
+            np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
+            beta *= lanes.alpha / lanes.omega
+            lanes.p = lanes.r + beta[:, None] * (lanes.p - lanes.omega[:, None] * lanes.v)
+        lanes.rho = rho
+        phat = lanes.p * lanes.invd if lanes.invd is not None else lanes.p
+        lanes.v = _spmv_block(lanes.vals, flat, col_idxs, n, phat)
+        rhat_v = _rowdot(lanes.rhat, lanes.v)
+        bad = (rhat_v == 0.0) | ~np.isfinite(rhat_v)
+        phat, rhat_v = lanes.stop(bad, k - 1, False, STOP_BREAKDOWN, phat, rhat_v)
+        if not lanes.count:
             break
-        alpha_new = alpha.copy()
-        np.divide(rho, rhat_v, out=alpha_new, where=active)
-        alpha = alpha_new
-        s[active] = r[active] - alpha[active, None] * v[active]
-        s_norm = rk.copy()
-        s_norm[active] = _rownorm(s[active])
-        half = active & _residual_only_mask(criteria, r0, s_norm)
+        lanes.alpha = lanes.rho / rhat_v
+        s = lanes.r - lanes.alpha[:, None] * lanes.v
+        s_norm = _rownorm(s)
+        half, _ = _criteria_masks(criteria, k, lanes.r0, s_norm)
         if half.any():
-            xv[half] += alpha[half, None] * phat[half]
-            r[half] = s[half]
-            rk[half] = s_norm[half]
-            _record(half, k, True, STOP_RESIDUAL, iters, conv, reasons, active)
-        if not active.any():
+            lanes.x[half] += lanes.alpha[half, None] * phat[half]
+            lanes.rk[half] = s_norm[half]
+            phat, s = lanes.stop(half, k, True, STOP_RESIDUAL, phat, s)
+        if not lanes.count:
             break
-        shat = s * invd if invd is not None else s
-        t = _spmv_block(vals, row_ids, col_idxs, n, shat)
+        shat = s * lanes.invd if lanes.invd is not None else s
+        t = _spmv_block(lanes.vals, flat, col_idxs, n, shat)
         tt = _rowdot(t, t)
-        bad = active & ((tt == 0.0) | ~np.isfinite(tt))
-        _record(bad, k - 1, False, STOP_BREAKDOWN, iters, conv, reasons, active)
-        if not active.any():
+        bad = (tt == 0.0) | ~np.isfinite(tt)
+        phat, s, shat, t, tt = lanes.stop(bad, k - 1, False, STOP_BREAKDOWN, phat, s, shat, t, tt)
+        if not lanes.count:
             break
-        omega_new = omega.copy()
-        np.divide(_rowdot(t, s), tt, out=omega_new, where=active)
-        omega = omega_new
-        xv[active] += alpha[active, None] * phat[active] + omega[active, None] * shat[active]
-        r[active] = s[active] - omega[active, None] * t[active]
-        rk[active] = _rownorm(r[active])
-        res, itr = _criteria_masks(criteria, k, r0, rk)
-        done = active & (res | itr)
-        conv[done] = res[done]
-        reasons[done & res] = STOP_RESIDUAL
-        reasons[done & ~res] = STOP_ITERATION
-        iters[done] = k
-        active &= ~done
-        rho_prev = rho
-    finals[...] = rk
-
-
-def _jacobi_rows(row_ids, col_idxs, n, vals, bv, xv, diag_pos,
-                 iters, finals, conv, reasons, active):
-    """Per-system inverse diagonals; systems with unusable diagonals stop here."""
-    m = bv.shape[0]
-    if (diag_pos < 0).any():
-        dvals = np.zeros((m, n))
-    else:
-        dvals = vals[:, diag_pos]
-    bad = active & (dvals == 0.0).any(axis=1)
-    invd = np.zeros((m, n))
-    np.divide(1.0, dvals, out=invd, where=dvals != 0.0)
-    # Failed systems keep their initial residual as the final one; the block
-    # epilogue writes it from rk, which never moves for inactive lanes.
-    _record(bad, 0, False, STOP_SINGULAR_PRECONDITIONER, iters, conv, reasons, active)
-    return invd, active
+        lanes.omega = _rowdot(t, s) / tt
+        lanes.x += lanes.alpha[:, None] * phat + lanes.omega[:, None] * shat
+        lanes.r = s - lanes.omega[:, None] * t
+        del phat, s, shat, t  # no full-size temporary may outlive a compaction
+        lanes.rk = _rownorm(lanes.r)
+        lanes.stop_by_criteria(criteria, k)

@@ -196,9 +196,11 @@ def _spmv_rows(exec_, row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
 
     Each row sum is ``np.bincount`` over the products ``b[col] * value`` of
     that row, added left to right.  ``take`` on one column gathers about three
-    times faster than 2-D fancy indexing (less when ``col_idxs`` is read-only,
-    because ``take`` copies such an index array first), and multiplying in
-    place saves a temporary; neither changes a bit of the result.
+    times faster than 2-D fancy indexing, and multiplying in place saves a
+    temporary; neither changes a bit of the result.  ``take`` copies a
+    read-only index array before gathering, so a read-only ``col_idxs`` (such
+    as ``Csr.get_col_idxs()``) is gathered by 1-D fancy indexing instead,
+    which reads it in place.
     """
 
     def body(lo, hi):
@@ -207,7 +209,7 @@ def _spmv_rows(exec_, row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
         cols = col_idxs[p0:p1]
         vals = values[p0:p1]
         for j in range(b.shape[1]):
-            prod = b[:, j].take(cols)
+            prod = b[:, j].take(cols) if cols.flags.writeable else b[:, j][cols]
             prod *= vals
             s = np.bincount(ids, weights=prod, minlength=hi - lo)
             if alpha is None:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from linopkit.batched import BatchCsr, BatchDense, batch_solve
+from linopkit import batched
+from linopkit.batched import BatchCsr, BatchDense, _flat_rows, _spmv_block, batch_solve
 from linopkit.container import MatrixData, copy_stats, reset_copy_stats
 from linopkit.errors import BreakdownError, InvalidArgumentError
 from linopkit.executor import executor_from_name
@@ -11,6 +12,10 @@ from linopkit.linop import Dense
 from linopkit.solver import Iteration, ResidualNorm, SolverFactory
 
 from helpers import dense_from_numpy, random_dd_dense, random_spd_dense
+
+# The recurrences divide without masks once stopped systems have left, so a
+# division on a system that should have stopped must fail loudly.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def full_pattern(n):
@@ -34,6 +39,48 @@ def solo_solve(exec_, a_csr, bvec, algorithm, criteria, preconditioner=None):
 
 
 CRITERIA = (Iteration(60), ResidualNorm(1e-11))
+MIXED_CRITERIA = (Iteration(8), ResidualNorm(1e-11))
+MIXED_REASONS = {"residual_norm", "iteration", "breakdown", "singular_preconditioner"}
+
+
+def mixed_exit_batch(rng):
+    """37 systems of size 6 that, under MIXED_CRITERIA with Jacobi, stop for
+    every reason: system 3 has a zero diagonal, system 8 (all ones, b summing
+    to 0) breaks down, system 20 (condition number 1e6) hits the iteration
+    cap and the rest converge within 6 iterations.
+    """
+    num, n = 37, 6
+    stack = np.stack([random_spd_dense(rng, n) for _ in range(num)])
+    bv = rng.normal(size=(num, n, 1))
+    stack[3, 2, 2] = 0.0
+    stack[8] = 1.0
+    bv[8, :, 0] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    stack[20] = (q * np.geomspace(1e-6, 1.0, n)) @ q.T
+    return stack, bv
+
+
+def solve_outcome(exec_, stack, bv, algorithm, criteria, preconditioner):
+    """Everything a batched solve reports, per system."""
+    a = build_batch(exec_, stack)
+    b = BatchDense.from_values(exec_, bv.copy())
+    x = BatchDense.zeros(exec_, stack.shape[0], (stack.shape[1], 1))
+    report = batch_solve(algorithm, a, b, x, criteria, preconditioner=preconditioner)
+    return {
+        "x": x.values.copy(),
+        "iterations": report.iterations.copy(),
+        "stop_reasons": np.array(report.stop_reasons),
+        "converged": report.converged.copy(),
+        "final_residual_norms": report.final_residual_norms.copy(),
+    }
+
+
+def assert_same_bits(expected, actual, context):
+    for key, want in expected.items():
+        got = actual[key]
+        if want.dtype == np.float64:
+            want, got = want.view(np.uint64), got.view(np.uint64)
+        assert np.array_equal(want, got), (key, context)
 
 
 class TestAgainstSingleSolves:
@@ -111,6 +158,39 @@ class TestFaultIsolation:
             solo_solve(ref, a.extract_system(2), bv[2, :, 0], algorithm, CRITERIA)
         assert err.value.iterations == report.iterations[2]
 
+    def test_omega_collapse_stays_contained(self, ref, rng):
+        # t . s is exactly 0 in the first iteration, so omega collapses to 0,
+        # which leaves rho = 0 in the second: the system must stop there
+        # before anything divides by omega, as the solo solver does.
+        omega_zero = np.array([[-1.0, -1.0], [0.0, 2.0]])
+        a = build_batch(ref, np.stack([omega_zero, random_dd_dense(rng, 2)]))
+        bv = np.array([[1.0, -1.0], rng.normal(size=2)])[:, :, None]
+        b = BatchDense.from_values(ref, bv)
+        x = BatchDense.zeros(ref, 2, (2, 1))
+        report = batch_solve("bicgstab", a, b, x, CRITERIA)
+        assert report.stop_reasons == ["breakdown", "residual_norm"]
+        assert report.iterations[0] == 1 and not report.converged[0]
+        with pytest.raises(BreakdownError) as err:
+            solo_solve(ref, a.extract_system(0), bv[0, :, 0], "bicgstab", CRITERIA)
+        assert err.value.iterations == report.iterations[0]
+
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    def test_final_norms_follow_the_stop_reason(self, ref, rng, algorithm):
+        stack, bv = mixed_exit_batch(rng)
+        out = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
+        final, reasons = out["final_residual_norms"], out["stop_reasons"]
+        r0 = np.linalg.norm(bv[:, :, 0], axis=1)  # x starts at 0
+        target = MIXED_CRITERIA[1].reduction_factor * r0 * (1 + 1e-12)
+        converged = reasons == "residual_norm"
+        assert (final[converged] <= target[converged]).all()
+        assert (final[reasons == "iteration"] > target[reasons == "iteration"]).all()
+        at_start = out["iterations"] == 0  # singular, and the breakdown system
+        assert at_start.sum() == 2
+        assert np.allclose(final[at_start], r0[at_start], rtol=1e-14, atol=0.0)
+        ax = np.einsum("kij,kj->ki", stack, out["x"][:, :, 0])
+        true = np.linalg.norm(bv[:, :, 0] - ax, axis=1)
+        assert (true[converged] <= 1e-9 * r0[converged]).all()
+
     def test_zero_diagonal_marks_only_that_system_singular(self, ref, rng):
         num, n = 4, 3
         stack = np.stack([random_spd_dense(rng, n) for _ in range(num)])
@@ -164,21 +244,74 @@ class TestSharedStorage:
 
 class TestParallelPartitioning:
     def test_results_bitwise_identical_across_worker_counts(self, rng):
-        num, n = 37, 5  # odd count so the partition is uneven
-        stack = np.stack([random_spd_dense(rng, n) for _ in range(num)])
-        bv = rng.normal(size=(num, n, 1))
-        outcomes = []
-        for backend, wc in (("reference", None), ("parallel", 1), ("parallel", 2), ("parallel", 4)):
-            exec_ = executor_from_name(backend, wc)
-            a = build_batch(exec_, stack)
-            b = BatchDense.from_values(exec_, bv.copy())
-            x = BatchDense.zeros(exec_, num, (n, 1))
-            report = batch_solve("cg", a, b, x, CRITERIA, preconditioner="jacobi")
-            outcomes.append((x.values.copy(), report.iterations.copy()))
-        baseline = outcomes[0]
-        for values, iters in outcomes[1:]:
-            assert np.array_equal(baseline[0], values)
-            assert np.array_equal(baseline[1], iters)
+        # 37 systems, so every partition is uneven; the mixed exits make
+        # systems leave at different iterations in every block.
+        stack, bv = mixed_exit_batch(rng)
+        for algorithm in ("cg", "bicgstab"):
+            outcomes = [
+                solve_outcome(executor_from_name(backend, wc), stack, bv, algorithm,
+                              MIXED_CRITERIA, "jacobi")
+                for backend, wc in (("reference", None), ("parallel", 1), ("parallel", 2),
+                                    ("parallel", 4))
+            ]
+            assert set(outcomes[0]["stop_reasons"]) == MIXED_REASONS, algorithm
+            for wc, outcome in zip((1, 2, 4), outcomes[1:]):
+                assert_same_bits(outcomes[0], outcome, (algorithm, wc))
+
+
+class TestLaneIndependence:
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    @pytest.mark.parametrize("preconditioner", [None, "jacobi"])
+    def test_sub_batch_gives_the_same_bits(self, ref, rng, algorithm, preconditioner):
+        """A system's result does not depend on which other systems share its
+        batch, nor on when they stop."""
+        stack, bv = mixed_exit_batch(rng)
+        whole = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, preconditioner)
+        for start in (0, 1):  # every other system, both halves
+            sub = solve_outcome(ref, stack[start::2], bv[start::2], algorithm,
+                                MIXED_CRITERIA, preconditioner)
+            expected = {key: value[start::2] for key, value in whole.items()}
+            assert_same_bits(expected, sub, (algorithm, preconditioner, start))
+
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    def test_lane_groups_give_the_same_bits(self, ref, rng, monkeypatch, algorithm):
+        stack, bv = mixed_exit_batch(rng)
+        whole = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
+        monkeypatch.setattr(batched, "GROUP_ENTRIES", 5 * stack.shape[1] ** 2)  # 5 systems
+        grouped = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
+        assert_same_bits(whole, grouped, algorithm)
+
+
+class TestSpmvBlock:
+    @staticmethod
+    def _old_formula(vals, row_ids, col_idxs, n, xb):
+        """The per-system SpMV the block kernel must reproduce bit for bit."""
+        m = xb.shape[0]
+        flat = (np.arange(m)[:, None] * n + row_ids[None, :]).ravel()
+        prod = vals * xb[:, col_idxs]
+        return np.bincount(flat, weights=prod.ravel(), minlength=m * n).reshape(m, n)
+
+    def test_bitwise_equal_to_bincount_formula(self, ref, rng):
+        n, num = 6, 9
+        entries = [(0, 0), (0, 3), (0, 5), (2, 1), (2, 2), (3, 0), (3, 3), (3, 4),
+                   (3, 5), (4, 4), (5, 2)]  # row 1 is empty
+        template = MatrixData((n, n), [(i, j, 1.0) for i, j in entries])
+        a = BatchCsr.from_template(ref, num, template, rng.normal(size=(num, len(entries))))
+        row_ids, col_idxs = a._row_ids, a.col_idxs
+        xb = rng.normal(size=(num, n))
+        xb[0, 3] = xb[4, 0] = -0.0
+        xb[2, 5] = np.inf
+        xb[5, 0] = -np.inf
+        xb[7, 3] = np.nan
+        flat = _flat_rows(row_ids, n, num)
+        with np.errstate(invalid="ignore"):
+            for lanes in (np.arange(num), np.arange(4), np.array([1, 2, 5, 7, 8])):
+                vals = a.values[lanes]
+                expected = self._old_formula(vals, row_ids, col_idxs, n, xb[lanes])
+                got = _spmv_block(vals, flat, col_idxs, n, xb[lanes])
+                assert got.shape == (len(lanes), n)
+                assert np.array_equal(expected.view(np.uint64), got.view(np.uint64)), lanes
+        assert np.isnan(expected).any() and np.isinf(got).any() and (got[:, 1] == 0.0).all()
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Executor creation, kernel dispatch, and backend equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -265,12 +267,14 @@ class TestSpmvKernel:
         s = _bincount_spmv(row_ptrs, row_ids, col_idxs, values, b)
         assert np.isnan(s).any() and np.isinf(s).any() and (s == 0.0).any()
         out0 = rng.normal(size=(self.ROWS, k))
-        args = (row_ptrs, row_ids, col_idxs, values)
-        for name, workers in self.EXECUTORS:
+        readonly_cols = col_idxs.copy()
+        readonly_cols.flags.writeable = False  # as Csr.get_col_idxs() hands out
+        for (name, workers), cols in itertools.product(self.EXECUTORS, (col_idxs, readonly_cols)):
+            args = (row_ptrs, row_ids, cols, values)
             exec_ = executor_from_name(name, workers)
             out = np.full((self.ROWS, k), np.nan)
             dispatch(exec_, "spmv")(*args, b, out)
-            assert _same_bits(out, s), (name, workers)
+            assert _same_bits(out, s), (name, workers, cols.flags.writeable)
             for alpha, beta in ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25)):
                 if beta == 0.0:
                     out = np.full((self.ROWS, k), np.nan)
@@ -279,7 +283,7 @@ class TestSpmvKernel:
                     out = out0.copy()
                     expected = alpha * s + beta * out0
                 dispatch(exec_, "spmv_advanced")(*args, alpha, b, beta, out)
-                assert _same_bits(out, expected), (name, workers, alpha, beta)
+                assert _same_bits(out, expected), (name, workers, cols.flags.writeable, alpha, beta)
 
 
 class TestRunPartitioned:
