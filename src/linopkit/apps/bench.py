@@ -70,8 +70,7 @@ def run_benchmark(cfg: RunConfig) -> BenchReport:
     data = read_matrix_market(cfg.matrix)
     rows, cols = data.size
     matrix = AppMatrix(rows, cols)
-    for row, col, value in data:
-        matrix.add_entry(row, col, value)
+    matrix.add_entries(*data.arrays())
 
     b = AppVector.from_values(_build_rhs(cfg, rows))
     x = AppVector(cols)

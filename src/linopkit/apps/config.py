@@ -142,9 +142,13 @@ _MASK64 = (1 << 64) - 1
 
 
 def lcg_uniform(seed: int, count: int) -> np.ndarray:
-    out = np.empty(count)
-    state = seed & _MASK64
-    for i in range(count):
-        state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & _MASK64
-        out[i] = (state >> 11) * 2.0**-53
-    return out
+    """``count`` draws of the generator above, all states computed at once.
+
+    Unrolling the recurrence gives state_j = a^j s_0 + c (1 + a + ... + a^(j-1)).
+    Prefix products and sums in uint64 wrap mod 2^64 exactly as the
+    recurrence does, so the draws are bit for bit the step-by-step ones.
+    """
+    powers = np.cumprod(np.full(count, LCG_MULTIPLIER, dtype=np.uint64))  # a^1 .. a^count
+    sums = np.cumsum(powers) - powers + np.uint64(1)  # 1 + a + ... + a^(j-1)
+    states = powers * np.uint64(seed & _MASK64) + sums * np.uint64(LCG_INCREMENT)
+    return (states >> np.uint64(11)) * 2.0**-53

@@ -14,6 +14,8 @@ so x approximates du/dt at the new time level.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..container import MatrixData
 from ..executor import Executor
 from ..linop import Csr, Dense
@@ -32,10 +34,10 @@ class ImplicitEulerStepper:
 
         # system matrix I - dt J, assembled from the Jacobian's entries
         system = MatrixData(jacobian.size)
-        for i in range(n):
-            system.add(i, i, 1.0)
-        for row, col, value in jacobian.write_data():
-            system.add(row, col, -self._dt * value)
+        diagonal = np.arange(n)
+        system.add_entries(diagonal, diagonal, np.ones(n))
+        rows, cols, values = jacobian.write_data().arrays()
+        system.add_entries(rows, cols, -self._dt * values)
         matrix = Csr.from_data(exec_, system)
 
         factory = SolverFactory(

@@ -164,8 +164,12 @@ def memory_copy(src: Array, dst_exec: Executor) -> Array:
 class MatrixData:
     """Assembly buffer of (row, col, value) triplets.
 
-    Duplicates are allowed and are summed when the buffer is converted to a
-    concrete format.  Entries are kept in insertion order.
+    Entries live in three arrays (int64 rows, int64 columns, float64 values)
+    in insertion order; capacity doubles as they fill, so :meth:`add` stays
+    cheap per entry and :meth:`add_entries` stores a whole batch with one
+    copy per array.  Duplicates are allowed and are summed when the buffer is
+    converted to a concrete format.  Iterating yields ``(int, int, float)``
+    tuples.
     """
 
     def __init__(self, size, nonzeros=None):
@@ -173,21 +177,90 @@ class MatrixData:
         if size.rows < 0 or size.cols < 0:
             raise InvalidArgumentError(f"matrix dimensions must be >= 0, got {size}")
         self.size = size
-        self.nonzeros: list[tuple[int, int, float]] = []
+        self._count = 0
+        self._rows = np.empty(0, dtype=np.int64)
+        self._cols = np.empty(0, dtype=np.int64)
+        self._values = np.empty(0, dtype=np.float64)
         if nonzeros is not None:
-            for row, col, value in nonzeros:
-                self.add(row, col, value)
+            triplets = list(nonzeros)
+            # freshly built from lists, so the buffers adopt them without a copy
+            self._rows, self._cols, self._values = self._checked(
+                [t[0] for t in triplets], [t[1] for t in triplets], [t[2] for t in triplets]
+            )
+            self._count = len(triplets)
 
     def add(self, row: int, col: int, value: float) -> None:
-        row, col = int(row), int(col)
+        row, col, value = int(row), int(col), float(value)
+        self._check(row, col)
+        n = self._count
+        if n == self._rows.shape[0]:
+            self._reserve(1)
+        self._rows[n] = row
+        self._cols[n] = col
+        self._values[n] = value
+        self._count = n + 1
+
+    def add_entries(self, rows, cols, values) -> None:
+        """Append the entries ``(rows[k], cols[k], values[k])`` in order.
+
+        The three sequences must be 1-D and of equal length.  Everything is
+        checked before anything is stored, so a rejected call adds nothing.
+        """
+        rows, cols, values = self._checked(rows, cols, values)
+        k = values.shape[0]
+        self._reserve(k)
+        n = self._count
+        self._rows[n : n + k] = rows
+        self._cols[n : n + k] = cols
+        self._values[n : n + k] = values
+        self._count = n + k
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (rows, cols, values) views of the stored entries."""
+        out = []
+        for arr in (self._rows, self._cols, self._values):
+            view = arr[: self._count]
+            view.flags.writeable = False
+            out.append(view)
+        return tuple(out)
+
+    def _checked(self, rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``add_entries``' arguments as int64/int64/float64 arrays, or raise."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        k = rows.shape[0] if rows.ndim == 1 else -1
+        if cols.shape != (k,) or values.shape != (k,):
+            raise InvalidArgumentError(
+                "rows, cols and values must be 1-D and of equal length, got shapes "
+                f"{rows.shape}, {cols.shape} and {values.shape}"
+            )
+        # viewed as unsigned, a negative index compares above every dimension
+        bad = (rows.view(np.uint64) >= self.size.rows) | (cols.view(np.uint64) >= self.size.cols)
+        if bad.any():
+            first = int(bad.argmax())
+            self._check(int(rows[first]), int(cols[first]))  # raises for this entry
+        return rows, cols, values
+
+    def _check(self, row: int, col: int) -> None:
         if not (0 <= row < self.size.rows and 0 <= col < self.size.cols):
             raise InvalidArgumentError(
                 f"entry ({row}, {col}) outside {self.size.rows}x{self.size.cols} matrix"
             )
-        self.nonzeros.append((row, col, float(value)))
+
+    def _reserve(self, extra: int) -> None:
+        n = self._count
+        if n + extra > self._rows.shape[0]:
+            capacity = max(n + extra, 2 * n)
+            old = (self._rows, self._cols, self._values)
+            grown = [np.empty(capacity, dtype=a.dtype) for a in old]
+            for g, a in zip(grown, old):
+                g[:n] = a[:n]
+            self._rows, self._cols, self._values = grown
 
     def __len__(self) -> int:
-        return len(self.nonzeros)
+        return self._count
 
     def __iter__(self):
-        return iter(self.nonzeros)
+        rows, cols, values = self.arrays()
+        return zip(rows.tolist(), cols.tolist(), values.tolist())

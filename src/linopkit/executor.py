@@ -19,7 +19,7 @@ import atexit
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -38,6 +38,8 @@ class Executor:
 
     kind: ExecutorKind
     worker_count: int = 1
+    #: kernels already bound to this executor by :func:`dispatch`, by name
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 _REFERENCE = Executor(ExecutorKind.REFERENCE, 1)
@@ -92,9 +94,17 @@ _KERNELS: dict[tuple[str, ExecutorKind], Callable] = {}
 
 
 def register_kernel(name: str, kind: ExecutorKind):
-    """Class a function as the ``name`` kernel for executors of ``kind``."""
+    """Class a function as the ``name`` kernel for executors of ``kind``.
+
+    Each (name, kind) pair is registered once; a second registration raises,
+    so the callables :func:`dispatch` has cached never go stale.
+    """
 
     def deco(fn):
+        if (name, kind) in _KERNELS:
+            raise InvalidArgumentError(
+                f"kernel '{name}' is already registered for executor kind '{kind.value}'"
+            )
         _KERNELS[(name, kind)] = fn
         return fn
 
@@ -104,16 +114,21 @@ def register_kernel(name: str, kind: ExecutorKind):
 def dispatch(exec_: Executor, name: str) -> Callable:
     """Return the kernel ``name`` bound to ``exec_``.
 
-    Unregistered combinations raise; there is deliberately no fallback to
-    another kind, so a missing kernel surfaces loudly instead of silently
-    running somewhere else.
+    The bound callable is built on the first call and cached on the
+    executor, so later calls cost one dict lookup.  Unregistered
+    combinations raise; there is deliberately no fallback to another kind,
+    so a missing kernel surfaces loudly instead of silently running
+    somewhere else.
     """
-    fn = _KERNELS.get((name, exec_.kind))
-    if fn is None:
-        raise UnsupportedBackendError(
-            f"kernel '{name}' is not registered for executor kind '{exec_.kind.value}'"
-        )
-    return partial(fn, exec_)
+    bound = exec_._bound.get(name)
+    if bound is None:
+        fn = _KERNELS.get((name, exec_.kind))
+        if fn is None:
+            raise UnsupportedBackendError(
+                f"kernel '{name}' is not registered for executor kind '{exec_.kind.value}'"
+            )
+        bound = exec_._bound[name] = partial(fn, exec_)
+    return bound
 
 
 def registered_kernel_names() -> list[str]:

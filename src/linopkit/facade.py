@@ -116,26 +116,33 @@ class AppVector:
 
 
 class AppMatrix:
-    """A sparse matrix as an application would assemble it: a triplet bag."""
+    """A sparse matrix as an application would assemble it: a triplet bag.
+
+    A thin wrapper over one :class:`MatrixData`, whose three arrays hold the
+    entries in insertion order.  Add them one at a time with
+    :meth:`add_entry` or a whole batch of index and value arrays at once with
+    :meth:`add_entries`; both check bounds, and a rejected call stores
+    nothing.
+    """
 
     def __init__(self, num_rows, num_cols):
         self.num_rows = int(num_rows)
         self.num_cols = int(num_cols)
-        self._triplets: list[tuple[int, int, float]] = []
+        self._data = MatrixData(Dim(self.num_rows, self.num_cols))
 
     def add_entry(self, row, col, value) -> None:
-        if not (0 <= row < self.num_rows and 0 <= col < self.num_cols):
-            raise InvalidArgumentError(
-                f"entry ({row}, {col}) outside {self.num_rows}x{self.num_cols} matrix"
-            )
-        self._triplets.append((int(row), int(col), float(value)))
+        self._data.add(row, col, value)
+
+    def add_entries(self, rows, cols, values) -> None:
+        """Append ``(rows[k], cols[k], values[k])`` for every k, in order."""
+        self._data.add_entries(rows, cols, values)
 
     def __iter__(self):
         """Yields every stored (row, col, value) exactly once."""
-        return iter(self._triplets)
+        return iter(self._data)
 
     def __len__(self) -> int:
-        return len(self._triplets)
+        return len(self._data)
 
 
 def _dense_view(exec_: Executor, vec: AppVector, const: bool = False) -> Dense:
@@ -186,10 +193,7 @@ class BackendSolver(AbstractSolver):
                  restart: int | None = None):
         _validate_options(options)
         self._executor = executor
-        data = MatrixData(Dim(matrix.num_rows, matrix.num_cols))
-        for row, col, value in matrix:
-            data.add(row, col, value)
-        self._matrix = Csr.from_data(executor, data)  # the one conversion copy
+        self._matrix = Csr.from_data(executor, matrix._data)  # the one conversion copy
         algorithm = options.algorithm
         if algorithm == "lu" and options.wrap_in_gmres:
             algorithm = "gmres_lu"

@@ -168,8 +168,10 @@ def _tile_dot(a, b, lo, hi):
 def _dot(exec_, a, b):
     """Columnwise dot, tiled on the fixed grid and combined in tile order."""
     n = a.shape[0]
+    if n <= REDUCTION_TILE:  # one tile: the same 0.0 + partial as the combine below
+        return np.array([0.0 + np.dot(a[:, j], b[:, j]) for j in range(a.shape[1])])
     bounds = [(lo, min(lo + REDUCTION_TILE, n)) for lo in range(0, n, REDUCTION_TILE)]
-    if exec_.worker_count == 1 or len(bounds) <= 1:
+    if exec_.worker_count == 1:
         partials = [_tile_dot(a, b, lo, hi) for lo, hi in bounds]
     else:
         partials = worker_pool(exec_).map(lambda r: _tile_dot(a, b, r[0], r[1]), bounds)

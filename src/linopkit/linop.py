@@ -254,11 +254,9 @@ class Csr(LinOp):
         matrix conversion.
         """
         rows, cols = data.size
-        nnz = len(data.nonzeros)
+        r, c, v = data.arrays()
+        nnz = len(v)
         if nnz:
-            r = np.fromiter((t[0] for t in data.nonzeros), dtype=np.int64, count=nnz)
-            c = np.fromiter((t[1] for t in data.nonzeros), dtype=np.int64, count=nnz)
-            v = np.fromiter((t[2] for t in data.nonzeros), dtype=np.float64, count=nnz)
             order = np.lexsort((c, r))  # stable, so duplicates keep insertion order
             r, c, v = r[order], c[order], v[order]
             first = np.empty(nnz, dtype=bool)
@@ -353,12 +351,7 @@ class Csr(LinOp):
     def write_data(self) -> MatrixData:
         """The stored entries as an assembly buffer (row-major, sorted columns)."""
         out = MatrixData(self._size)
-        rp = self._row_ptrs.numpy()
-        ci = self._col_idxs.numpy()
-        v = self._values.numpy()
-        for i in range(self._size.rows):
-            for p in range(int(rp[i]), int(rp[i + 1])):
-                out.add(i, int(ci[p]), float(v[p]))
+        out.add_entries(self._row_ids(), self._col_idxs.numpy(), self._values.numpy())
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -11,6 +11,8 @@ import pytest
 
 from linopkit.apps.bench import REPORT_KEYS, run_benchmark
 from linopkit.apps.config import (
+    LCG_INCREMENT,
+    LCG_MULTIPLIER,
     RunConfig,
     build_run_config,
     lcg_uniform,
@@ -235,6 +237,21 @@ class TestLcg:
         assert np.array_equal(draws, lcg_uniform(123, 500))
         assert not np.array_equal(draws, lcg_uniform(124, 500))
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 100_000])
+    def test_bit_exact_against_the_step_by_step_loop(self, seed, count):
+        def loop(seed, count):  # the recurrence one state at a time
+            out = np.empty(count)
+            state = seed & (2**64 - 1)
+            for i in range(count):
+                state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & (2**64 - 1)
+                out[i] = (state >> 11) * 2.0**-53
+            return out
+
+        draws = lcg_uniform(seed, count)
+        assert draws.dtype == np.float64 and draws.shape == (count,)
+        assert np.array_equal(draws.view(np.uint64), loop(seed, count).view(np.uint64))
+
 
 class TestBenchmark:
     def test_report_shape_on_checked_in_matrix(self):
@@ -359,6 +376,25 @@ class TestEulerDemo:
             stepper.advance(u)
         assert np.allclose(u.view2d()[:, 0], expected, atol=1e-11)
 
+    def test_system_matrix_bits_match_per_entry_assembly(self, ref, rng):
+        data = MatrixData((30, 30))
+        for _ in range(200):
+            data.add(int(rng.integers(30)), int(rng.integers(30)), float(rng.normal()))
+        jacobian = Csr.from_data(ref, data)
+        dt = 0.037
+        system = MatrixData(jacobian.size)  # I - dt J one entry at a time
+        for i in range(30):
+            system.add(i, i, 1.0)
+        for row, col, value in jacobian.write_data():
+            system.add(row, col, -dt * value)
+        expected = Csr.from_data(ref, system)
+        got = ImplicitEulerStepper(ref, jacobian, dt)._inverse.system_matrix
+        assert np.array_equal(got.get_row_ptrs().numpy(), expected.get_row_ptrs().numpy())
+        assert np.array_equal(got.get_col_idxs().numpy(), expected.get_col_idxs().numpy())
+        assert np.array_equal(
+            got.get_values().numpy().view(np.uint64), expected.get_values().numpy().view(np.uint64)
+        )
+
     def test_custom_algorithm_and_bounds(self, ref):
         jac = csr_from_numpy(ref, np.array([[-1.0]]))
         stepper = ImplicitEulerStepper(ref, jac, 0.1, algorithm="gmres", max_iters=5)
@@ -375,6 +411,30 @@ class TestHeatDemo:
         assert len(matrix) == 5 * n * n - 4 * n
         diag = [v for i, j, v in matrix if i == j]
         assert all(v == pytest.approx(4.0 * (n + 1) ** 2) for v in diag)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
+    def test_assembly_keeps_the_per_entry_triplet_order(self, n):
+        def per_entry(n):  # the stencil one add_entry at a time
+            h = 1.0 / (n + 1)
+            diag, off = 4.0 / (h * h), -1.0 / (h * h)
+            out = []
+            for i in range(n):
+                for j in range(n):
+                    row = i * n + j
+                    out.append((row, row, diag))
+                    if i > 0:
+                        out.append((row, row - n, off))
+                    if i < n - 1:
+                        out.append((row, row + n, off))
+                    if j > 0:
+                        out.append((row, row - 1, off))
+                    if j < n - 1:
+                        out.append((row, row + 1, off))
+            return out
+
+        triplets = list(assemble_poisson(n))
+        assert triplets == per_entry(n)
+        assert all(type(r) is int and type(c) is int and type(v) is float for r, c, v in triplets)
 
     def test_manufactured_solution_peaks_at_the_center(self):
         vals = manufactured_solution(5)

@@ -147,6 +147,67 @@ class TestMatrixData:
         with pytest.raises(InvalidArgumentError):
             MatrixData((-1, 2))
 
+    def test_bulk_and_single_adds_interleave_in_order(self):
+        data = MatrixData((3, 3))
+        data.add(2, 2, 1.5)
+        data.add_entries(np.array([0, 1]), [2, 0], np.array([-0.0, 7.0]))
+        data.add(1, 1, 3.0)
+        data.add_entries([], [], [])
+        data.add_entries((2,), (1,), (0.25,))
+        expected = [(2, 2, 1.5), (0, 2, -0.0), (1, 0, 7.0), (1, 1, 3.0), (2, 1, 0.25)]
+        assert list(data) == expected
+        assert len(data) == 5
+        rows, cols, values = data.arrays()
+        assert rows.dtype == cols.dtype == np.int64 and values.dtype == np.float64
+        assert np.signbit(values[1])
+        assert not rows.flags.writeable
+
+    def test_bulk_add_grows_past_its_capacity(self):
+        data = MatrixData((100, 1))
+        for k in range(100):
+            data.add_entries([k], [0], [float(k)])
+        assert list(data) == [(k, 0, float(k)) for k in range(100)]
+
+    def test_bulk_add_copies_its_inputs(self):
+        rows, values = np.array([0, 1]), np.array([1.0, 2.0])
+        data = MatrixData((2, 2))
+        data.add_entries(rows, rows, values)
+        rows[0], values[0] = 1, 9.0
+        assert list(data) == [(0, 0, 1.0), (1, 1, 2.0)]
+
+    @pytest.mark.parametrize(
+        "rows, cols, values",
+        [
+            ([0, 1], [0], [1.0, 2.0]),
+            ([0], [0], [1.0, 2.0]),
+            ([[0, 1]], [[0, 1]], [[1.0, 2.0]]),
+        ],
+    )
+    def test_bulk_add_rejects_mismatched_lengths(self, rows, cols, values):
+        data = MatrixData((2, 2), [(0, 0, 1.0)])
+        with pytest.raises(InvalidArgumentError, match="equal length"):
+            data.add_entries(rows, cols, values)
+        assert list(data) == [(0, 0, 1.0)]
+
+    @pytest.mark.parametrize(
+        "rows, cols, first_bad",
+        [
+            ([0, 2, 5], [0, 0, 0], "(2, 0)"),
+            ([1, 0, 1], [1, -1, 3], "(0, -1)"),
+            ([-4, 0], [9, 1], "(-4, 9)"),
+        ],
+    )
+    def test_bulk_add_rejects_the_first_bad_entry_and_stores_nothing(
+        self, rows, cols, first_bad
+    ):
+        data = MatrixData((2, 3), [(1, 2, 5.0)])
+        with pytest.raises(InvalidArgumentError, match="outside") as err:
+            data.add_entries(rows, cols, np.ones(len(rows)))
+        assert f"entry {first_bad} outside 2x3 matrix" in str(err.value)
+        assert list(data) == [(1, 2, 5.0)]
+        data.add(0, 0, 1.0)  # the buffer is still usable
+        assert list(data) == [(1, 2, 5.0), (0, 0, 1.0)]
+
     def test_dim_fields(self):
         d = Dim(3, 4)
         assert (d.rows, d.cols) == (3, 4)

@@ -21,6 +21,7 @@ from linopkit.executor import (
     executor_from_name,
     kernel_registered,
     master,
+    register_kernel,
     registered_kernel_names,
     split_ranges,
 )
@@ -94,6 +95,23 @@ class TestDispatch:
         out = np.zeros((4, 1))
         dispatch(ref, "fill")(out, 2.5)
         assert (out == 2.5).all()
+
+    def test_bound_callable_is_cached_per_executor_and_name(self, ref):
+        par = executor_from_name("parallel", 3)
+        assert dispatch(par, "axpy") is dispatch(par, "axpy")
+        assert dispatch(par, "axpy") is not dispatch(par, "aypx")
+        assert dispatch(ref, "axpy") is not dispatch(par, "axpy")
+        twin = Executor(ExecutorKind.PARALLEL, 3)
+        assert twin == par and hash(twin) == hash(par)
+        assert dispatch(twin, "axpy").args[0] is twin
+        assert repr(twin) == "Executor(kind=<ExecutorKind.PARALLEL: 'parallel'>, worker_count=3)"
+
+    def test_a_kernel_is_registered_once_per_kind(self):
+        with pytest.raises(InvalidArgumentError, match="already registered"):
+            register_kernel("axpy", ExecutorKind.REFERENCE)(lambda exec_, y, alpha, x: None)
+        out = np.zeros((2, 1))
+        dispatch(create_executor(ExecutorKind.REFERENCE), "axpy")(out, 2.0, np.ones((2, 1)))
+        assert (out == 2.0).all()
 
 
 class TestSplitRanges:
@@ -181,6 +199,22 @@ class TestBackendEquivalence:
             par = executor_from_name("parallel", wc)
             assert np.array_equal(dr, dispatch(par, "dot")(a, b)), wc
             assert np.array_equal(nr, dispatch(par, "norm2")(a)), wc
+
+    @pytest.mark.parametrize("n", [0, 1, 7, REDUCTION_TILE, REDUCTION_TILE + 1, 2 * REDUCTION_TILE + 5])
+    def test_dot_bitwise_equal_to_the_tiled_combine(self, ref, rng, n):
+        a = _rand(rng, (n, 3))
+        b = _rand(rng, (n, 3))
+        if n:
+            a[:, 2] = -0.0  # every product -0.0: the combine from 0.0 yields +0.0
+        expected = [0.0] * 3
+        for lo in range(0, n, REDUCTION_TILE):  # partials summed in tile order
+            hi = min(lo + REDUCTION_TILE, n)
+            expected = [s + np.dot(a[lo:hi, j], b[lo:hi, j]) for j, s in enumerate(expected)]
+        expected = np.array(expected)
+        for exec_ in (ref, executor_from_name("parallel", 2)):
+            got = dispatch(exec_, "dot")(a, b)
+            assert got.dtype == np.float64 and got.shape == (3,)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), exec_
 
     def test_dense_apply_close_across_kinds(self, ref, par, rng):
         a = _rand(rng, (40, 30))

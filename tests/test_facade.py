@@ -94,6 +94,43 @@ class TestAppMatrix:
         with pytest.raises(InvalidArgumentError, match="outside"):
             m.add_entry(0, 2, 1.0)
 
+    def test_bulk_and_single_entries_share_one_order(self):
+        m = AppMatrix(3, 3)
+        m.add_entry(2, 0, 1.0)
+        m.add_entries(np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0]))
+        m.add_entry(1, 2, 4.0)
+        assert list(m) == [(2, 0, 1.0), (0, 1, 2.0), (0, 1, 3.0), (1, 2, 4.0)]
+        assert len(m) == 4
+
+    def test_rejected_bulk_call_stores_nothing(self):
+        m = AppMatrix(2, 2)
+        m.add_entry(0, 0, 1.0)
+        with pytest.raises(InvalidArgumentError, match=r"entry \(2, 1\) outside 2x2"):
+            m.add_entries([1, 2, 3], [0, 1, 1], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidArgumentError, match="equal length"):
+            m.add_entries([1, 1], [0], [1.0, 1.0])
+        assert list(m) == [(0, 0, 1.0)]
+
+    def test_bulk_assembly_converts_once_and_solves_like_per_entry(self, ref):
+        rng = np.random.default_rng(3)
+        n = 10
+        dense = random_spd_dense(rng, n)
+        rows, cols = np.nonzero(dense)
+        bulk, single = AppMatrix(n, n), AppMatrix(n, n)
+        bulk.add_entries(rows, cols, dense[rows, cols])
+        for i, j in zip(rows, cols):
+            single.add_entry(i, j, dense[i, j])
+        xs = []
+        for matrix in (bulk, single):
+            reset_copy_stats()
+            solver = create_solver(ref, matrix, SolverOptions("cg"))
+            x = AppVector(n)
+            solver.solve(AppVector.from_values(np.arange(1.0, n + 1)), x)
+            stats = copy_stats()
+            assert (stats.matrix_conversions, stats.element_copies) == (1, 0)
+            xs.append(x.to_array())
+        assert np.array_equal(xs[0], xs[1])
+
 
 class TestSolverOptions:
     def test_exactly_five_fields(self):

@@ -18,6 +18,95 @@ from helpers import (
 )
 
 
+def fromiter_conversion(size, triplets):
+    """The per-entry conversion ``Csr.from_data`` made before triplets were
+    stored as arrays, kept as the bitwise reference for the array path."""
+    rows = size[0]
+    nnz = len(triplets)
+    if not nnz:
+        return np.zeros(rows + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    r = np.fromiter((t[0] for t in triplets), dtype=np.int64, count=nnz)
+    c = np.fromiter((t[1] for t in triplets), dtype=np.int64, count=nnz)
+    v = np.fromiter((t[2] for t in triplets), dtype=np.float64, count=nnz)
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    first = np.empty(nnz, dtype=bool)
+    first[0] = True
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    vals = np.bincount(np.cumsum(first) - 1, weights=v)
+    row_ptrs = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r[first], minlength=rows), out=row_ptrs[1:])
+    return row_ptrs, c[first], vals
+
+
+def assert_csr_bits(m, expected):
+    row_ptrs, col_idxs, vals = expected
+    assert np.array_equal(m.get_row_ptrs().numpy(), row_ptrs)
+    assert np.array_equal(m.get_col_idxs().numpy(), col_idxs)
+    assert np.array_equal(m.get_values(const=True).numpy().view(np.uint64), vals.view(np.uint64))
+
+
+class TestArrayConversion:
+    """``Csr.from_data`` over the stored arrays, bit for bit the old
+    per-entry conversion."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_triplets_in_mixed_batches(self, ref, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        nnz = int(rng.integers(0, 400))
+        r = rng.integers(0, rows, nnz)
+        c = rng.integers(0, cols, nnz)
+        v = rng.standard_normal(nnz) * 10.0 ** rng.integers(-20, 20, nnz)
+        v[rng.random(nnz) < 0.1] = 0.0
+        v[rng.random(nnz) < 0.1] = -0.0
+        triplets = [(int(i), int(j), float(x)) for i, j, x in zip(r, c, v)]
+        data = MatrixData((rows, cols))
+        k = 0
+        while k < nnz:  # single adds and bulk calls of random lengths
+            step = int(rng.integers(1, 30))
+            if step == 1:
+                data.add(*triplets[k])
+            else:
+                data.add_entries(r[k : k + step], c[k : k + step], v[k : k + step])
+            k += step
+        assert list(data) == triplets
+        assert_csr_bits(Csr.from_data(ref, data), fromiter_conversion((rows, cols), triplets))
+
+    def test_duplicates_sum_in_insertion_order_across_calls(self, ref):
+        triplets = [(1, 0, 1e16), (0, 2, -0.0), (1, 0, 1.0), (1, 0, -1e16), (0, 2, -0.0)]
+        data = MatrixData((4, 3))
+        data.add(*triplets[0])
+        data.add_entries([0, 1], [2, 0], [-0.0, 1.0])
+        data.add_entries([1, 0], [0, 2], [-1e16, -0.0])
+        m = Csr.from_data(ref, data)
+        assert_csr_bits(m, fromiter_conversion((4, 3), triplets))
+        # (1e16 + 1) - 1e16 is 0 only when summed in insertion order; two
+        # -0.0 entries sum to +0.0 because bincount starts from +0.0
+        assert list(m.get_values(const=True).numpy()) == [0.0, 0.0]
+        assert list(m.get_row_ptrs().numpy()) == [0, 1, 2, 2, 2]  # empty rows 2, 3
+
+    def test_explicit_zeros_stay_stored(self, ref):
+        data = MatrixData((3, 3))
+        data.add_entries([2, 0, 2], [2, 0, 1], [0.0, 0.0, -0.0])
+        m = Csr.from_data(ref, data)
+        assert m.num_stored_elements == 3
+        assert_csr_bits(m, fromiter_conversion((3, 3), list(data)))
+
+    @pytest.mark.parametrize("size", [(0, 0), (3, 2), (0, 4)])
+    def test_empty_matrix(self, ref, size):
+        data = MatrixData(size)
+        data.add_entries([], [], [])
+        assert_csr_bits(Csr.from_data(ref, data), fromiter_conversion(size, []))
+
+    def test_write_data_is_row_major_with_sorted_columns(self, ref, rng):
+        data, _ = random_sparse_dense(rng, 9, 6)
+        m = Csr.from_data(ref, data)
+        rp, ci, v = (a.numpy() for a in (m.get_row_ptrs(), m.get_col_idxs(), m.get_values()))
+        expected = [(i, int(ci[p]), float(v[p])) for i in range(9) for p in range(rp[i], rp[i + 1])]
+        assert list(m.write_data()) == expected
+
+
 class TestCsrNormalForm:
     def test_known_conversion(self, ref):
         # unsorted input; frozen expected arrays
