@@ -38,7 +38,6 @@ from .executor import (
     create_executor,
     dispatch,
     executor_from_name,
-    master,
 )
 from .facade import (
     AbstractSolver,
@@ -46,7 +45,6 @@ from .facade import (
     AppVector,
     BackendSolver,
     SolverOptions,
-    SolverRegistry,
     create_solver,
 )
 from .linop import Csr, Dense, LinOp
@@ -93,7 +91,6 @@ __all__ = [
     "Solver",
     "SolverFactory",
     "SolverOptions",
-    "SolverRegistry",
     "UnsupportedBackendError",
     "UnsupportedFormatError",
     "array_create",
@@ -106,7 +103,6 @@ __all__ = [
     "executor_from_name",
     "lu_factorize",
     "lu_solve_dense",
-    "master",
     "memory_copy",
     "reset_copy_stats",
 ]

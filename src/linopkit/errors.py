@@ -18,7 +18,7 @@ class DimensionError(InvalidArgumentError):
 
 
 class UnsupportedBackendError(LibraryError, RuntimeError):
-    """No kernel is registered for the requested (kernel, executor kind) pair."""
+    """No kernel is registered under the requested name."""
 
 
 class ConfigurationError(LibraryError, ValueError):

@@ -1,16 +1,17 @@
 """Execution backends and the kernel dispatch registry.
 
 An :class:`Executor` is a small immutable handle that names a compute backend.
-Performance-relevant routines ("kernels") are registered once per
-:class:`ExecutorKind`; callers look the implementation up through
-:func:`dispatch`, so the backend is a runtime property of the data rather than
-an import-time property of the code.  No module outside this one and the
+Performance-relevant routines ("kernels") are registered once by name;
+callers look them up through :func:`dispatch`, which binds the kernel to the
+executor, so the backend is a runtime property of the data rather than an
+import-time property of the code.  No module outside this one and the
 kernel definitions ever branches on the kind.
 
-Two kinds exist.  ``reference`` executes kernels serially and serves as ground
-truth; ``parallel`` runs them on an internal thread pool.  Parallel kernels
-are written so their results do not depend on the worker count (see
-``kernels.py`` for the rules that make this hold bitwise).
+Two kinds exist.  ``reference`` runs every kernel serially and serves as
+ground truth; ``parallel`` owns a shared thread pool of ``worker_count``
+threads.  Every kernel has one body that both kinds run, and only
+``run_partitioned`` hands work to the pool (see ``kernels.py``), so results
+are bitwise identical across kinds and worker counts.
 """
 
 from __future__ import annotations
@@ -79,33 +80,22 @@ def executor_from_name(name: str, worker_count: int | None = None) -> Executor:
     return create_executor(kind, worker_count)
 
 
-def master(exec_: Executor) -> Executor:
-    """The host-memory executor associated with ``exec_``.
-
-    Both kinds already live on host memory, so this is the serial reference
-    executor in every case, and masters of masters stay put.
-    """
-    return _REFERENCE
-
-
 # --- kernel registry -------------------------------------------------------
 
-_KERNELS: dict[tuple[str, ExecutorKind], Callable] = {}
+_KERNELS: dict[str, Callable] = {}
 
 
-def register_kernel(name: str, kind: ExecutorKind):
-    """Class a function as the ``name`` kernel for executors of ``kind``.
+def register_kernel(name: str):
+    """Class a function as the ``name`` kernel for executors of every kind.
 
-    Each (name, kind) pair is registered once; a second registration raises,
-    so the callables :func:`dispatch` has cached never go stale.
+    Each name is registered once; a second registration raises, so the
+    callables :func:`dispatch` has cached never go stale.
     """
 
     def deco(fn):
-        if (name, kind) in _KERNELS:
-            raise InvalidArgumentError(
-                f"kernel '{name}' is already registered for executor kind '{kind.value}'"
-            )
-        _KERNELS[(name, kind)] = fn
+        if name in _KERNELS:
+            raise InvalidArgumentError(f"kernel '{name}' is already registered")
+        _KERNELS[name] = fn
         return fn
 
     return deco
@@ -115,28 +105,15 @@ def dispatch(exec_: Executor, name: str) -> Callable:
     """Return the kernel ``name`` bound to ``exec_``.
 
     The bound callable is built on the first call and cached on the
-    executor, so later calls cost one dict lookup.  Unregistered
-    combinations raise; there is deliberately no fallback to another kind,
-    so a missing kernel surfaces loudly instead of silently running
-    somewhere else.
+    executor, so later calls cost one dict lookup.  Unknown names raise.
     """
     bound = exec_._bound.get(name)
     if bound is None:
-        fn = _KERNELS.get((name, exec_.kind))
+        fn = _KERNELS.get(name)
         if fn is None:
-            raise UnsupportedBackendError(
-                f"kernel '{name}' is not registered for executor kind '{exec_.kind.value}'"
-            )
+            raise UnsupportedBackendError(f"kernel '{name}' is not registered")
         bound = exec_._bound[name] = partial(fn, exec_)
     return bound
-
-
-def registered_kernel_names() -> list[str]:
-    return sorted({name for (name, _) in _KERNELS})
-
-
-def kernel_registered(name: str, kind: ExecutorKind) -> bool:
-    return (name, kind) in _KERNELS
 
 
 # --- worker pools ----------------------------------------------------------
@@ -168,16 +145,15 @@ def _shutdown_pools():
 atexit.register(_shutdown_pools)
 
 
-def split_ranges(n: int, parts: int, min_chunk: int = 1) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into at most ``parts`` contiguous pieces.
+def split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """Split ``range(n)`` into at most ``parts`` contiguous, non-empty pieces.
 
-    Pieces differ in length by at most one and, except possibly the last,
-    contain at least ``min_chunk`` items.  The result depends only on the
+    Pieces differ in length by at most one.  The result depends only on the
     arguments, which keeps chunked writes reproducible.
     """
     if n <= 0:
         return []
-    count = min(parts, max(1, n // max(1, min_chunk)))
+    count = min(parts, n)
     base, extra = divmod(n, count)
     ranges = []
     lo = 0

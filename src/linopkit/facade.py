@@ -14,7 +14,6 @@ mutable one over x, so the solution lands directly in application storage.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -244,33 +243,3 @@ def create_solver(executor: Executor, matrix: AppMatrix, options: SolverOptions,
     """
     return BackendSolver(executor, matrix, options, restart)
 
-
-class SolverRegistry:
-    """String-keyed store of live solvers, shared across call sites.
-
-    ``get_or_create`` runs the builder under a lock so concurrent callers
-    with the same key get the same object.  A builder that raises stores
-    nothing; the next call retries.
-    """
-
-    def __init__(self):
-        self._entries: dict = {}
-        self._lock = threading.Lock()
-
-    def get_or_create(self, key: str, builder):
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = builder()
-            return self._entries[key]
-
-    def discard(self, key: str) -> None:
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -19,14 +19,12 @@ from linopkit.executor import (
     create_executor,
     dispatch,
     executor_from_name,
-    kernel_registered,
-    master,
     register_kernel,
-    registered_kernel_names,
     split_ranges,
 )
+from linopkit import kernels
 from linopkit.facade import AppVector
-from linopkit.kernels import ELEMENTWISE_MIN_PARALLEL, REDUCTION_TILE
+from linopkit.kernels import REDUCTION_TILE
 from linopkit.linop import Dense
 
 ALL_KERNELS = (
@@ -73,18 +71,12 @@ class TestCreation:
     def test_name_table_covers_both_kinds(self):
         assert set(EXECUTOR_NAMES.values()) == set(ExecutorKind)
 
-    def test_master_is_the_serial_reference(self, ref, par):
-        assert master(par) is ref
-        assert master(ref) is ref
-        assert master(master(par)) is master(par)
-
 
 class TestDispatch:
-    def test_all_kernels_registered_for_both_kinds(self):
-        assert set(registered_kernel_names()) == set(ALL_KERNELS)
+    def test_all_kernels_registered_for_both_kinds(self, ref, par):
         for name in ALL_KERNELS:
-            for kind in ExecutorKind:
-                assert kernel_registered(name, kind), (name, kind)
+            for exec_ in (ref, par):
+                assert callable(dispatch(exec_, name)), (name, exec_)
 
     def test_unknown_kernel_raises_without_fallback(self, ref, par):
         for exec_ in (ref, par):
@@ -106,9 +98,11 @@ class TestDispatch:
         assert dispatch(twin, "axpy").args[0] is twin
         assert repr(twin) == "Executor(kind=<ExecutorKind.PARALLEL: 'parallel'>, worker_count=3)"
 
-    def test_a_kernel_is_registered_once_per_kind(self):
+    def test_a_kernel_is_registered_once_per_kind(self, ref, par):
+        # one registration per name serves every kind
         with pytest.raises(InvalidArgumentError, match="already registered"):
-            register_kernel("axpy", ExecutorKind.REFERENCE)(lambda exec_, y, alpha, x: None)
+            register_kernel("axpy")(lambda exec_, y, alpha, x: None)
+        assert dispatch(ref, "axpy").func is dispatch(par, "axpy").func
         out = np.zeros((2, 1))
         dispatch(create_executor(ExecutorKind.REFERENCE), "axpy")(out, 2.0, np.ones((2, 1)))
         assert (out == 2.0).all()
@@ -118,10 +112,9 @@ class TestSplitRanges:
     @given(
         n=st.integers(min_value=0, max_value=5000),
         parts=st.integers(min_value=1, max_value=16),
-        min_chunk=st.integers(min_value=1, max_value=64),
     )
-    def test_partition_properties(self, n, parts, min_chunk):
-        ranges = split_ranges(n, parts, min_chunk)
+    def test_partition_properties(self, n, parts):
+        ranges = split_ranges(n, parts)
         if n == 0:
             assert ranges == []
             return
@@ -129,28 +122,29 @@ class TestSplitRanges:
         assert ranges[0][0] == 0 and ranges[-1][1] == n
         for (_, hi), (lo2, _) in zip(ranges, ranges[1:]):
             assert hi == lo2
-        assert len(ranges) <= parts
+        assert len(ranges) == min(parts, n)  # one worker, one range
         sizes = [hi - lo for lo, hi in ranges]
         assert max(sizes) - min(sizes) <= 1
-        if len(ranges) > 1:
-            assert min(sizes) >= min_chunk
+        assert min(sizes) >= 1
 
     def test_deterministic(self):
-        assert split_ranges(1000, 7, 3) == split_ranges(1000, 7, 3)
+        assert split_ranges(1000, 7) == split_ranges(1000, 7)
 
 
 def _rand(rng, shape):
     return rng.normal(size=shape)
 
 
+PARALLEL_WORKERS = (1, 2, 3, 4)
+
+
 class TestBackendEquivalence:
-    """Reference and parallel kernels must agree; parallel must not depend on
-    the worker count.  Element-wise kernels, SpMV and the tiled reductions
-    perform identical arithmetic on both kinds, so they are compared bitwise;
-    dense products may associate differently and get a relative tolerance.
+    """Reference and parallel kernels must agree bitwise, and parallel must
+    not depend on the worker count: every kernel runs the same body on both
+    kinds.
     """
 
-    N = ELEMENTWISE_MIN_PARALLEL + 777  # force the chunked path
+    N = 1801
 
     def _cases(self, rng):
         n = self.N
@@ -159,9 +153,9 @@ class TestBackendEquivalence:
         d = _rand(rng, (n,))
         return x, y, d
 
-    def test_elementwise_bitwise_ref_vs_par(self, ref, par, rng):
+    def _elementwise_calls(self, rng):
         x, y, d = self._cases(rng)
-        cases = {
+        return y, {
             "fill": lambda e, out: dispatch(e, "fill")(out, 3.25),
             "copy": lambda e, out: dispatch(e, "copy")(out, x),
             "scale": lambda e, out: dispatch(e, "scale")(out, 1.7),
@@ -170,12 +164,66 @@ class TestBackendEquivalence:
             "waxpby": lambda e, out: dispatch(e, "waxpby")(out, 1.2, x, -0.7, y),
             "diag_scale": lambda e, out: dispatch(e, "diag_scale")(out, d, x),
         }
+
+    def test_elementwise_bitwise_ref_vs_par(self, ref, rng):
+        y, cases = self._elementwise_calls(rng)
         for name, run in cases.items():
             a = y.copy()
-            b = y.copy()
             run(ref, a)
-            run(par, b)
-            assert np.array_equal(a, b), name
+            for wc in PARALLEL_WORKERS:
+                b = y.copy()
+                run(executor_from_name("parallel", wc), b)
+                assert np.array_equal(a, b), (name, wc)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf, inf - inf
+    @pytest.mark.parametrize("alias", ["none", "x", "y"])
+    def test_waxpby_bitwise_equal_to_the_two_temporary_formula(self, ref, rng, alias):
+        x, y, _ = self._cases(rng)
+        for v in (x, y):
+            v[::5, 0] = -0.0
+            v[1::7, 1] = np.inf
+            v[2::11, 0] = np.nan
+        y[1::14, 1] = -np.inf
+        y[2::22, 0] = -np.nan  # both NaN: the operand order picks the sign
+        executors = [ref] + [executor_from_name("parallel", wc) for wc in PARALLEL_WORKERS]
+        for alpha, beta in ((1.2, -0.7), (0.0, -1.0), (-0.0, 0.5), (-1.0, -0.0)):
+            expected = alpha * x + beta * y  # the formula the kernel replaced
+            for exec_ in executors:
+                xs, ys = x.copy(), y.copy()
+                w = {"none": np.full_like(x, 7.0), "x": xs, "y": ys}[alias]
+                dispatch(exec_, "waxpby")(w, alpha, xs, beta, ys)
+                assert _same_bits(w, expected), (alpha, beta, exec_)
+
+    def test_pool_only_for_run_partitioned(self, rng, monkeypatch):
+        pool_calls = []
+        real_pool = kernels.worker_pool
+        monkeypatch.setattr(
+            kernels, "worker_pool", lambda e: pool_calls.append(1) or real_pool(e)
+        )
+        par = executor_from_name("parallel", 2)
+        n = self.N
+        y, cases = self._elementwise_calls(rng)
+        a = _rand(rng, (n, n // 100))
+        rp = np.arange(n + 1, dtype=np.int64)
+        ids = np.arange(n, dtype=np.int64)
+        cases.update({
+            "dot": lambda e, out: dispatch(e, "dot")(out, out),
+            "norm2": lambda e, out: dispatch(e, "norm2")(out),
+            "spmv": lambda e, out: dispatch(e, "spmv")(rp, ids, ids, y[:, 0].copy(), y, out),
+            "spmv_advanced": lambda e, out: dispatch(e, "spmv_advanced")(
+                rp, ids, ids, y[:, 0].copy(), 2.0, y, 0.5, out
+            ),
+            "dense_apply": lambda e, out: dispatch(e, "dense_apply")(a.T, out, np.zeros((n // 100, 2))),
+            "dense_apply_advanced": lambda e, out: dispatch(e, "dense_apply_advanced")(
+                a.T, 2.0, out, 0.5, np.zeros((n // 100, 2))
+            ),
+        })
+        assert set(cases) == set(ALL_KERNELS) - {"run_partitioned"}
+        for name, run in cases.items():
+            run(par, y.copy())
+            assert not pool_calls, name
+        dispatch(par, "run_partitioned")(2, lambda lo, hi: None)
+        assert pool_calls
 
     def test_reduction_grid_is_fixed_not_worker_derived(self, rng):
         # spans several tiles so the tiled path actually runs
@@ -216,19 +264,30 @@ class TestBackendEquivalence:
             assert got.dtype == np.float64 and got.shape == (3,)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), exec_
 
-    def test_dense_apply_close_across_kinds(self, ref, par, rng):
+    def test_dense_apply_close_across_kinds(self, ref, rng):
         a = _rand(rng, (40, 30))
         b = _rand(rng, (30, 3))
-        out_r = np.zeros((40, 3))
-        out_p = np.zeros((40, 3))
-        dispatch(ref, "dense_apply")(a, b, out_r)
-        dispatch(par, "dense_apply")(a, b, out_p)
-        assert np.allclose(out_r, out_p, rtol=1e-8, atol=1e-14)
+        out0 = _rand(rng, (40, 3))
+        calls = (
+            (lambda e, out: dispatch(e, "dense_apply")(a, b, out), a @ b),
+            (lambda e, out: dispatch(e, "dense_apply_advanced")(a, -0.75, b, 0.0, out),
+             -0.75 * (a @ b)),
+            (lambda e, out: dispatch(e, "dense_apply_advanced")(a, 2.5, b, -1.25, out),
+             2.5 * (a @ b) - 1.25 * out0),
+        )
+        for i, (run, formula) in enumerate(calls):
+            expected = out0.copy()
+            run(ref, expected)
+            assert _same_bits(expected, formula), i
+            for wc in PARALLEL_WORKERS:
+                out = out0.copy()
+                run(executor_from_name("parallel", wc), out)
+                assert _same_bits(out, expected), (i, wc)
 
     def test_elementwise_bitwise_across_worker_counts(self, rng):
         x, y, _ = self._cases(rng)
         outs = []
-        for wc in (1, 2, 4, 8):
+        for wc in PARALLEL_WORKERS:
             out = y.copy()
             dispatch(executor_from_name("parallel", wc), "axpy")(out, 0.37, x)
             outs.append(out)
@@ -254,11 +313,11 @@ def _same_bits(x, y):
 
 class TestSpmvKernel:
     """``spmv`` and ``spmv_advanced`` equal the bincount formula bit for bit on
-    both kinds and every worker count, including rows that straddle the
-    parallel chunk boundaries.
+    both kinds and every worker count, including empty rows next to where a
+    row split would fall.
     """
 
-    ROWS = ELEMENTWISE_MIN_PARALLEL + 333  # force the chunked path
+    ROWS = 1357
     COLS = 1100
     EXECUTORS = (
         ("reference", None), ("parallel", 1), ("parallel", 2), ("parallel", 3),

@@ -3,7 +3,6 @@ surface, and the decoupling rules the demos rely on."""
 
 import ast
 import dataclasses
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from linopkit.facade import (
     AppMatrix,
     AppVector,
     SolverOptions,
-    SolverRegistry,
     create_solver,
 )
 from linopkit.linop import Dense
@@ -311,53 +309,6 @@ class TestMatrixUpdate:
         )
         report = solver.solve(AppVector.from_values(rng.normal(size=30)), AppVector(30))
         assert report.converged
-
-
-class TestSolverRegistry:
-    def test_builds_once_per_key(self):
-        registry = SolverRegistry()
-        calls = []
-        build = lambda: calls.append(1) or "solver"
-        assert registry.get_or_create("a", build) == "solver"
-        assert registry.get_or_create("a", build) == "solver"
-        assert len(calls) == 1
-        assert "a" in registry and len(registry) == 1
-
-    def test_failed_builds_are_not_cached(self):
-        registry = SolverRegistry()
-
-        def failing():
-            raise RuntimeError("setup failed")
-
-        with pytest.raises(RuntimeError):
-            registry.get_or_create("a", failing)
-        assert "a" not in registry
-        assert registry.get_or_create("a", lambda: "ok") == "ok"
-
-    def test_discard(self):
-        registry = SolverRegistry()
-        registry.get_or_create("a", lambda: 1)
-        registry.discard("a")
-        assert "a" not in registry
-        registry.discard("a")  # idempotent
-
-    def test_concurrent_callers_share_one_build(self):
-        registry = SolverRegistry()
-        built = []
-        barrier = threading.Barrier(8)
-        results = []
-
-        def worker():
-            barrier.wait()
-            results.append(registry.get_or_create("k", lambda: built.append(1) or object()))
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(built) == 1
-        assert all(r is results[0] for r in results)
 
 
 class TestArchitecture:
