@@ -28,7 +28,8 @@ import numpy as np
 from .container import Array, Dim, MatrixData, Ownership
 from .errors import InvalidArgumentError
 from .executor import Executor, dispatch
-from .linop import Csr
+from .kernels import freeze_checked_pattern
+from .linop import Csr, check_pattern
 from .solver import (
     DEFAULT_TOL_BREAKDOWN,
     Iteration,
@@ -50,7 +51,12 @@ GROUP_ENTRIES = 1 << 17
 
 
 class BatchCsr:
-    """A batch of CSR matrices sharing row_ptrs and col_idxs."""
+    """A batch of CSR matrices sharing row_ptrs and col_idxs.
+
+    The shared pattern is copied, checked once by Csr's rules and made
+    read-only, so :meth:`extract_system` hands out matrices that SpMV can
+    run compiled.
+    """
 
     def __init__(self, executor: Executor, num_systems: int, size, row_ptrs, col_idxs, values):
         if num_systems < 0:
@@ -58,8 +64,10 @@ class BatchCsr:
         self._executor = executor
         self._num_systems = int(num_systems)
         self._size = Dim(int(size[0]), int(size[1]))
-        self._row_ptrs = np.asarray(row_ptrs, dtype=np.int64)
-        self._col_idxs = np.asarray(col_idxs, dtype=np.int64)
+        self._row_ptrs = np.array(row_ptrs, dtype=np.int64)
+        self._col_idxs = np.array(col_idxs, dtype=np.int64)
+        check_pattern(self._size, self._row_ptrs, self._col_idxs)
+        freeze_checked_pattern(self._row_ptrs, self._col_idxs, self._size.cols)
         self._values = np.asarray(values, dtype=np.float64)
         nnz = self._col_idxs.shape[0]
         if self._values.shape != (self._num_systems, nnz):

@@ -176,7 +176,7 @@ class MatrixData:
         size = Dim(int(size[0]), int(size[1]))
         if size.rows < 0 or size.cols < 0:
             raise InvalidArgumentError(f"matrix dimensions must be >= 0, got {size}")
-        self.size = size
+        self._size = size
         self._count = 0
         self._rows = np.empty(0, dtype=np.int64)
         self._cols = np.empty(0, dtype=np.int64)
@@ -188,6 +188,11 @@ class MatrixData:
                 [t[0] for t in triplets], [t[1] for t in triplets], [t[2] for t in triplets]
             )
             self._count = len(triplets)
+
+    @property
+    def size(self) -> Dim:
+        """Fixed at construction: every stored entry was checked against it."""
+        return self._size
 
     def add(self, row: int, col: int, value: float) -> None:
         row, col, value = int(row), int(col), float(value)

@@ -16,11 +16,27 @@ Determinism rules, which the tests check bitwise:
 
 * reductions are tiled on a fixed grid of ``REDUCTION_TILE`` rows and the
   per-tile partial sums are combined in tile order;
-* SpMV accumulates each row's products left to right (``np.bincount`` adds
-  its weights sequentially).
+* SpMV accumulates each row's products left to right from +0.0
+  (``np.bincount`` adds its weights sequentially).
 
 Together these make every kernel's result bitwise identical across kinds and
 worker counts.
+
+SpMV has two bodies with the same bits.  The numpy body above is the
+definition and runs everywhere.  When scipy is installed, the compiled row
+loop of its sparsetools extension (``csr_matvec``, ``csr_matvecs``) takes
+over, about four times faster on the 40,000-row heat matrix.  It is optional
+and guarded three ways:
+
+* the extension module is loaded on its own, not through ``scipy.sparse``;
+* at import it must reproduce the numpy body's bits on a probe that
+  includes a row a fused multiply-add would round differently, -0.0, inf
+  and NaN, or it is not used;
+* it does not bounds-check, so it runs only on index arrays that a ``Csr``
+  or ``BatchCsr`` validated and made read-only.  Every other call, raw
+  arrays included, takes the numpy body and its checks.
+
+Like the numpy body it holds the GIL, so it gains nothing from threads.
 
 The tile width also keeps every ``np.dot`` call at or below 8,192 elements,
 under the 10,000 above which OpenBLAS splits ``ddot`` across its own
@@ -30,8 +46,15 @@ was seen to stall single calls for milliseconds.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import weakref
+
 import numpy as np
 
+from .errors import DimensionError
 from .executor import register_kernel, split_ranges, worker_pool
 
 #: Fixed reduction tile width. Must not depend on the worker count, and must
@@ -126,10 +149,12 @@ def _norm2(exec_, a):
 # --- sparse matrix-vector products -----------------------------------------
 #
 # row_ids holds the row index of every stored entry (the expanded form of
-# row_ptrs); callers cache it once per matrix.
+# row_ptrs); callers cache it once per matrix.  The numpy body below is the
+# definition; the compiled body must match it bit for bit (see the bottom of
+# this section).
 
 
-def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
+def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
     """``out = A b`` when ``alpha`` is None, else ``out = alpha A b + beta out``.
 
     Each row sum is ``np.bincount`` over the products ``b[col] * value`` of
@@ -138,7 +163,7 @@ def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
     temporary; neither changes a bit of the result.  ``take`` copies a
     read-only index array before gathering, so a read-only ``col_idxs`` (such
     as ``Csr.get_col_idxs()``) is gathered by 1-D fancy indexing instead,
-    which reads it in place.
+    which reads it in place.  Every index is bounds-checked.
     """
     n = len(row_ptrs) - 1
     for j in range(b.shape[1]):
@@ -153,6 +178,47 @@ def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
             out[:, j] = alpha * s + beta * out[:, j]
 
 
+def _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out, alpha, beta):
+    """The same result as :func:`_spmv_numpy`, from sparsetools' row loop.
+
+    ``csr_matvec`` and ``csr_matvecs`` add ``value * b[col]`` onto ``y`` row
+    by row, left to right, so starting from ``y = +0.0`` gives the bincount
+    sums.  A plain product is accumulated straight into a C-contiguous
+    ``out`` that does not overlap ``b``; anything else goes through ``y``.
+    """
+    n, k = out.shape
+    if alpha is None and out.flags.c_contiguous and not np.may_share_memory(out, b):
+        y = out
+        y[...] = 0.0
+    else:
+        y = np.zeros((n, k))
+    if k == 1:
+        tools.csr_matvec(n, b.shape[0], row_ptrs, col_idxs, values, b, y)
+    else:
+        tools.csr_matvecs(n, b.shape[0], k, row_ptrs, col_idxs, values, b, y)
+    if alpha is None:
+        if y is not out:
+            out[...] = y
+    elif beta == 0.0:
+        out[...] = alpha * y
+    else:
+        out[...] = alpha * y + beta * out
+
+
+def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
+    nnz = col_idxs.shape[0]
+    if row_ptrs[-1] != nnz or row_ids.shape[0] != nnz or values.shape[0] != nnz:
+        raise DimensionError(
+            f"row_ptrs[-1] = {row_ptrs[-1]}, but there are {row_ids.shape[0]} row ids, "
+            f"{nnz} column indices and {values.shape[0]} values"
+        )
+    tools = _SPARSETOOLS
+    if tools is not None and _compiled_may_run(row_ptrs, col_idxs, values, b, out):
+        _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out, alpha, beta)
+    else:
+        _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta)
+
+
 @register_kernel("spmv")
 def _spmv(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
     _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, None, 0.0)
@@ -161,6 +227,158 @@ def _spmv(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
 @register_kernel("spmv_advanced")
 def _spmv_advanced(exec_, row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out):
     _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta)
+
+
+# --- checked patterns --------------------------------------------------------
+#
+# The compiled loop reads b[col_idxs[jj]] and values[jj] for jj in
+# [row_ptrs[i], row_ptrs[i+1]) without a bounds check, and a per-call check
+# would cost half of what it saves.  So it runs only on index arrays that a
+# Csr or BatchCsr validated, froze and recorded here, while they stay frozen;
+# the few O(1) checks left per call tie them to the other operands.
+
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+#: column bound recorded for a row_ptrs array (col_idxs record cols >= 0)
+_ROW_PTRS = -1
+#: id(owner) -> (weak reference to owner, _ROW_PTRS or the column bound)
+_CHECKED: dict[int, tuple] = {}
+
+
+def freeze_checked_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int) -> None:
+    """Make a validated CSR pattern read-only and eligible for compiled SpMV.
+
+    The caller vouches that ``row_ptrs`` starts at 0 and never decreases,
+    that ``col_idxs`` has ``row_ptrs[-1]`` entries in ``[0, cols)``, and that
+    both are int64 arrays it owns, of which no writable view was handed out.
+    """
+    for arr, bound in ((row_ptrs, _ROW_PTRS), (col_idxs, int(cols))):
+        arr.flags.writeable = False
+        key = id(arr)
+
+        def forget(ref, key=key):
+            if _CHECKED.get(key, (None,))[0] is ref:
+                del _CHECKED[key]
+
+        _CHECKED[key] = (weakref.ref(arr, forget), bound)
+
+
+def _checked_bound(a):
+    """The bound recorded for ``a``'s still frozen owner, or None.
+
+    ``a`` must be an aligned int64 vector, so each of its entries is one of
+    the owner's: a view that reinterprets the owner's bytes could hold any
+    index.
+    """
+    if a.dtype is not _I64 or a.ndim != 1:
+        return None
+    flags = a.flags
+    if flags.writeable or not flags.aligned:
+        return None
+    owner = a if a.base is None else a.base
+    entry = _CHECKED.get(id(owner))
+    if entry is None or entry[0]() is not owner or owner.flags.writeable:
+        return None
+    return entry[1]
+
+
+def _compiled_may_run(row_ptrs, col_idxs, values, b, out) -> bool:
+    """True when every index the compiled loop reads is known to be in range.
+
+    The caller has checked that ``row_ptrs[-1]`` equals the length of
+    ``col_idxs`` and ``values``; slices of a checked ``row_ptrs`` still never
+    decrease from >= 0, so that last entry bounds them all.  Anything else
+    keeps the numpy body, which checks every index and raises as before.
+    """
+    cols = _checked_bound(col_idxs)
+    if cols is None or cols == _ROW_PTRS or _checked_bound(row_ptrs) != _ROW_PTRS:
+        return False
+    return (
+        values.dtype is _F64
+        and b.dtype is _F64
+        and out.dtype is _F64
+        and values.ndim == 1
+        and b.ndim == 2
+        and out.ndim == 2
+        and out.shape[0] == row_ptrs.shape[0] - 1
+        and b.shape[1] == out.shape[1]
+        and b.shape[0] >= cols
+    )
+
+
+# --- the compiled body and its load-time check -------------------------------
+
+
+def _load_sparsetools():
+    """scipy's ``_sparsetools`` extension module on its own, or None.
+
+    Importing it as ``scipy.sparse._sparsetools`` would run all of
+    ``scipy.sparse`` first (about 15 MB resident); the extension needs only
+    numpy.  It is loaded from its file next to scipy's ``__init__`` and kept
+    out of ``sys.modules``, so a later ``import scipy.sparse`` loads it as
+    usual.  Any failure (no scipy, no file, a load error) returns None.
+    """
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None or spec.origin is None:
+            return None
+        folder = os.path.join(os.path.dirname(spec.origin), "sparse")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            return None
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        module.csr_matvec, module.csr_matvecs  # noqa: B018  (both must exist)
+    except (ImportError, OSError, ValueError, AttributeError):
+        return None  # a broken or blocked scipy, or an incompatible build
+    finally:
+        sys.modules.pop(name, None)  # creating an extension module registers it
+    return module
+
+
+def _agrees_with_numpy(tools) -> bool:
+    """True when ``tools`` gives the numpy body's bits on a probe.
+
+    Row 0 is ``-(1 + 2e) * 1 + (1 + e) * (1 + e)`` with ``e = 2**-30``: the
+    exact product ``1 + 2e + e**2`` rounds to ``1 + 2e``, so the sum is 0.0
+    when each product is rounded and ``e**2`` under a fused multiply-add.
+    Further rows sum -0.0 products, meet inf and NaN, or are empty.  Both
+    columns of ``b`` start with that row, so the multi-vector loop meets it
+    too.
+    """
+    e = 2.0**-30
+    row_ptrs = np.array([0, 2, 4, 6, 8, 8], dtype=np.int64)
+    col_idxs = np.array([0, 1, 2, 3, 1, 4, 4, 5], dtype=np.int64)
+    values = np.array([-(1 + 2 * e), 1 + e, 1.0, -1.0, 1.0, 2.0, -1.0, 1.0])
+    b = np.array([[1.0, 1.0], [1 + e, 1 + e], [-0.0, 3.0], [0.0, -0.0], [np.inf, -2.0], [np.nan, 0.5]])
+    row_ids = np.repeat(np.arange(5, dtype=np.int64), np.diff(row_ptrs))
+    try:
+        for bk in (b[:, :1].copy(), b):
+            want = np.empty((5, bk.shape[1]))
+            _spmv_numpy(row_ptrs, row_ids, col_idxs, values, bk, want, None, 0.0)
+            got = np.full_like(want, -0.0)
+            _spmv_compiled(tools, row_ptrs, col_idxs, values, bk, got, None, 0.0)
+            if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+                return False
+    except (TypeError, ValueError):  # a body that cannot run the probe is not used either
+        return False
+    return True
+
+
+def _verified_sparsetools():
+    tools = _load_sparsetools()
+    return tools if tools is not None and _agrees_with_numpy(tools) else None
+
+
+#: The compiled SpMV body (scipy's sparsetools) when it loaded and matched
+#: the numpy body's bits at import; None selects the numpy body everywhere.
+_SPARSETOOLS = _verified_sparsetools()
 
 
 # --- dense matrix application ----------------------------------------------

@@ -27,6 +27,7 @@ from .container import (
 )
 from .errors import DimensionError, InvalidArgumentError
 from .executor import Executor, dispatch
+from .kernels import freeze_checked_pattern
 
 
 class LinOp(abc.ABC):
@@ -218,12 +219,43 @@ class Dense(LinOp):
         )
 
 
+def check_pattern(size, rp: np.ndarray, ci: np.ndarray) -> None:
+    """Raise unless ``rp``/``ci`` form a CSR pattern in normal form for ``size``.
+
+    ``rp`` has rows + 1 entries, starts at 0 and never decreases; ``ci`` has
+    ``rp[-1]`` entries in ``[0, cols)``, strictly increasing within each row.
+    """
+    rows, cols = size
+    if rp.shape != (rows + 1,) or rp[0] != 0:
+        raise InvalidArgumentError("row_ptrs must have rows+1 entries starting at 0")
+    if np.any(np.diff(rp) < 0):
+        raise InvalidArgumentError("row_ptrs must be non-decreasing")
+    nnz = int(rp[-1])
+    if ci.shape != (nnz,):
+        raise InvalidArgumentError(
+            f"col_idxs/values length must match row_ptrs[-1] == {nnz}"
+        )
+    if nnz:
+        if ci.min() < 0 or ci.max() >= cols:
+            raise InvalidArgumentError(f"column index outside [0, {cols})")
+        inner = np.ones(nnz - 1, dtype=bool)
+        boundaries = rp[1:-1] - 1  # last entry of each non-final row
+        inner[boundaries[(boundaries >= 0) & (boundaries < nnz - 1)]] = False
+        if np.any(np.diff(ci)[inner] <= 0):
+            raise InvalidArgumentError("column indices must increase within each row")
+
+
 class Csr(LinOp):
     """Compressed-sparse-row matrix.
 
     Within each row the stored column indices are strictly increasing and
     duplicate-free; :meth:`from_data` establishes that normal form by sorting
     and summing duplicates.  Indices are int64, values float64.
+
+    :meth:`from_data` and :meth:`from_arrays` build index arrays of their
+    own, check them and make them read-only, which lets SpMV use its
+    compiled body (see ``kernels.py``).  A matrix over borrowed or writable
+    index arrays uses the numpy body, which bounds-checks every index.
     """
 
     def __init__(
@@ -272,12 +304,14 @@ class Csr(LinOp):
             counts = np.zeros(rows, dtype=np.int64)
         row_ptrs = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptrs[1:])
+        col_idxs = cc.astype(np.int64, copy=False)
+        freeze_checked_pattern(row_ptrs, col_idxs, cols)
         _count_conversion()
         return cls(
             executor,
             data.size,
             Array(executor, row_ptrs, Ownership.OWNING),
-            Array(executor, cc.astype(np.int64, copy=False), Ownership.OWNING),
+            Array(executor, col_idxs, Ownership.OWNING),
             Array(executor, vals, Ownership.OWNING),
             validate=False,
         )
@@ -285,35 +319,25 @@ class Csr(LinOp):
     @classmethod
     def from_arrays(cls, executor: Executor, size, row_ptrs, col_idxs, values) -> "Csr":
         """Build from raw CSR arrays (copied and validated)."""
-        return cls(
+        rp = np.array(row_ptrs, dtype=np.int64)
+        ci = np.array(col_idxs, dtype=np.int64)
+        csr = cls(
             executor,
             size,
-            Array(executor, np.array(row_ptrs, dtype=np.int64), Ownership.OWNING),
-            Array(executor, np.array(col_idxs, dtype=np.int64), Ownership.OWNING),
+            Array(executor, rp, Ownership.OWNING),
+            Array(executor, ci, Ownership.OWNING),
             Array(executor, np.array(values, dtype=np.float64), Ownership.OWNING),
         )
+        freeze_checked_pattern(rp, ci, csr.size.cols)
+        return csr
 
     def _validate(self) -> None:
-        rows, cols = self._size
-        rp = self._row_ptrs.numpy()
-        ci = self._col_idxs.numpy()
-        if rp.shape[0] != rows + 1 or rp[0] != 0:
-            raise InvalidArgumentError("row_ptrs must have rows+1 entries starting at 0")
-        if np.any(np.diff(rp) < 0):
-            raise InvalidArgumentError("row_ptrs must be non-decreasing")
-        nnz = int(rp[-1])
-        if ci.shape[0] != nnz or self._values.size != nnz:
+        check_pattern(self._size, self._row_ptrs.numpy(), self._col_idxs.numpy())
+        nnz = self._col_idxs.size
+        if self._values.size != nnz:
             raise InvalidArgumentError(
                 f"col_idxs/values length must match row_ptrs[-1] == {nnz}"
             )
-        if nnz:
-            if ci.min() < 0 or ci.max() >= cols:
-                raise InvalidArgumentError(f"column index outside [0, {cols})")
-            inner = np.ones(nnz - 1, dtype=bool)
-            boundaries = rp[1:-1] - 1  # last entry of each non-final row
-            inner[boundaries[(boundaries >= 0) & (boundaries < nnz - 1)]] = False
-            if np.any(np.diff(ci)[inner] <= 0):
-                raise InvalidArgumentError("column indices must increase within each row")
 
     # -- raw access -----------------------------------------------------------
 

@@ -375,6 +375,9 @@ class Solver(LinOp):
         SolveReport
         """
         self._check_vectors(b, x)
+        return self._solve(b, x, callback)
+
+    def _solve(self, b: Dense, x: Dense, callback) -> SolveReport:
         if b.size.cols == 1:
             return self._solve_column(b, x, callback)
         reports = [
@@ -436,11 +439,11 @@ class Solver(LinOp):
         return SolveReport(0, r0, rk, True, STOP_DIRECT)
 
     def _apply(self, b: Dense, x: Dense) -> None:
-        self.solve(b, x)
+        self._solve(b, x, None)
 
     def _advanced_apply(self, alpha: float, b: Dense, beta: float, x: Dense) -> None:
         y = Dense.create(self.executor, x.size)
-        self.solve(b, y)
+        self._solve(b, y, None)
         dispatch(self.executor, "waxpby")(x.view2d(), alpha, y.view2d(), beta, x.view2d())
 
 
@@ -478,12 +481,30 @@ def _report(iterations, r0, rk, reason) -> SolveReport:
     return SolveReport(iterations, r0, rk, reason == STOP_RESIDUAL, reason)
 
 
+def _unchecked(a: LinOp):
+    """``a``'s ``(apply, advanced_apply)`` without the argument checks.
+
+    The Krylov loops apply the system matrix only to vectors that
+    ``Solver.solve`` checked or that the loop sized and owns, so repeating
+    the public methods' checks (the alias test above all) buys nothing.  A
+    subclass that overrides a public method, to trace it say, is still
+    called through its override.
+    """
+    cls = type(a)
+    apply = a._apply if cls.apply is LinOp.apply else a.apply
+    advanced = (
+        a._advanced_apply if cls.advanced_apply is LinOp.advanced_apply else a.advanced_apply
+    )
+    return apply, advanced
+
+
 def _cg(a, b, x, criteria, precond, tol_breakdown, callback, work) -> SolveReport:
     """Preconditioned conjugate gradients (Hestenes-Stiefel recurrence)."""
     r, z, p, q = work
+    apply, advanced_apply = _unchecked(a)
 
     _copy_into(r, b)
-    a.advanced_apply(-1.0, x, 1.0, r)
+    advanced_apply(-1.0, x, 1.0, r)
     r0_norm = rk_norm = _norm(r)
     b_norm_sq = _dot(b, b)
     if callback:
@@ -503,7 +524,7 @@ def _cg(a, b, x, criteria, precond, tol_breakdown, callback, work) -> SolveRepor
                 "cg: rho fell below the breakdown tolerance",
                 best=x, iterations=k - 1, residual_norm=rk_norm,
             )
-        a.apply(p, q)
+        apply(p, q)
         pq = _dot(p, q)
         if pq == 0.0 or not math.isfinite(pq):
             raise BreakdownError(
@@ -534,9 +555,10 @@ def _bicgstab(a, b, x, criteria, precond, tol_breakdown, callback, work) -> Solv
     avoids dividing by a vanishing t.t.
     """
     r, rhat, p, phat, v, s, shat, t = work
+    apply, advanced_apply = _unchecked(a)
 
     _copy_into(r, b)
-    a.advanced_apply(-1.0, x, 1.0, r)
+    advanced_apply(-1.0, x, 1.0, r)
     _copy_into(rhat, r)
     r0_norm = rk_norm = _norm(r)
     b_norm_sq = _dot(b, b)
@@ -568,7 +590,7 @@ def _bicgstab(a, b, x, criteria, precond, tol_breakdown, callback, work) -> Solv
             p.add_scaled(-omega, v)
             _aypx(p, beta, r)  # p = r + beta (p - omega v)
         precond.apply(p, phat)
-        a.apply(phat, v)
+        apply(phat, v)
         rhat_v = _dot(rhat, v)
         if rhat_v == 0.0 or not math.isfinite(rhat_v):
             raise BreakdownError(
@@ -585,7 +607,7 @@ def _bicgstab(a, b, x, criteria, precond, tol_breakdown, callback, work) -> Solv
                 callback(k, s_norm)
             return _report(k, r0_norm, s_norm, STOP_RESIDUAL)
         precond.apply(s, shat)
-        a.apply(shat, t)
+        apply(shat, t)
         tt = _dot(t, t)
         if tt == 0.0 or not math.isfinite(tt):
             raise BreakdownError(
@@ -616,11 +638,12 @@ def _gmres(a, b, x, criteria, precond, restart, callback) -> SolveReport:
     """
     exec_ = a.executor
     shape = b.size
+    apply, advanced_apply = _unchecked(a)
     r = Dense.create(exec_, shape)
     w = Dense.create(exec_, shape)
 
     _copy_into(r, b)
-    a.advanced_apply(-1.0, x, 1.0, r)
+    advanced_apply(-1.0, x, 1.0, r)
     r0_norm = rk_norm = _norm(r)
     if callback:
         callback(0, rk_norm)
@@ -647,7 +670,7 @@ def _gmres(a, b, x, criteria, precond, restart, callback) -> SolveReport:
             z = Dense.create(exec_, shape)
             precond.apply(basis[j], z)
             zdirs.append(z)
-            a.apply(z, w)
+            apply(z, w)
             hcol = []
             for i in range(j + 1):
                 hij = _dot(w, basis[i])
@@ -700,7 +723,7 @@ def _gmres(a, b, x, criteria, precond, restart, callback) -> SolveReport:
             basis.append(vnext)
             j += 1
         _copy_into(r, b)
-        a.advanced_apply(-1.0, x, 1.0, r)
+        advanced_apply(-1.0, x, 1.0, r)
         rk_norm = _norm(r)
         reason = first_met(criteria, total, r0_norm, rk_norm)
         if reason:

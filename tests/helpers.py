@@ -6,7 +6,9 @@ in the library kernels cannot hide inside its own verification.
 """
 
 import numpy as np
+import pytest
 
+from linopkit import kernels
 from linopkit.container import MatrixData
 from linopkit.linop import Csr, Dense
 
@@ -82,3 +84,39 @@ def relative_residual(a_dense, x, b):
     r = b - np.asarray(a_dense) @ np.asarray(x)
     scale = np.linalg.norm(b)
     return float(np.linalg.norm(r) / scale) if scale else float(np.linalg.norm(r))
+
+
+#: The compiled SpMV body as the library selected it at import, or None.
+COMPILED_SPMV = kernels._SPARSETOOLS
+
+
+class CountingSparsetools:
+    """Delegates to the compiled SpMV body and counts its calls."""
+
+    def __init__(self, tools):
+        self._tools = tools
+        self.calls = 0
+
+    def csr_matvec(self, *args):
+        self.calls += 1
+        self._tools.csr_matvec(*args)
+
+    def csr_matvecs(self, *args):
+        self.calls += 1
+        self._tools.csr_matvecs(*args)
+
+
+def use_spmv_body(monkeypatch, body):
+    """Select the ``"compiled"`` or ``"numpy"`` SpMV body until the test ends.
+
+    Returns a :class:`CountingSparsetools` for the compiled body, None for the
+    numpy body, and skips the test when the compiled body is unavailable.
+    """
+    if body == "numpy":
+        monkeypatch.setattr(kernels, "_SPARSETOOLS", None)
+        return None
+    if COMPILED_SPMV is None:
+        pytest.skip("scipy's sparsetools is not available")
+    spy = CountingSparsetools(COMPILED_SPMV)
+    monkeypatch.setattr(kernels, "_SPARSETOOLS", spy)
+    return spy

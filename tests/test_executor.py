@@ -1,6 +1,14 @@
 """Executor creation, kernel dispatch, and backend equivalence."""
 
+import importlib.machinery
+import importlib.util
 import itertools
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +33,9 @@ from linopkit.executor import (
 from linopkit import kernels
 from linopkit.facade import AppVector
 from linopkit.kernels import REDUCTION_TILE
-from linopkit.linop import Dense
+from linopkit.linop import Csr, Dense
+
+from helpers import COMPILED_SPMV, csr_from_numpy, random_spd_dense, use_spmv_body
 
 ALL_KERNELS = (
     "fill", "copy", "scale", "axpy", "aypx", "waxpby", "diag_scale",
@@ -313,8 +323,11 @@ def _same_bits(x, y):
 
 class TestSpmvKernel:
     """``spmv`` and ``spmv_advanced`` equal the bincount formula bit for bit on
-    both kinds and every worker count, including empty rows next to where a
-    row split would fall.
+    both SpMV bodies, both kinds and every worker count, including empty rows
+    next to where a row split would fall.
+
+    The compiled body runs only on a pattern a Csr checked and froze; raw
+    index arrays, writable or not, take the numpy body under either choice.
     """
 
     ROWS = 1357
@@ -353,30 +366,153 @@ class TestSpmvKernel:
         assert not view.flags.writeable and not view.flags.c_contiguous
         return view
 
+    def _out(self, k, strided, init):
+        """An output block holding ``init``, compact or with padded rows."""
+        out = np.full((self.ROWS, k + 2), np.nan)[:, :k] if strided else np.empty((self.ROWS, k))
+        out[...] = init
+        assert out.flags.c_contiguous != strided
+        return out
+
     @pytest.mark.parametrize("k, layout", [(1, "contiguous"), (3, "contiguous"), (3, "padded_const")])
-    def test_bitwise_equal_to_bincount_formula(self, rng, k, layout):
+    def test_bitwise_equal_to_bincount_formula(self, rng, monkeypatch, k, layout):
         row_ptrs, row_ids, col_idxs, values = self._matrix(rng)
         b = self._b(rng, k, layout)
         s = _bincount_spmv(row_ptrs, row_ids, col_idxs, values, b)
         assert np.isnan(s).any() and np.isinf(s).any() and (s == 0.0).any()
         out0 = rng.normal(size=(self.ROWS, k))
+        nan_rows = np.flatnonzero(np.isnan(s[:, 0]))
+        out0[nan_rows, 0] = np.where(nan_rows % 2, np.nan, -np.nan)  # so operand order shows
         readonly_cols = col_idxs.copy()
-        readonly_cols.flags.writeable = False  # as Csr.get_col_idxs() hands out
-        for (name, workers), cols in itertools.product(self.EXECUTORS, (col_idxs, readonly_cols)):
-            args = (row_ptrs, row_ids, cols, values)
-            exec_ = executor_from_name(name, workers)
-            out = np.full((self.ROWS, k), np.nan)
-            dispatch(exec_, "spmv")(*args, b, out)
-            assert _same_bits(out, s), (name, workers, cols.flags.writeable)
-            for alpha, beta in ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25)):
-                if beta == 0.0:
-                    out = np.full((self.ROWS, k), np.nan)
-                    expected = alpha * s
-                else:
-                    out = out0.copy()
-                    expected = alpha * s + beta * out0
-                dispatch(exec_, "spmv_advanced")(*args, alpha, b, beta, out)
-                assert _same_bits(out, expected), (name, workers, cols.flags.writeable, alpha, beta)
+        readonly_cols.flags.writeable = False  # read-only, but no Csr checked it
+        checked = Csr.from_arrays(
+            executor_from_name("reference"), (self.ROWS, self.COLS), row_ptrs, col_idxs, values
+        )
+        patterns = {
+            "writable": (row_ptrs, col_idxs),
+            "readonly": (row_ptrs, readonly_cols),
+            "checked": (checked.get_row_ptrs().numpy(), checked.get_col_idxs().numpy()),
+        }
+        for body in ("compiled", "numpy") if COMPILED_SPMV is not None else ("numpy",):
+            spy = use_spmv_body(monkeypatch, body)
+            checked_calls = 0
+            for (name, workers), (pattern, (rp, cols)), strided in itertools.product(
+                self.EXECUTORS, patterns.items(), (False, True)
+            ):
+                where = (body, name, workers, pattern, strided)
+                args = (rp, row_ids, cols, values)
+                exec_ = executor_from_name(name, workers)
+                out = self._out(k, strided, np.nan)
+                dispatch(exec_, "spmv")(*args, b, out)
+                assert _same_bits(out, s), where
+                for alpha, beta in ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25)):
+                    if beta == 0.0:
+                        out = self._out(k, strided, np.nan)
+                        expected = alpha * s
+                    else:
+                        out = self._out(k, strided, out0)
+                        expected = alpha * s + beta * out0
+                    dispatch(exec_, "spmv_advanced")(*args, alpha, b, beta, out)
+                    assert _same_bits(out, expected), (*where, alpha, beta)
+                checked_calls += 4 if pattern == "checked" else 0
+            if spy is not None:
+                assert spy.calls == checked_calls
+
+    def test_out_may_overlap_b(self, rng, spmv_body):
+        """``out`` sharing ``b``'s storage gets ``A`` times the old ``b``."""
+        dense = random_spd_dense(rng, 40)
+        m = csr_from_numpy(executor_from_name("reference"), dense)
+        args = (m.get_row_ptrs().numpy(), m._row_ids(), m.get_col_idxs().numpy(),
+                m.get_values(const=True).numpy())
+        b0 = rng.normal(size=(40, 2))
+        for exec_ in (executor_from_name("reference"), executor_from_name("parallel", 2)):
+            v = b0.copy()
+            dispatch(exec_, "spmv")(*args, v, v)
+            assert _same_bits(v, _bincount_spmv(*args, b0))
+            v = b0.copy()
+            dispatch(exec_, "spmv_advanced")(*args, 0.5, v, -2.0, v)
+            assert _same_bits(v, 0.5 * _bincount_spmv(*args, b0) + -2.0 * b0)
+        if spmv_body is not None:
+            assert spmv_body.calls == 4
+
+
+class _RowLoop:
+    """``csr_matvec(s)`` in Python, adding ``value * b[col]`` onto ``y`` in row order.
+
+    With ``fused`` each step rounds once, as a fused multiply-add does.
+    """
+
+    def __init__(self, fused):
+        self.fused = fused
+
+    def _madd(self, a, x, y):
+        if self.fused and all(map(math.isfinite, (a, x, y))):
+            return float(Fraction(a) * Fraction(x) + Fraction(y))
+        return y + a * x
+
+    def csr_matvec(self, n_row, n_col, row_ptrs, col_idxs, values, x, y):
+        self.csr_matvecs(n_row, n_col, 1, row_ptrs, col_idxs, values, x, y)
+
+    def csr_matvecs(self, n_row, n_col, k, row_ptrs, col_idxs, values, x, y):
+        x = np.ascontiguousarray(x).reshape(-1, k)
+        y = y.reshape(-1, k)  # the kernel hands over a contiguous y
+        for i in range(n_row):
+            for jj in range(row_ptrs[i], row_ptrs[i + 1]):
+                for c in range(k):
+                    y[i, c] = self._madd(values[jj], x[col_idxs[jj], c], y[i, c])
+
+
+class TestCompiledSpmvSelection:
+    """The compiled body is used only when it loads and reproduces the numpy bits."""
+
+    def test_check_accepts_a_loop_that_rounds_every_product(self):
+        assert kernels._agrees_with_numpy(_RowLoop(fused=False))
+
+    def test_check_rejects_a_fused_multiply_add(self, monkeypatch):
+        fused = _RowLoop(fused=True)
+        assert not kernels._agrees_with_numpy(fused)
+        monkeypatch.setattr(kernels, "_load_sparsetools", lambda: fused)
+        assert kernels._verified_sparsetools() is None
+
+    def test_check_rejects_a_body_that_fails(self, monkeypatch):
+        class Broken:
+            def csr_matvec(self, *args):
+                raise TypeError("wrong signature")
+
+            csr_matvecs = csr_matvec
+
+        assert not kernels._agrees_with_numpy(Broken())
+        monkeypatch.setattr(kernels, "_load_sparsetools", lambda: None)
+        assert kernels._verified_sparsetools() is None
+
+    @pytest.mark.parametrize("failure", ["no scipy", "no file", "find_spec raises"])
+    def test_load_failures_select_the_numpy_body(self, monkeypatch, failure):
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools", raising=False)
+        if failure == "no scipy":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        elif failure == "no file":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        else:
+            def boom(name):
+                raise ValueError("scipy.__spec__ is None")
+
+            monkeypatch.setattr(importlib.util, "find_spec", boom)
+        assert kernels._load_sparsetools() is None
+        assert "scipy.sparse._sparsetools" not in sys.modules
+
+    @pytest.mark.skipif(COMPILED_SPMV is None, reason="scipy's sparsetools is not available")
+    def test_import_loads_the_extension_alone(self):
+        code = (
+            "import sys, numpy as np; from linopkit import kernels; "
+            "assert kernels._SPARSETOOLS is not None; "
+            "assert [m for m in sys.modules if m.split('.')[0] == 'scipy'] == []; "
+            "import scipy.sparse as sp; "
+            "assert list(sp.csr_matrix(np.eye(2)) @ np.ones(2)) == [1.0, 1.0]"
+        )
+        src = str(Path(kernels.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRunPartitioned:

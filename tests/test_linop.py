@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linopkit.container import MatrixData, Ownership, array_view
+from linopkit.container import Dim, MatrixData, Ownership, array_view
 from linopkit.errors import DimensionError, InvalidArgumentError
-from linopkit.executor import executor_from_name
+from linopkit.batched import BatchCsr
+from linopkit.executor import dispatch, executor_from_name
 from linopkit.linop import Csr, Dense
 
 from helpers import (
@@ -272,6 +273,117 @@ class TestApply:
         v = Dense.create(ref, (2, 1))
         with pytest.raises(InvalidArgumentError, match="alias"):
             m.apply(v, v)
+
+
+class TestPatternSafety:
+    """An out-of-range or changed pattern raises on both SpMV bodies.
+
+    The compiled body does not bounds-check, so none of these may reach it:
+    each case either fails a check or takes the numpy body, which raises.
+    """
+
+    def _vectors(self, ref):
+        return dense_from_numpy(ref, [1.0, 2.0, 3.0]), Dense.create(ref, (3, 1))
+
+    def test_out_of_range_batch_pattern(self, ref, spmv_body):
+        b, x = self._vectors(ref)
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            batch = BatchCsr(ref, 1, (3, 3), [0, 1, 2, 3], [0, 1, 7], [[1.0, 1.0, 1.0]])
+            batch.extract_system(0).apply(b, x)
+
+    def test_raw_dispatch_with_a_column_past_b(self, ref, spmv_body):
+        rp, ci, vals = np.array([0, 1, 2, 3]), np.array([0, 1, 7]), np.ones(3)
+        row_ids = np.arange(3)
+        frozen_rp, frozen_ci = rp.copy(), ci.copy()
+        frozen_rp.flags.writeable = frozen_ci.flags.writeable = False  # frozen, never checked
+        checked = Csr.from_arrays(ref, (3, 8), rp, ci, vals)
+        checked_pattern = (checked.get_row_ptrs().numpy(), checked.get_col_idxs().numpy())
+        out = np.zeros((3, 1))
+        for pattern in ((rp, ci), (frozen_rp, frozen_ci), checked_pattern):
+            with pytest.raises(IndexError):
+                dispatch(ref, "spmv")(pattern[0], row_ids, pattern[1], vals, np.ones((3, 1)), out)
+            with pytest.raises(IndexError):
+                dispatch(ref, "spmv_advanced")(
+                    pattern[0], row_ids, pattern[1], vals, 1.0, np.ones((3, 1)), 0.0, out
+                )
+        # a checked row_ptrs [0, 1, 2, 4] passed as column indices, 4 >= b.rows
+        four = Csr.from_arrays(ref, (3, 3), [0, 1, 2, 4], [0, 1, 0, 2], np.ones(4))
+        with pytest.raises(IndexError):
+            dispatch(ref, "spmv")(four.get_row_ptrs().numpy(), np.array([0, 1, 2, 2]),
+                                  four.get_row_ptrs().numpy(), np.ones(4), np.ones((3, 1)), out)
+        if spmv_body is not None:
+            assert spmv_body.calls == 0
+            # the checked pattern does run compiled once b is long enough
+            dispatch(ref, "spmv")(*checked_pattern[:1], row_ids, checked_pattern[1], vals,
+                                  np.ones((8, 1)), out)
+            assert spmv_body.calls == 1 and list(out[:, 0]) == [1.0, 1.0, 1.0]
+
+    def test_borrowed_pattern_changed_after_construction(self, ref, spmv_body):
+        rp = np.array([0, 1, 2, 3], dtype=np.int64)
+        ci = np.array([0, 1, 2], dtype=np.int64)
+        m = Csr(ref, (3, 3), array_view(ref, 4, rp), array_view(ref, 3, ci),
+                array_view(ref, 3, np.ones(3)))
+        b, x = self._vectors(ref)
+        m.apply(b, x)
+        assert list(x.view2d()[:, 0]) == [1.0, 2.0, 3.0]
+        ci[1] = 7
+        with pytest.raises(IndexError):
+            m.apply(b, x)
+        ci[1] = 1
+        rp[3] = 5
+        with pytest.raises(DimensionError, match="row_ptrs"):
+            m.apply(b, x)
+        if spmv_body is not None:
+            assert spmv_body.calls == 0
+
+    def test_row_ptrs_past_nnz(self, ref, spmv_body):
+        with pytest.raises(InvalidArgumentError, match="length"):
+            Csr.from_arrays(ref, (3, 3), [0, 1, 2, 5], [0, 1, 2], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidArgumentError, match="length"):
+            BatchCsr(ref, 1, (3, 3), [0, 1, 2, 5], [0, 1, 2], [[1.0, 1.0, 1.0]])
+        # two checked patterns mixed: row_ptrs of one, col_idxs of the other
+        big = Csr.from_arrays(ref, (3, 3), [0, 2, 4, 5], [0, 1, 0, 1, 2], np.ones(5))
+        small = csr_from_numpy(ref, np.eye(3))
+        with pytest.raises(DimensionError, match="row_ptrs"):
+            dispatch(ref, "spmv")(
+                big.get_row_ptrs().numpy(), small._row_ids(), small.get_col_idxs().numpy(),
+                small.get_values(const=True).numpy(), np.ones((3, 1)), np.zeros((3, 1)),
+            )
+        if spmv_body is not None:
+            assert spmv_body.calls == 0
+
+    def test_assembly_buffer_cannot_shrink_after_filling(self, ref):
+        """``from_data`` trusts the entries it converts to lie inside ``size``."""
+        data = MatrixData((3, 3), [(0, 0, 1.0), (2, 2, 1.0)])
+        with pytest.raises(AttributeError):
+            data.size = Dim(2, 2)
+        assert Csr.from_data(ref, data).size == (3, 3)
+
+    def test_unfrozen_pattern_leaves_the_compiled_body(self, ref, spmv_body):
+        m = csr_from_numpy(ref, np.eye(3))
+        b, x = self._vectors(ref)
+        m.apply(b, x)
+        compiled_calls = spmv_body.calls if spmv_body is not None else 0
+        rp, ci = m.get_row_ptrs().numpy(), m.get_col_idxs().numpy()  # read-only views
+        owner = m._col_idxs.numpy()
+        owner.flags.writeable = True  # the owner can be unfrozen, and then changed
+        owner[2] = 7
+        with pytest.raises(IndexError):
+            m.apply(b, x)
+        with pytest.raises(IndexError):
+            dispatch(ref, "spmv")(rp, m._row_ids(), ci, np.ones(3), np.ones((3, 1)), np.zeros((3, 1)))
+        if spmv_body is not None:
+            assert compiled_calls == 1 and spmv_body.calls == 1
+
+    def test_misaligned_view_of_a_checked_pattern(self, ref, spmv_body):
+        owner = csr_from_numpy(ref, np.eye(3)).get_col_idxs().numpy()
+        shifted = np.ndarray((2,), dtype=np.int64, buffer=owner, offset=4)  # straddles entries
+        two = Csr.from_arrays(ref, (3, 3), [0, 1, 2, 2], [0, 1], np.ones(2))
+        with pytest.raises(IndexError):
+            dispatch(ref, "spmv")(two.get_row_ptrs().numpy(), two._row_ids(), shifted,
+                                  np.ones(2), np.ones((3, 1)), np.zeros((3, 1)))
+        if spmv_body is not None:
+            assert spmv_body.calls == 0
 
 
 class TestDense:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from linopkit.apps.heat import assemble_poisson
 from linopkit.container import MatrixData
 from linopkit.errors import (
     BreakdownError,
@@ -13,7 +14,8 @@ from linopkit.errors import (
     SingularMatrixError,
     SingularPreconditionerError,
 )
-from linopkit.linop import Csr, Dense
+from linopkit.executor import executor_from_name
+from linopkit.linop import Csr, Dense, LinOp
 from linopkit.solver import (
     Iteration,
     JacobiPreconditioner,
@@ -26,11 +28,14 @@ from linopkit.solver import (
 )
 
 from helpers import (
+    COMPILED_SPMV,
     csr_from_numpy,
+    data_from_numpy,
     dense_from_numpy,
     random_dd_dense,
     random_spd_dense,
     relative_residual,
+    use_spmv_body,
 )
 
 
@@ -422,3 +427,75 @@ def test_parallel_backend_produces_the_same_history(par, ref, rng):
     # parallel run executes identical arithmetic
     assert histories["reference"][0] == histories["parallel"][0]
     assert np.array_equal(histories["reference"][1], histories["parallel"][1])
+
+
+def test_heat_cg_from_a_random_rhs_is_bitwise_equal_across_kinds_and_spmv_bodies(monkeypatch):
+    """The whole CG+Jacobi loop, hundreds of iterations, gives the same bits
+    on reference and parallel(2) and on both SpMV bodies.
+
+    The heat demo's own right-hand side is a stencil eigenvector and
+    converges in one iteration, so a seeded random one is used instead.
+    """
+    grid = 64
+    n = grid * grid
+    data = MatrixData((n, n), assemble_poisson(grid))
+    b0 = np.random.default_rng(64).standard_normal(n)
+    outcomes = {}
+    for body in ("compiled", "numpy") if COMPILED_SPMV is not None else ("numpy",):
+        spy = use_spmv_body(monkeypatch, body)
+        for name, workers in (("reference", None), ("parallel", 2)):
+            exec_ = executor_from_name(name, workers)
+            factory = SolverFactory(
+                "cg", criteria=(Iteration(5000), ResidualNorm(1e-10)), preconditioner="jacobi"
+            )
+            solver = factory.generate(Csr.from_data(exec_, data))
+            x = Dense.create(exec_, (n, 1))
+            report = solver.solve(dense_from_numpy(exec_, b0), x)
+            assert report.converged and report.iterations > 200
+            outcomes[body, name] = (report, x.view2d().copy())
+        if spy is not None:
+            assert spy.calls > 400  # every SpMV of both solves ran compiled
+    (report, x), *others = outcomes.values()
+    for other_report, other_x in others:
+        assert other_report == report
+        assert np.array_equal(other_x.view(np.uint64), x.view(np.uint64))
+
+
+class _ApplyCounter(Csr):
+    """A Csr whose public applies count themselves, as a tracing subclass would."""
+
+    calls = 0
+
+    def apply(self, b, x):
+        self.calls += 1
+        super().apply(b, x)
+
+    def advanced_apply(self, alpha, b, beta, x):
+        self.calls += 1
+        super().advanced_apply(alpha, b, beta, x)
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_krylov_loops_skip_the_vector_checks(ref, rng, monkeypatch, algorithm):
+    """Only ``Solver.solve`` checks its vectors; the loop's own applies do not."""
+    checks = []
+    real = LinOp._check_vectors
+    monkeypatch.setattr(LinOp, "_check_vectors", lambda op, b, x: checks.append(op) or real(op, b, x))
+    solver = make_solver(ref, random_spd_dense(rng, 12), algorithm=algorithm)
+    report = solver.solve(dense_from_numpy(ref, rng.normal(size=12)), Dense.create(ref, (12, 1)))
+    assert report.converged and report.iterations > 3
+    assert checks == [solver]
+    with pytest.raises(InvalidArgumentError, match="alias"):
+        v = Dense.create(ref, (12, 1))
+        solver.system_matrix.apply(v, v)
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_krylov_loops_call_an_apply_override(ref, rng, algorithm):
+    dense = random_spd_dense(rng, 12)
+    counted = _ApplyCounter.from_data(ref, data_from_numpy(dense))
+    factory = SolverFactory(algorithm, criteria=(Iteration(200), ResidualNorm(1e-12)))
+    x = Dense.create(ref, (12, 1))
+    report = factory.generate(counted).solve(dense_from_numpy(ref, rng.normal(size=12)), x)
+    assert report.converged
+    assert counted.calls >= report.iterations
