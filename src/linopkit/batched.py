@@ -13,10 +13,18 @@ arithmetic and summation order do not depend on which other lanes are live.
 On parallel executors the batch is split into contiguous system ranges
 through the ``run_partitioned`` kernel, and each range is solved in
 contiguous groups of at most ``GROUP_ENTRIES`` stored entries' worth of
-systems.  Block bodies touch only their own slice of every array and use
-plain numpy internally (never the dispatched kernels, which keeps the worker
-pool free of nested submissions), so neither the partitioning nor the
-grouping can change any result.
+systems.  Block bodies touch only their own slice of every array and never
+call the dispatched kernels, which keeps the worker pool free of nested
+submissions, so neither the partitioning nor the grouping can change any
+result.
+
+SpMV over a group's live systems runs compiled when scipy is installed: the
+systems form one block-diagonal CSR matrix whose pattern
+:func:`~linopkit.kernels.block_pattern` builds once per solve from the
+pattern a ``BatchCsr`` checked and froze, and one ``csr_matvec`` call
+multiplies them all.  :func:`_spmv_block`, plain numpy, gives the same bits;
+it runs when scipy is absent or a call does not fit the block pattern, and
+the tests compare against it.  Everything else is plain numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 from .container import Array, Dim, MatrixData, Ownership
 from .errors import InvalidArgumentError
 from .executor import Executor, dispatch
-from .kernels import freeze_checked_pattern
+from .kernels import block_pattern, block_spmv, freeze_checked_pattern
 from .linop import Csr, check_pattern
 from .solver import (
     DEFAULT_TOL_BREAKDOWN,
@@ -53,21 +61,31 @@ GROUP_ENTRIES = 1 << 17
 class BatchCsr:
     """A batch of CSR matrices sharing row_ptrs and col_idxs.
 
-    The shared pattern is copied, checked once by Csr's rules and made
-    read-only, so :meth:`extract_system` hands out matrices that SpMV can
-    run compiled.
+    The constructor copies the shared pattern, checks it by Csr's rules and
+    makes it read-only; :meth:`from_template` keeps the pattern its
+    conversion built and checked.  Either way :meth:`extract_system` hands
+    out matrices that SpMV can run compiled, and batched solves run their
+    SpMV compiled too.
     """
 
     def __init__(self, executor: Executor, num_systems: int, size, row_ptrs, col_idxs, values):
+        size = Dim(int(size[0]), int(size[1]))
+        row_ptrs = np.array(row_ptrs, dtype=np.int64)
+        col_idxs = np.array(col_idxs, dtype=np.int64)
+        check_pattern(size, row_ptrs, col_idxs)
+        freeze_checked_pattern(row_ptrs, col_idxs, size.cols)
+        self._init(executor, num_systems, size, row_ptrs, col_idxs, values)
+
+    def _init(self, executor, num_systems, size, row_ptrs, col_idxs, values):
+        """Set up over ``row_ptrs``/``col_idxs``, kept as they are: the caller
+        owns them and has checked and frozen them."""
         if num_systems < 0:
             raise InvalidArgumentError(f"num_systems must be >= 0, got {num_systems}")
         self._executor = executor
         self._num_systems = int(num_systems)
-        self._size = Dim(int(size[0]), int(size[1]))
-        self._row_ptrs = np.array(row_ptrs, dtype=np.int64)
-        self._col_idxs = np.array(col_idxs, dtype=np.int64)
-        check_pattern(self._size, self._row_ptrs, self._col_idxs)
-        freeze_checked_pattern(self._row_ptrs, self._col_idxs, self._size.cols)
+        self._size = size
+        self._row_ptrs = row_ptrs
+        self._col_idxs = col_idxs
         self._values = np.asarray(values, dtype=np.float64)
         nnz = self._col_idxs.shape[0]
         if self._values.shape != (self._num_systems, nnz):
@@ -84,7 +102,8 @@ class BatchCsr:
 
         The template is converted once (sorted, duplicates summed); the value
         block must follow the converted ordering and hold num_systems * nnz
-        entries, either flat or as a (num_systems, nnz) array.
+        entries, either flat or as a (num_systems, nnz) array.  The batch
+        keeps the pattern the conversion built and checked, uncopied.
         """
         structure = Csr.from_data(executor, template)
         nnz = structure.num_stored_elements
@@ -93,14 +112,16 @@ class BatchCsr:
             raise InvalidArgumentError(
                 f"expected {num_systems} x {nnz} values, got {vals.size}"
             )
-        return cls(
+        batch = cls.__new__(cls)
+        batch._init(
             executor,
             num_systems,
             structure.size,
-            structure.get_row_ptrs().numpy(),
-            structure.get_col_idxs().numpy(),
+            structure._row_ptrs.numpy(),
+            structure._col_idxs.numpy(),
             vals.reshape(num_systems, nnz).copy(),
         )
+        return batch
 
     @property
     def executor(self) -> Executor:
@@ -272,12 +293,14 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     block = _cg_block if algorithm == "cg" else _bicgstab_block
 
     group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
+    pattern = block_pattern(a.row_ptrs, a.col_idxs, min(group, num))
 
     def body(lo, hi):
         for start in range(lo, hi, group):
             g = slice(start, min(start + group, hi))
-            block(a._row_ids, a.col_idxs, n, a.values[g], bvals[g], xvals[g], criteria,
-                  diag_pos, DEFAULT_TOL_BREAKDOWN, iters[g], finals[g], conv[g], reasons[g])
+            spmv = _group_spmv(pattern, a._row_ids, a.col_idxs, n, g.stop - g.start)
+            block(spmv, a.values[g], bvals[g], xvals[g], criteria, diag_pos,
+                  DEFAULT_TOL_BREAKDOWN, iters[g], finals[g], conv[g], reasons[g])
 
     dispatch(a.executor, "run_partitioned")(num, body)
     return BatchSolveReport(iters, finals, conv, list(reasons))
@@ -305,12 +328,35 @@ def _flat_rows(row_ids, n, m) -> np.ndarray:
 def _spmv_block(vals, flat, col_idxs, n, xb) -> np.ndarray:
     """Per-system SpMV; row sums accumulate left to right like the solo kernel.
 
-    ``flat`` is :func:`_flat_rows` for at least ``xb.shape[0]`` lanes.
+    ``flat`` is :func:`_flat_rows` for at least ``xb.shape[0]`` lanes.  This
+    is the numpy body, and the definition that :func:`block_spmv` matches bit
+    for bit.
     """
     m = xb.shape[0]
     prod = np.take(xb, col_idxs, axis=1)
     prod *= vals
     return np.bincount(flat[: prod.size], weights=prod.ravel(), minlength=m * n).reshape(m, n)
+
+
+def _group_spmv(pattern, row_ids, col_idxs, n, m):
+    """``spmv(vals, xb)`` for up to ``m`` lanes of one group.
+
+    Each call runs compiled on ``pattern``, the solve's block-diagonal
+    expansion, when it can, and :func:`_spmv_block` otherwise; that body's
+    index is built on its first use only.
+    """
+    flat = None
+
+    def spmv(vals, xb):
+        nonlocal flat
+        out = None if pattern is None else block_spmv(pattern, vals, xb)
+        if out is None:
+            if flat is None:
+                flat = _flat_rows(row_ids, n, m)
+            out = _spmv_block(vals, flat, col_idxs, n, xb)
+        return out
+
+    return spmv
 
 
 def _rowdot(u, v) -> np.ndarray:
@@ -382,15 +428,14 @@ class _Lanes:
             self.stop(np.ones(self.count, dtype=bool), k, False, STOP_ITERATION)
 
 
-def _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out):
+def _start(spmv, vals, bv, xv, criteria, diag_pos, out):
     """Initial residual, Jacobi set-up and the checks before the first iteration.
 
     Returns the live lanes (with ``r``, ``r0``, ``rk``, ``b_norm_sq`` and
-    ``invd``) and the block's flat SpMV index.
+    ``invd``).
     """
-    flat = _flat_rows(row_ids, n, bv.shape[0])
     lanes = _Lanes(xv, vals, *out)
-    lanes.r = bv - _spmv_block(vals, flat, col_idxs, n, xv)
+    lanes.r = bv - spmv(vals, xv)
     lanes.r0 = _rownorm(lanes.r)
     lanes.rk = lanes.r0.copy()
     lanes.b_norm_sq = _rowdot(bv, bv)
@@ -405,12 +450,11 @@ def _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out):
         # Such lanes keep their initial residual as the final one.
         lanes.stop((dvals == 0.0).any(axis=1), 0, False, STOP_SINGULAR_PRECONDITIONER)
     lanes.stop_by_criteria(criteria, 0)
-    return lanes, flat
+    return lanes
 
 
-def _cg_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
-              tol_breakdown, *out):
-    lanes, flat = _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out)
+def _cg_block(spmv, vals, bv, xv, criteria, diag_pos, tol_breakdown, *out):
+    lanes = _start(spmv, vals, bv, xv, criteria, diag_pos, out)
     z = lanes.r * lanes.invd if lanes.invd is not None else lanes.r
     lanes.p = z.copy()
     lanes.rho = _rowdot(lanes.r, z)
@@ -421,7 +465,7 @@ def _cg_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
                    k - 1, False, STOP_BREAKDOWN)
         if not lanes.count:
             break
-        q = _spmv_block(lanes.vals, flat, col_idxs, n, lanes.p)
+        q = spmv(lanes.vals, lanes.p)
         pq = _rowdot(lanes.p, q)
         q, pq = lanes.stop((pq == 0.0) | ~np.isfinite(pq), k - 1, False, STOP_BREAKDOWN, q, pq)
         if not lanes.count:
@@ -443,9 +487,8 @@ def _cg_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
         lanes.rho = rho_new
 
 
-def _bicgstab_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
-                    tol_breakdown, *out):
-    lanes, flat = _start(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos, out)
+def _bicgstab_block(spmv, vals, bv, xv, criteria, diag_pos, tol_breakdown, *out):
+    lanes = _start(spmv, vals, bv, xv, criteria, diag_pos, out)
     lanes.rhat = lanes.r.copy()
     lanes.rho = np.ones(lanes.count)
     lanes.alpha = np.ones(lanes.count)
@@ -470,7 +513,7 @@ def _bicgstab_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
             lanes.p = lanes.r + beta[:, None] * (lanes.p - lanes.omega[:, None] * lanes.v)
         lanes.rho = rho
         phat = lanes.p * lanes.invd if lanes.invd is not None else lanes.p
-        lanes.v = _spmv_block(lanes.vals, flat, col_idxs, n, phat)
+        lanes.v = spmv(lanes.vals, phat)
         rhat_v = _rowdot(lanes.rhat, lanes.v)
         bad = (rhat_v == 0.0) | ~np.isfinite(rhat_v)
         phat, rhat_v = lanes.stop(bad, k - 1, False, STOP_BREAKDOWN, phat, rhat_v)
@@ -487,7 +530,7 @@ def _bicgstab_block(row_ids, col_idxs, n, vals, bv, xv, criteria, diag_pos,
         if not lanes.count:
             break
         shat = s * lanes.invd if lanes.invd is not None else s
-        t = _spmv_block(lanes.vals, flat, col_idxs, n, shat)
+        t = spmv(lanes.vals, shat)
         tt = _rowdot(t, t)
         bad = (tt == 0.0) | ~np.isfinite(tt)
         phat, s, shat, t, tt = lanes.stop(bad, k - 1, False, STOP_BREAKDOWN, phat, s, shat, t, tt)

@@ -36,6 +36,11 @@ and guarded three ways:
   or ``BatchCsr`` validated and made read-only.  Every other call, raw
   arrays included, takes the numpy body and its checks.
 
+The batched solvers use the same loop through :func:`block_spmv`: the live
+systems of a group, laid down the diagonal of one CSR matrix
+(:func:`block_pattern`, built once per solve from a checked pattern), are one
+``csr_matvec`` call, bit for bit the per-system numpy body.
+
 Like the numpy body it holds the GIL, so it gains nothing from threads.
 
 The tile width also keeps every ``np.dot`` call at or below 8,192 elements,
@@ -163,8 +168,12 @@ def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
     temporary; neither changes a bit of the result.  ``take`` copies a
     read-only index array before gathering, so a read-only ``col_idxs`` (such
     as ``Csr.get_col_idxs()``) is gathered by 1-D fancy indexing instead,
-    which reads it in place.  Every index is bounds-checked.
+    which reads it in place.  Every index is bounds-checked: both accept
+    indices in ``[-len(b), 0)`` too, so a pattern that no ``Csr`` checked is
+    first searched for a negative column.
     """
+    if _checked_bound(col_idxs) is None and col_idxs.size and col_idxs.min() < 0:
+        raise IndexError(f"column index {col_idxs.min()} is negative")
     n = len(row_ptrs) - 1
     for j in range(b.shape[1]):
         prod = b[:, j].take(col_idxs) if col_idxs.flags.writeable else b[:, j][col_idxs]
@@ -304,6 +313,92 @@ def _compiled_may_run(row_ptrs, col_idxs, values, b, out) -> bool:
         and b.shape[1] == out.shape[1]
         and b.shape[0] >= cols
     )
+
+
+# --- block-diagonal SpMV for batched solves ------------------------------------
+#
+# k systems that share one checked pattern are one CSR matrix with k copies of
+# that pattern down its diagonal: block row l * rows + i holds row i's entries
+# in the same order, columns offset by l * cols.  One csr_matvec call then
+# multiplies all k lanes, and every row sum is the solo row's, bit for bit.
+
+
+class BlockPattern:
+    """``lanes`` copies of a checked CSR pattern down the diagonal of one matrix.
+
+    Built only by :func:`block_pattern`.  Its index arrays are its own,
+    read-only and never handed out, so every index in them stays in range
+    for ``lanes * cols`` columns.  Any prefix of the lanes is itself a block
+    pattern, which serves smaller and compacted lane sets.
+    """
+
+    __slots__ = ("lanes", "rows", "cols", "nnz", "_row_ptrs", "_col_idxs")
+
+
+def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, lanes: int) -> BlockPattern | None:
+    """The block-diagonal expansion of a pattern for up to ``lanes`` lanes, or None.
+
+    None when the compiled body is not in use or the pattern is not one a
+    ``Csr`` or ``BatchCsr`` checked and froze; callers then run their numpy
+    body.
+    """
+    if _SPARSETOOLS is None:
+        return None
+    cols = _checked_bound(col_idxs)
+    if cols is None or cols == _ROW_PTRS or _checked_bound(row_ptrs) != _ROW_PTRS:
+        return None
+    nnz = col_idxs.shape[0]
+    if row_ptrs[-1] != nnz:
+        return None
+    rows = row_ptrs.shape[0] - 1
+    lane = np.arange(lanes, dtype=np.int64)[:, None]
+    block_ptrs = np.empty(lanes * rows + 1, dtype=np.int64)
+    np.add(row_ptrs[:-1], lane * nnz, out=block_ptrs[:-1].reshape(lanes, rows))
+    block_ptrs[-1] = lanes * nnz
+    block_cols = np.empty(lanes * nnz, dtype=np.int64)
+    np.add(col_idxs, lane * cols, out=block_cols.reshape(lanes, nnz))
+    block_ptrs.flags.writeable = block_cols.flags.writeable = False
+    block = BlockPattern()
+    block.lanes, block.rows, block.cols, block.nnz = lanes, rows, cols, nnz
+    block._row_ptrs, block._col_idxs = block_ptrs, block_cols
+    return block
+
+
+def _block_may_run(block: BlockPattern, vals, xb) -> bool:
+    """True when ``vals`` and ``xb`` fit the first ``len(xb)`` lanes of ``block``.
+
+    The block's own arrays bound every index the compiled loop reads, so
+    only the operands' shapes, dtype and layout are checked, in O(1).
+    """
+    k = xb.shape[0]
+    return (
+        k <= block.lanes
+        and vals.dtype is _F64
+        and xb.dtype is _F64
+        and vals.shape == (k, block.nnz)
+        and xb.shape == (k, block.cols)
+        and vals.flags.c_contiguous
+        and xb.flags.c_contiguous
+    )
+
+
+def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
+    """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``, compiled; or None.
+
+    ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``.
+    Returns a new ``(lanes, rows)`` array with the numpy body's bits, or None
+    when this call cannot run compiled and the caller must use its numpy
+    body.
+    """
+    tools = _SPARSETOOLS
+    if tools is None or not _block_may_run(block, vals, xb):
+        return None
+    k = xb.shape[0]
+    out = np.zeros((k, block.rows))
+    # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads.
+    tools.csr_matvec(k * block.rows, k * block.cols, block._row_ptrs[: k * block.rows + 1],
+                     block._col_idxs[: k * block.nnz], vals, xb, out)
+    return out
 
 
 # --- the compiled body and its load-time check -------------------------------

@@ -3,15 +3,24 @@
 import numpy as np
 import pytest
 
-from linopkit import batched
-from linopkit.batched import BatchCsr, BatchDense, _flat_rows, _spmv_block, batch_solve
+import ctypes
+
+from linopkit import batched, kernels
+from linopkit.batched import (
+    BatchCsr,
+    BatchDense,
+    _flat_rows,
+    _group_spmv,
+    _spmv_block,
+    batch_solve,
+)
 from linopkit.container import MatrixData, copy_stats, reset_copy_stats
 from linopkit.errors import BreakdownError, InvalidArgumentError
 from linopkit.executor import executor_from_name
 from linopkit.linop import Dense
 from linopkit.solver import Iteration, ResidualNorm, SolverFactory
 
-from helpers import dense_from_numpy, random_dd_dense, random_spd_dense
+from helpers import COMPILED_SPMV, dense_from_numpy, random_dd_dense, random_spd_dense, use_spmv_body
 
 # The recurrences divide without masks once stopped systems have left, so a
 # division on a system that should have stopped must fail loudly.
@@ -83,9 +92,23 @@ def assert_same_bits(expected, actual, context):
         assert np.array_equal(want, got), (key, context)
 
 
+def spmv_bodies(monkeypatch):
+    """Select each available SpMV body in turn, yielding its counting spy
+    (None for the numpy body)."""
+    for body in ("compiled", "numpy") if COMPILED_SPMV is not None else ("numpy",):
+        yield use_spmv_body(monkeypatch, body)
+
+
+def assert_compiled_ran(spy):
+    """On the compiled body, the solves really called it: a silent fallback
+    to the numpy body must not pass for it."""
+    if spy is not None:
+        assert spy.calls > 0
+
+
 class TestAgainstSingleSolves:
     @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
-    def test_batch_equals_loop_of_singles(self, ref, rng, algorithm):
+    def test_batch_equals_loop_of_singles(self, ref, rng, monkeypatch, algorithm):
         num, n = 40, 6
         if algorithm == "cg":
             stack = np.stack([random_spd_dense(rng, n) for _ in range(num)])
@@ -94,45 +117,50 @@ class TestAgainstSingleSolves:
         a = build_batch(ref, stack)
         bv = rng.normal(size=(num, n, 1))
         b = BatchDense.from_values(ref, bv)
-        x = BatchDense.zeros(ref, num, (n, 1))
 
-        report = batch_solve(algorithm, a, b, x, CRITERIA)
+        for spy in spmv_bodies(monkeypatch):
+            x = BatchDense.zeros(ref, num, (n, 1))
+            report = batch_solve(algorithm, a, b, x, CRITERIA)
+            assert_compiled_ran(spy)
+            for k in range(num):
+                xk, rk = solo_solve(ref, a.extract_system(k), bv[k, :, 0], algorithm, CRITERIA)
+                assert rk.iterations == report.iterations[k], f"system {k}"
+                dev = np.abs(x.system_view(k)[:, 0] - xk).max()
+                assert dev <= 1e-12 * max(1.0, np.abs(xk).max()), f"system {k}"
+                assert report.stop_reasons[k] == rk.stop_reason
+                assert bool(report.converged[k]) == rk.converged
 
-        for k in range(num):
-            xk, rk = solo_solve(ref, a.extract_system(k), bv[k, :, 0], algorithm, CRITERIA)
-            assert rk.iterations == report.iterations[k], f"system {k}"
-            dev = np.abs(x.system_view(k)[:, 0] - xk).max()
-            assert dev <= 1e-12 * max(1.0, np.abs(xk).max()), f"system {k}"
-            assert report.stop_reasons[k] == rk.stop_reason
-            assert bool(report.converged[k]) == rk.converged
-
-    def test_jacobi_matches_singles(self, ref, rng):
+    def test_jacobi_matches_singles(self, ref, rng, monkeypatch):
         num, n = 12, 5
         stack = np.stack([random_spd_dense(rng, n) for _ in range(num)])
         a = build_batch(ref, stack)
         bv = rng.normal(size=(num, n, 1))
         b = BatchDense.from_values(ref, bv)
-        x = BatchDense.zeros(ref, num, (n, 1))
-        report = batch_solve("cg", a, b, x, CRITERIA, preconditioner="jacobi")
-        for k in range(num):
-            xk, rk = solo_solve(
-                ref, a.extract_system(k), bv[k, :, 0], "cg", CRITERIA, "jacobi"
-            )
-            assert rk.iterations == report.iterations[k]
-            assert np.allclose(x.system_view(k)[:, 0], xk, rtol=1e-12, atol=1e-14)
+        for spy in spmv_bodies(monkeypatch):
+            x = BatchDense.zeros(ref, num, (n, 1))
+            report = batch_solve("cg", a, b, x, CRITERIA, preconditioner="jacobi")
+            assert_compiled_ran(spy)
+            for k in range(num):
+                xk, rk = solo_solve(
+                    ref, a.extract_system(k), bv[k, :, 0], "cg", CRITERIA, "jacobi"
+                )
+                assert rk.iterations == report.iterations[k]
+                assert np.allclose(x.system_view(k)[:, 0], xk, rtol=1e-12, atol=1e-14)
 
-    def test_each_system_stops_by_its_own_criteria(self, ref, rng):
+    def test_each_system_stops_by_its_own_criteria(self, ref, rng, monkeypatch):
         # an identity system converges immediately; a generic SPD one does not
         easy = np.eye(4)
         hard = random_spd_dense(rng, 4)
         a = build_batch(ref, np.stack([easy, hard]))
         bv = rng.normal(size=(2, 4, 1))
         b = BatchDense.from_values(ref, bv)
-        x = BatchDense.zeros(ref, 2, (4, 1))
-        report = batch_solve("cg", a, b, x, CRITERIA)
-        assert report.converged.all()
-        assert report.iterations[0] == 1
-        assert report.iterations[1] > report.iterations[0]
+        for spy in spmv_bodies(monkeypatch):
+            x = BatchDense.zeros(ref, 2, (4, 1))
+            report = batch_solve("cg", a, b, x, CRITERIA)
+            assert_compiled_ran(spy)
+            assert report.converged.all()
+            assert report.iterations[0] == 1
+            assert report.iterations[1] > report.iterations[0]
 
 
 class TestFaultIsolation:
@@ -236,6 +264,18 @@ class TestSharedStorage:
         with pytest.raises(InvalidArgumentError, match="out of range"):
             a.extract_system(1)
 
+    def test_pattern_is_checked_and_frozen_by_either_constructor(self, ref):
+        rp, ci = np.array([0, 1, 3], dtype=np.int64), np.array([0, 0, 1], dtype=np.int64)
+        public = BatchCsr(ref, 1, (2, 2), rp, ci, np.ones((1, 3)))
+        # the caller's arrays are copied, and stay the caller's to change
+        assert not np.shares_memory(public.col_idxs, ci) and ci.flags.writeable
+        template = MatrixData((2, 2), [(0, 0, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+        converted = BatchCsr.from_template(ref, 1, template, np.ones(3))
+        for a in (public, converted):
+            assert list(a.row_ptrs) == [0, 1, 3] and list(a.col_idxs) == [0, 0, 1]
+            assert kernels._checked_bound(a.row_ptrs) == kernels._ROW_PTRS
+            assert kernels._checked_bound(a.col_idxs) == 2
+
     def test_system_view_shares_memory(self, ref):
         b = BatchDense.zeros(ref, 3, (2, 1))
         b.system_view(1)[0, 0] = 7.0
@@ -243,20 +283,25 @@ class TestSharedStorage:
 
 
 class TestParallelPartitioning:
-    def test_results_bitwise_identical_across_worker_counts(self, rng):
+    def test_results_bitwise_identical_across_worker_counts(self, rng, monkeypatch):
         # 37 systems, so every partition is uneven; the mixed exits make
-        # systems leave at different iterations in every block.
+        # systems leave at different iterations in every block.  Every SpMV
+        # body gives the same bits too.
         stack, bv = mixed_exit_batch(rng)
-        for algorithm in ("cg", "bicgstab"):
-            outcomes = [
-                solve_outcome(executor_from_name(backend, wc), stack, bv, algorithm,
-                              MIXED_CRITERIA, "jacobi")
-                for backend, wc in (("reference", None), ("parallel", 1), ("parallel", 2),
-                                    ("parallel", 4))
-            ]
-            assert set(outcomes[0]["stop_reasons"]) == MIXED_REASONS, algorithm
-            for wc, outcome in zip((1, 2, 4), outcomes[1:]):
-                assert_same_bits(outcomes[0], outcome, (algorithm, wc))
+        expected = {}
+        for spy in spmv_bodies(monkeypatch):
+            for algorithm in ("cg", "bicgstab"):
+                outcomes = [
+                    solve_outcome(executor_from_name(backend, wc), stack, bv, algorithm,
+                                  MIXED_CRITERIA, "jacobi")
+                    for backend, wc in (("reference", None), ("parallel", 1), ("parallel", 2),
+                                        ("parallel", 4))
+                ]
+                assert set(outcomes[0]["stop_reasons"]) == MIXED_REASONS, algorithm
+                expected.setdefault(algorithm, outcomes[0])
+                for wc, outcome in zip((None, 1, 2, 4), outcomes):
+                    assert_same_bits(expected[algorithm], outcome, (algorithm, wc, spy))
+            assert_compiled_ran(spy)
 
 
 class TestLaneIndependence:
@@ -278,8 +323,10 @@ class TestLaneIndependence:
         stack, bv = mixed_exit_batch(rng)
         whole = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
         monkeypatch.setattr(batched, "GROUP_ENTRIES", 5 * stack.shape[1] ** 2)  # 5 systems
-        grouped = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
-        assert_same_bits(whole, grouped, algorithm)
+        for spy in spmv_bodies(monkeypatch):
+            grouped = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
+            assert_same_bits(whole, grouped, (algorithm, spy))
+            assert_compiled_ran(spy)
 
 
 class TestSpmvBlock:
@@ -291,27 +338,135 @@ class TestSpmvBlock:
         prod = vals * xb[:, col_idxs]
         return np.bincount(flat, weights=prod.ravel(), minlength=m * n).reshape(m, n)
 
-    def test_bitwise_equal_to_bincount_formula(self, ref, rng):
-        n, num = 6, 9
+    def _batch(self, ref, rng, num):
+        n = 6
         entries = [(0, 0), (0, 3), (0, 5), (2, 1), (2, 2), (3, 0), (3, 3), (3, 4),
                    (3, 5), (4, 4), (5, 2)]  # row 1 is empty
         template = MatrixData((n, n), [(i, j, 1.0) for i, j in entries])
         a = BatchCsr.from_template(ref, num, template, rng.normal(size=(num, len(entries))))
-        row_ids, col_idxs = a._row_ids, a.col_idxs
         xb = rng.normal(size=(num, n))
         xb[0, 3] = xb[4, 0] = -0.0
         xb[2, 5] = np.inf
         xb[5, 0] = -np.inf
         xb[7, 3] = np.nan
+        return a, xb
+
+    def test_bitwise_equal_to_bincount_formula(self, ref, rng, monkeypatch):
+        num = 9
+        a, xb = self._batch(ref, rng, num)
+        n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
         flat = _flat_rows(row_ids, n, num)
+        for spy in spmv_bodies(monkeypatch):
+            pattern = kernels.block_pattern(a.row_ptrs, col_idxs, num)
+            assert (pattern is None) == (spy is None)
+            with np.errstate(invalid="ignore"):
+                # every lane, a prefix, and a scattered set as compaction leaves it
+                for lanes in (np.arange(num), np.arange(4), np.array([1, 2, 5, 7, 8])):
+                    vals = a.values[lanes]
+                    expected = self._old_formula(vals, row_ids, col_idxs, n, xb[lanes])
+                    got = {
+                        "numpy": _spmv_block(vals, flat, col_idxs, n, xb[lanes]),
+                        "group": _group_spmv(pattern, row_ids, col_idxs, n, num)(vals, xb[lanes]),
+                    }
+                    if pattern is not None:
+                        got["compiled"] = kernels.block_spmv(pattern, vals, xb[lanes])
+                    for body, out in got.items():
+                        assert out.shape == (len(lanes), n)
+                        assert np.array_equal(expected.view(np.uint64), out.view(np.uint64)), (
+                            body, lanes)
+            assert np.isnan(expected).any() and np.isinf(out).any() and (out[:, 1] == 0.0).all()
+            if spy is not None:
+                assert spy.calls == 6  # three lane sets, each direct and through the group
+
+    def test_mismatched_calls_fall_back_with_the_same_bits(self, ref, rng, monkeypatch):
+        """Calls that do not fit the block's lanes, shape or layout take the
+        numpy body; none of them reaches the compiled loop."""
+        spy = use_spmv_body(monkeypatch, "compiled")
+        a, xb = self._batch(ref, rng, 9)
+        n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
+        pattern = kernels.block_pattern(a.row_ptrs, col_idxs, 4)
+        vals = a.values
+        cases = {
+            "more lanes than the block": (vals[:6], xb[:6]),
+            "strided x": (vals[:3], np.repeat(xb[:3], 2, axis=1)[:, ::2]),
+            "Fortran-ordered x": (vals[:3], np.asfortranarray(xb[:3])),
+            "Fortran-ordered values": (np.asfortranarray(vals[:3]), xb[:3]),
+            "a row too short": (vals[:3], xb[:3, :-1]),
+        }
         with np.errstate(invalid="ignore"):
-            for lanes in (np.arange(num), np.arange(4), np.array([1, 2, 5, 7, 8])):
-                vals = a.values[lanes]
-                expected = self._old_formula(vals, row_ids, col_idxs, n, xb[lanes])
-                got = _spmv_block(vals, flat, col_idxs, n, xb[lanes])
-                assert got.shape == (len(lanes), n)
-                assert np.array_equal(expected.view(np.uint64), got.view(np.uint64)), lanes
-        assert np.isnan(expected).any() and np.isinf(got).any() and (got[:, 1] == 0.0).all()
+            for case, (v, x) in cases.items():
+                assert kernels.block_spmv(pattern, v, x) is None, case
+                if x.shape[1] < n:
+                    continue
+                expected = self._old_formula(v, row_ids, col_idxs, n, x)
+                got = _group_spmv(pattern, row_ids, col_idxs, n, x.shape[0])(v, x)
+                assert np.array_equal(expected.view(np.uint64), got.view(np.uint64)), case
+        assert spy.calls == 0
+
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    def test_both_bodies_give_the_same_solves_unpreconditioned(self, rng, monkeypatch, algorithm):
+        """TestParallelPartitioning compares the bodies with Jacobi."""
+        stack, bv = mixed_exit_batch(rng)
+        for name, wc in (("reference", None), ("parallel", 2)):
+            exec_ = executor_from_name(name, wc)
+            outcomes = []
+            for spy in spmv_bodies(monkeypatch):
+                outcomes.append(solve_outcome(exec_, stack, bv, algorithm, MIXED_CRITERIA, None))
+                assert_compiled_ran(spy)
+            for outcome in outcomes[1:]:
+                assert_same_bits(outcomes[0], outcome, (name, wc, algorithm))
+
+
+def _writable_alias(arr):
+    """A writable array over ``arr``'s memory, made without numpy's consent."""
+    buf = (ctypes.c_int64 * arr.shape[0]).from_address(arr.ctypes.data)
+    return np.ctypeslib.as_array(buf)
+
+
+class TestBlockPatternSafety:
+    """A batch pattern that is not the checked, frozen one never reaches the
+    compiled loop, which does not bounds-check; the solve takes the numpy
+    body and gives its bits."""
+
+    FORGERIES = {
+        "raw writable copies": lambda a: (a.row_ptrs.copy(), a.col_idxs.copy()),
+        "frozen copies nobody checked": lambda a: tuple(
+            np.frombuffer(arr.tobytes(), dtype=np.int64) for arr in (a.row_ptrs, a.col_idxs)
+        ),
+        "forged writable views": lambda a: (_writable_alias(a.row_ptrs), _writable_alias(a.col_idxs)),
+    }
+
+    def _solve(self, a, bv):
+        b = BatchDense.from_values(a.executor, bv.copy())
+        x = BatchDense.zeros(a.executor, a.num_systems, (a.size.rows, 1))
+        report = batch_solve("bicgstab", a, b, x, MIXED_CRITERIA, preconditioner="jacobi")
+        return x.values.copy(), report.iterations.copy(), np.array(report.stop_reasons)
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_unchecked_pattern_takes_the_numpy_body(self, ref, rng, monkeypatch, forgery):
+        spy = use_spmv_body(monkeypatch, "compiled")
+        stack, bv = mixed_exit_batch(rng)
+        expected = self._solve(build_batch(ref, stack), bv)
+        assert spy.calls > 0
+        a = build_batch(ref, stack)
+        rp, ci = self.FORGERIES[forgery](a)
+        assert kernels.block_pattern(rp, ci, a.num_systems) is None
+        monkeypatch.setattr(a, "_row_ptrs", rp)
+        monkeypatch.setattr(a, "_col_idxs", ci)
+        spy.calls = 0
+        got = self._solve(a, bv)
+        assert spy.calls == 0
+        for want, have in zip(expected, got):
+            assert np.array_equal(want, have), forgery
+
+    def test_unfrozen_owner_takes_the_numpy_body(self, ref, rng, monkeypatch):
+        spy = use_spmv_body(monkeypatch, "compiled")
+        stack, bv = mixed_exit_batch(rng)
+        a = build_batch(ref, stack)
+        a.col_idxs.flags.writeable = True  # the owner can be unfrozen, and then changed
+        assert kernels.block_pattern(a.row_ptrs, a.col_idxs, a.num_systems) is None
+        self._solve(a, bv)
+        assert spy.calls == 0
 
 
 class TestValidation:

@@ -330,6 +330,10 @@ class TestPatternSafety:
         with pytest.raises(IndexError):
             m.apply(b, x)
         ci[1] = 1
+        ci[0] = -1  # take and fancy indexing alone would read b[-1]
+        with pytest.raises(IndexError):
+            m.apply(b, x)
+        ci[0] = 0
         rp[3] = 5
         with pytest.raises(DimensionError, match="row_ptrs"):
             m.apply(b, x)
