@@ -1,30 +1,28 @@
 """Batched solves: many small independent systems, one shared sparsity pattern.
 
 A :class:`BatchCsr` stores one copy of the CSR structure and a (num_systems,
-nnz) value block; a :class:`BatchDense` stacks the per-system vectors.  The
-batched CG and BiCGStab below run the systems in lockstep, each performing
-exactly the update sequence the single-system solver would.  A system leaves
-the lockstep when its own criteria stop it, or when it breaks down, which
-marks it failed without disturbing its siblings.  Its solution and report are
-written back once, and the state arrays are compacted to the systems still
-iterating, so a finished system costs nothing further.  Each lane's
-arithmetic and summation order do not depend on which other lanes are live.
+nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
+:func:`batch_solve` runs the systems in lockstep through the same CG and
+BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
+per system, so each system gets exactly the bits of its single solve.  A
+system leaves the lockstep when its own criteria stop it, or when it breaks
+down, which marks it failed without disturbing its siblings; the state is
+compacted to the systems still iterating.
 
 On parallel executors the batch is split into contiguous system ranges
 through the ``run_partitioned`` kernel, and each range is solved in
 contiguous groups of at most ``GROUP_ENTRIES`` stored entries' worth of
-systems.  Block bodies touch only their own slice of every array and never
-call the dispatched kernels, which keeps the worker pool free of nested
+systems.  Groups touch only their own slice of every array and never call
+the dispatched kernels, which keeps the worker pool free of nested
 submissions, so neither the partitioning nor the grouping can change any
 result.
 
-SpMV over a group's live systems runs compiled when scipy is installed: the
-systems form one block-diagonal CSR matrix whose pattern
+A group's SpMV runs compiled when scipy is installed: its live systems form
+one block-diagonal CSR matrix whose pattern
 :func:`~linopkit.kernels.block_pattern` builds once per solve from the
 pattern a ``BatchCsr`` checked and froze, and one ``csr_matvec`` call
-multiplies them all.  :func:`_spmv_block`, plain numpy, gives the same bits;
-it runs when scipy is absent or a call does not fit the block pattern, and
-the tests compare against it.  Everything else is plain numpy.
+multiplies them all.  :func:`_spmv_block`, plain numpy and the tests' oracle,
+gives the same bits; it runs when scipy is absent or a call does not fit.
 """
 
 from __future__ import annotations
@@ -40,14 +38,12 @@ from .kernels import block_pattern, block_spmv, freeze_checked_pattern
 from .linop import Csr, check_pattern
 from .solver import (
     DEFAULT_TOL_BREAKDOWN,
-    Iteration,
-    ResidualNorm,
-    STOP_ITERATION,
     STOP_RESIDUAL,
+    _bicgstab_block,
+    _cg_block,
+    _checked_options,
+    _diagonal_positions,
 )
-
-STOP_BREAKDOWN = "breakdown"
-STOP_SINGULAR_PRECONDITIONER = "singular_preconditioner"
 
 BATCH_ALGORITHMS = ("cg", "bicgstab")
 
@@ -175,6 +171,8 @@ class BatchDense:
         expected = (self._num_systems, self._size.rows, self._size.cols)
         if values.shape != expected:
             raise InvalidArgumentError(f"values must have shape {expected}, got {values.shape}")
+        if values.dtype != np.float64:
+            raise InvalidArgumentError(f"values must be float64, got {values.dtype}")
         self._values = values
 
     @classmethod
@@ -269,25 +267,16 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
             raise InvalidArgumentError(
                 f"{name} has {vec.size.rows} rows, systems have {a.size.rows}"
             )
-    criteria = tuple(criteria)
-    if not criteria:
-        raise InvalidArgumentError("at least one stopping criterion is required")
-    for crit in criteria:
-        if not isinstance(crit, (Iteration, ResidualNorm)):
-            raise InvalidArgumentError(f"unknown stopping criterion {crit!r}")
-    if preconditioner not in (None, "none", "jacobi"):
-        raise InvalidArgumentError(f"unknown preconditioner '{preconditioner}'; valid: jacobi")
+    criteria = _checked_options(criteria, preconditioner)
 
     num = a.num_systems
     n = a.size.rows
     iters = np.zeros(num, dtype=np.int64)
     finals = np.zeros(num)
-    conv = np.zeros(num, dtype=bool)
     reasons = np.empty(num, dtype=object)
 
-    use_jacobi = preconditioner == "jacobi"
-    diag_pos = _structural_diagonal(a) if use_jacobi else None
-
+    jacobi = preconditioner == "jacobi"
+    diag_pos = _diagonal_positions(a._row_ids, a.col_idxs, n) if jacobi else None
     bvals = b.values[:, :, 0]
     xvals = x.values[:, :, 0]
     block = _cg_block if algorithm == "cg" else _bicgstab_block
@@ -298,40 +287,38 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     def body(lo, hi):
         for start in range(lo, hi, group):
             g = slice(start, min(start + group, hi))
+            vals = a.values[g]
+            invd, singular = _jacobi(vals, diag_pos) if jacobi else (None, None)
             spmv = _group_spmv(pattern, a._row_ids, a.col_idxs, n, g.stop - g.start)
-            block(spmv, a.values[g], bvals[g], xvals[g], criteria, diag_pos,
-                  DEFAULT_TOL_BREAKDOWN, iters[g], finals[g], conv[g], reasons[g])
+            block(spmv, vals, bvals[g], xvals[g], criteria, invd, singular,
+                  DEFAULT_TOL_BREAKDOWN, (iters[g], finals[g], reasons[g]), None)
 
     dispatch(a.executor, "run_partitioned")(num, body)
-    return BatchSolveReport(iters, finals, conv, list(reasons))
+    return BatchSolveReport(iters, finals, reasons == STOP_RESIDUAL, list(reasons))
 
 
 # --- block internals ----------------------------------------------------------
 
 
-def _structural_diagonal(a: BatchCsr) -> np.ndarray:
-    """Index of each row's diagonal entry in the shared pattern, or -1."""
-    on_diag = a.col_idxs == a._row_ids
-    pos = np.full(a.size.rows, -1, dtype=np.int64)
-    pos[a._row_ids[on_diag]] = np.flatnonzero(on_diag)
-    return pos
+def _jacobi(vals, diag_pos):
+    """Every system's inverse diagonal (0 where the diagonal is 0), and the
+    systems with a zero or structurally missing diagonal entry."""
+    dvals = np.where(diag_pos >= 0, vals[:, diag_pos], 0.0)
+    invd = np.zeros(dvals.shape)
+    np.divide(1.0, dvals, out=invd, where=dvals != 0.0)
+    return invd, (dvals == 0.0).any(axis=1)
 
 
 def _flat_rows(row_ids, n, m) -> np.ndarray:
-    """Output slot of every stored entry of ``m`` stacked systems, lane-major.
-
-    The first ``k * nnz`` entries are the index for the first ``k`` lanes.
-    """
+    """Output slot of every stored entry of ``m`` stacked systems, lane-major;
+    the first ``k * nnz`` entries are the index for the first ``k`` lanes."""
     return (np.arange(m)[:, None] * n + row_ids[None, :]).ravel()
 
 
 def _spmv_block(vals, flat, col_idxs, n, xb) -> np.ndarray:
-    """Per-system SpMV; row sums accumulate left to right like the solo kernel.
-
-    ``flat`` is :func:`_flat_rows` for at least ``xb.shape[0]`` lanes.  This
-    is the numpy body, and the definition that :func:`block_spmv` matches bit
-    for bit.
-    """
+    """Per-system SpMV, row sums accumulated left to right like the solo kernel:
+    the numpy body, which :func:`block_spmv` matches bit for bit.  ``flat`` is
+    :func:`_flat_rows` for at least ``xb.shape[0]`` lanes."""
     m = xb.shape[0]
     prod = np.take(xb, col_idxs, axis=1)
     prod *= vals
@@ -339,206 +326,16 @@ def _spmv_block(vals, flat, col_idxs, n, xb) -> np.ndarray:
 
 
 def _group_spmv(pattern, row_ids, col_idxs, n, m):
-    """``spmv(vals, xb)`` for up to ``m`` lanes of one group.
-
-    Each call runs compiled on ``pattern``, the solve's block-diagonal
-    expansion, when it can, and :func:`_spmv_block` otherwise; that body's
-    index is built on its first use only.
-    """
+    """The block apply ``spmv(vals, xb, out)`` for up to ``m`` lanes of one group:
+    compiled on ``pattern``, the solve's block-diagonal expansion, when it can,
+    else :func:`_spmv_block`, whose index is built on first use."""
     flat = None
 
-    def spmv(vals, xb):
+    def spmv(vals, xb, out):
         nonlocal flat
-        out = None if pattern is None else block_spmv(pattern, vals, xb)
-        if out is None:
+        if pattern is None or block_spmv(pattern, vals, xb, out) is None:
             if flat is None:
                 flat = _flat_rows(row_ids, n, m)
-            out = _spmv_block(vals, flat, col_idxs, n, xb)
-        return out
+            out[...] = _spmv_block(vals, flat, col_idxs, n, xb)
 
     return spmv
-
-
-def _rowdot(u, v) -> np.ndarray:
-    return np.einsum("ij,ij->i", u, v)
-
-
-def _rownorm(u) -> np.ndarray:
-    return np.sqrt(_rowdot(u, u))
-
-
-def _criteria_masks(criteria, k, r0, rk):
-    """Lanes meeting a residual criterion, and whether the iteration cap is hit."""
-    res = np.zeros(r0.shape, dtype=bool)
-    iteration_hit = False
-    for crit in criteria:
-        if isinstance(crit, ResidualNorm):
-            res |= (r0 == 0.0) | (rk <= crit.reduction_factor * r0)
-        else:
-            iteration_hit = iteration_hit or (k >= crit.max_iters)
-    return res, iteration_hit
-
-
-class _Lanes:
-    """The systems of one block that are still iterating.
-
-    Every array attribute holds one row per live lane, in block order, and
-    ``ids`` maps each row to its block slot.  Until the first lane stops, ``x``
-    and ``vals`` are views of the caller's storage; :meth:`stop` writes the
-    results of stopping lanes back once and drops those lanes from every array
-    attribute, so the recurrences never compute on a finished system.
-    """
-
-    def __init__(self, xv, vals, iters, finals, conv, reasons):
-        self._out = (xv, iters, finals, conv, reasons)  # a tuple: never compacted
-        self.ids = np.arange(xv.shape[0])
-        self.x = xv
-        self.vals = vals
-
-    @property
-    def count(self) -> int:
-        return self.ids.shape[0]
-
-    def stop(self, mask, k, converged, reason, *temps):
-        """Record lanes in ``mask`` as stopped after ``k`` iterations.
-
-        Returns ``temps`` (loop temporaries with one row per lane) compacted
-        the same way.
-        """
-        if not mask.any():
-            return temps
-        xv, iters, finals, conv, reasons = self._out
-        gone = self.ids[mask]
-        xv[gone] = self.x[mask]
-        finals[gone] = self.rk[mask]
-        iters[gone] = k
-        conv[gone] = converged
-        reasons[gone] = reason
-        keep = np.flatnonzero(~mask)
-        # One array at a time, so each full-size original is freed before
-        # the next copy is made.
-        for name in [n for n, v in vars(self).items() if isinstance(v, np.ndarray)]:
-            setattr(self, name, getattr(self, name).take(keep, axis=0))
-        return tuple(t.take(keep, axis=0) for t in temps)
-
-    def stop_by_criteria(self, criteria, k):
-        res, iteration_hit = _criteria_masks(criteria, k, self.r0, self.rk)
-        self.stop(res, k, True, STOP_RESIDUAL)
-        if iteration_hit:
-            self.stop(np.ones(self.count, dtype=bool), k, False, STOP_ITERATION)
-
-
-def _start(spmv, vals, bv, xv, criteria, diag_pos, out):
-    """Initial residual, Jacobi set-up and the checks before the first iteration.
-
-    Returns the live lanes (with ``r``, ``r0``, ``rk``, ``b_norm_sq`` and
-    ``invd``).
-    """
-    lanes = _Lanes(xv, vals, *out)
-    lanes.r = bv - spmv(vals, xv)
-    lanes.r0 = _rownorm(lanes.r)
-    lanes.rk = lanes.r0.copy()
-    lanes.b_norm_sq = _rowdot(bv, bv)
-    lanes.invd = None
-    if diag_pos is not None:
-        if (diag_pos < 0).any():
-            dvals = np.zeros(bv.shape)
-        else:
-            dvals = vals[:, diag_pos]
-        lanes.invd = np.zeros(bv.shape)
-        np.divide(1.0, dvals, out=lanes.invd, where=dvals != 0.0)
-        # Such lanes keep their initial residual as the final one.
-        lanes.stop((dvals == 0.0).any(axis=1), 0, False, STOP_SINGULAR_PRECONDITIONER)
-    lanes.stop_by_criteria(criteria, 0)
-    return lanes
-
-
-def _cg_block(spmv, vals, bv, xv, criteria, diag_pos, tol_breakdown, *out):
-    lanes = _start(spmv, vals, bv, xv, criteria, diag_pos, out)
-    z = lanes.r * lanes.invd if lanes.invd is not None else lanes.r
-    lanes.p = z.copy()
-    lanes.rho = _rowdot(lanes.r, z)
-    k = 0
-    while lanes.count:
-        k += 1
-        lanes.stop(np.abs(lanes.rho) < tol_breakdown * lanes.b_norm_sq,
-                   k - 1, False, STOP_BREAKDOWN)
-        if not lanes.count:
-            break
-        q = spmv(lanes.vals, lanes.p)
-        pq = _rowdot(lanes.p, q)
-        q, pq = lanes.stop((pq == 0.0) | ~np.isfinite(pq), k - 1, False, STOP_BREAKDOWN, q, pq)
-        if not lanes.count:
-            break
-        alpha = lanes.rho / pq
-        lanes.x += alpha[:, None] * lanes.p
-        lanes.r -= alpha[:, None] * q
-        del q  # no full-size temporary may outlive a compaction
-        lanes.rk = _rownorm(lanes.r)
-        lanes.stop_by_criteria(criteria, k)
-        if not lanes.count:
-            break
-        z = lanes.r * lanes.invd if lanes.invd is not None else lanes.r
-        rho_new = _rowdot(lanes.r, z)
-        # rho is 0 only where b is 0, which the breakdown test cannot catch.
-        beta = np.zeros(lanes.count)
-        np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
-        lanes.p = z + beta[:, None] * lanes.p
-        lanes.rho = rho_new
-
-
-def _bicgstab_block(spmv, vals, bv, xv, criteria, diag_pos, tol_breakdown, *out):
-    lanes = _start(spmv, vals, bv, xv, criteria, diag_pos, out)
-    lanes.rhat = lanes.r.copy()
-    lanes.rho = np.ones(lanes.count)
-    lanes.alpha = np.ones(lanes.count)
-    lanes.omega = np.ones(lanes.count)
-    k = 0
-    while lanes.count:
-        k += 1
-        rho = _rowdot(lanes.rhat, lanes.r)
-        bd = (np.abs(rho) < tol_breakdown * lanes.b_norm_sq) | (lanes.omega == 0.0)
-        (rho,) = lanes.stop(bd, k - 1, False, STOP_BREAKDOWN, rho)
-        if not lanes.count:
-            break
-        if k == 1:
-            lanes.p = lanes.r.copy()
-        else:
-            # (rho / rho_prev) * (alpha / omega), factored exactly like the
-            # single-system recurrence so the rounding matches; rho_prev is 0
-            # only where b is 0, which the breakdown test cannot catch.
-            beta = np.zeros(lanes.count)
-            np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
-            beta *= lanes.alpha / lanes.omega
-            lanes.p = lanes.r + beta[:, None] * (lanes.p - lanes.omega[:, None] * lanes.v)
-        lanes.rho = rho
-        phat = lanes.p * lanes.invd if lanes.invd is not None else lanes.p
-        lanes.v = spmv(lanes.vals, phat)
-        rhat_v = _rowdot(lanes.rhat, lanes.v)
-        bad = (rhat_v == 0.0) | ~np.isfinite(rhat_v)
-        phat, rhat_v = lanes.stop(bad, k - 1, False, STOP_BREAKDOWN, phat, rhat_v)
-        if not lanes.count:
-            break
-        lanes.alpha = lanes.rho / rhat_v
-        s = lanes.r - lanes.alpha[:, None] * lanes.v
-        s_norm = _rownorm(s)
-        half, _ = _criteria_masks(criteria, k, lanes.r0, s_norm)
-        if half.any():
-            lanes.x[half] += lanes.alpha[half, None] * phat[half]
-            lanes.rk[half] = s_norm[half]
-            phat, s = lanes.stop(half, k, True, STOP_RESIDUAL, phat, s)
-        if not lanes.count:
-            break
-        shat = s * lanes.invd if lanes.invd is not None else s
-        t = spmv(lanes.vals, shat)
-        tt = _rowdot(t, t)
-        bad = (tt == 0.0) | ~np.isfinite(tt)
-        phat, s, shat, t, tt = lanes.stop(bad, k - 1, False, STOP_BREAKDOWN, phat, s, shat, t, tt)
-        if not lanes.count:
-            break
-        lanes.omega = _rowdot(t, s) / tt
-        lanes.x += lanes.alpha[:, None] * phat + lanes.omega[:, None] * shat
-        lanes.r = s - lanes.omega[:, None] * t
-        del phat, s, shat, t  # no full-size temporary may outlive a compaction
-        lanes.rk = _rownorm(lanes.r)
-        lanes.stop_by_criteria(criteria, k)

@@ -364,8 +364,8 @@ def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, lanes: int) -> Blo
     return block
 
 
-def _block_may_run(block: BlockPattern, vals, xb) -> bool:
-    """True when ``vals`` and ``xb`` fit the first ``len(xb)`` lanes of ``block``.
+def _block_may_run(block: BlockPattern, vals, xb, out) -> bool:
+    """True when ``vals``, ``xb`` and ``out`` fit the first ``len(xb)`` lanes of ``block``.
 
     The block's own arrays bound every index the compiled loop reads, so
     only the operands' shapes, dtype and layout are checked, in O(1).
@@ -375,26 +375,30 @@ def _block_may_run(block: BlockPattern, vals, xb) -> bool:
         k <= block.lanes
         and vals.dtype is _F64
         and xb.dtype is _F64
+        and out.dtype is _F64
         and vals.shape == (k, block.nnz)
         and xb.shape == (k, block.cols)
+        and out.shape == (k, block.rows)
         and vals.flags.c_contiguous
         and xb.flags.c_contiguous
+        and out.flags.c_contiguous
     )
 
 
-def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray) -> np.ndarray | None:
+def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray,
+               out: np.ndarray) -> np.ndarray | None:
     """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``, compiled; or None.
 
-    ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``.
-    Returns a new ``(lanes, rows)`` array with the numpy body's bits, or None
-    when this call cannot run compiled and the caller must use its numpy
-    body.
+    ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``;
+    ``out`` must not overlap ``xb``.  Returns ``out``, with the numpy body's
+    bits, or None when this call cannot run compiled and the caller must use
+    its numpy body.
     """
     tools = _SPARSETOOLS
-    if tools is None or not _block_may_run(block, vals, xb):
+    if tools is None or not _block_may_run(block, vals, xb, out):
         return None
     k = xb.shape[0]
-    out = np.zeros((k, block.rows))
+    out.fill(0.0)
     # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads.
     tools.csr_matvec(k * block.rows, k * block.cols, block._row_ptrs[: k * block.rows + 1],
                      block._col_idxs[: k * block.nnz], vals, xb, out)

@@ -11,17 +11,20 @@ Stopping is governed by a non-empty collection of criteria combined as a
 disjunction: the first one that fires ends the solve, and the report records
 which one it was.  Iterative solves track the recurrence residual; the
 iteration-zero residual is evaluated against the criteria before any work
-happens, so a converged initial guess costs nothing.
+happens, so a converged initial guess costs nothing.  CG and BiCGStab run all
+columns in lockstep, through the recurrences batched solves run too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .container import array_view
 from .errors import (
     BreakdownError,
     InvalidArgumentError,
@@ -38,6 +41,8 @@ DEFAULT_TOL_PIVOT = 1e-14
 STOP_ITERATION = "iteration"
 STOP_RESIDUAL = "residual_norm"
 STOP_DIRECT = "direct"
+STOP_BREAKDOWN = "breakdown"
+STOP_SINGULAR_PRECONDITIONER = "singular_preconditioner"
 
 ALGORITHMS = ("cg", "bicgstab", "gmres", "lu", "gmres_lu")
 
@@ -91,12 +96,6 @@ def first_met(criteria, iteration: int, r0_norm: float, rk_norm: float) -> Optio
     return STOP_ITERATION if hit_iteration else None
 
 
-def _residual_criteria_met(criteria, r0_norm: float, rk_norm: float) -> bool:
-    return any(
-        isinstance(c, ResidualNorm) and c.met(0, r0_norm, rk_norm) for c in criteria
-    )
-
-
 @dataclass
 class SolveReport:
     """What a solve did.
@@ -119,6 +118,21 @@ class SolveReport:
     final_residual_norm: float
     converged: bool
     stop_reason: str
+
+
+def _combine(reports) -> SolveReport:
+    """One report for several columns: iteration maximum, Frobenius norms,
+    and the first unconverged column's stop reason."""
+    if len(reports) == 1:
+        return reports[0]
+    return SolveReport(
+        iterations=max(r.iterations for r in reports),
+        initial_residual_norm=math.hypot(*(r.initial_residual_norm for r in reports)),
+        final_residual_norm=math.hypot(*(r.final_residual_norm for r in reports)),
+        converged=all(r.converged for r in reports),
+        stop_reason=next((r.stop_reason for r in reports if not r.converged),
+                         reports[0].stop_reason),
+    )
 
 
 # --- preconditioners ---------------------------------------------------------
@@ -153,22 +167,23 @@ def extract_diagonal(a: Csr) -> np.ndarray:
     SingularPreconditionerError
         If some diagonal entry is absent from the sparsity pattern or zero.
     """
-    n = a.size.rows
-    ci = a.get_col_idxs().numpy()
-    vals = a.get_values(const=True).numpy()
-    row_ids = a._row_ids()
-    on_diag = ci == row_ids
-    diag = np.zeros(n)
-    found = np.zeros(n, dtype=bool)
-    diag[row_ids[on_diag]] = vals[on_diag]
-    found[row_ids[on_diag]] = True
-    if not found.all():
-        missing = int(np.flatnonzero(~found)[0])
+    pos = _diagonal_positions(a._row_ids(), a.get_col_idxs().numpy(), a.size.rows)
+    if (pos < 0).any():
+        missing = int(np.flatnonzero(pos < 0)[0])
         raise SingularPreconditionerError(f"row {missing} has no stored diagonal entry")
+    diag = a.get_values(const=True).numpy()[pos]
     if np.any(diag == 0.0):
         zero = int(np.flatnonzero(diag == 0.0)[0])
         raise SingularPreconditionerError(f"zero diagonal entry at row {zero}")
     return diag
+
+
+def _diagonal_positions(row_ids: np.ndarray, col_idxs: np.ndarray, rows: int) -> np.ndarray:
+    """Where each row's diagonal entry sits in a CSR pattern in normal form, or -1."""
+    on_diag = col_idxs == row_ids
+    pos = np.full(rows, -1, dtype=np.int64)
+    pos[row_ids[on_diag]] = np.flatnonzero(on_diag)
+    return pos
 
 
 class _IdentityPreconditioner:
@@ -294,19 +309,23 @@ class SolverFactory:
             raise InvalidArgumentError("generate expects a Csr system matrix")
         if a.size.rows != a.size.cols:
             raise InvalidArgumentError(f"system matrix must be square, got {a.size}")
-        criteria = tuple(self.criteria)
-        if not criteria:
-            raise InvalidArgumentError("at least one stopping criterion is required")
-        for crit in criteria:
-            if not isinstance(crit, (Iteration, ResidualNorm)):
-                raise InvalidArgumentError(f"unknown stopping criterion {crit!r}")
+        criteria = _checked_options(self.criteria, self.preconditioner)
         if self.restart < 1:
             raise InvalidArgumentError(f"restart must be >= 1, got {self.restart}")
-        if self.preconditioner not in (None, "none", "jacobi"):
-            raise InvalidArgumentError(
-                f"unknown preconditioner '{self.preconditioner}'; valid: jacobi"
-            )
         return Solver(self, a, criteria)
+
+
+def _checked_options(criteria, preconditioner) -> tuple:
+    """``criteria`` as a tuple, after checking it and ``preconditioner``."""
+    criteria = tuple(criteria)
+    if not criteria:
+        raise InvalidArgumentError("at least one stopping criterion is required")
+    for crit in criteria:
+        if not isinstance(crit, (Iteration, ResidualNorm)):
+            raise InvalidArgumentError(f"unknown stopping criterion {crit!r}")
+    if preconditioner not in (None, "none", "jacobi"):
+        raise InvalidArgumentError(f"unknown preconditioner '{preconditioner}'; valid: jacobi")
+    return criteria
 
 
 class Solver(LinOp):
@@ -324,7 +343,7 @@ class Solver(LinOp):
         self._a = a
         self._criteria = criteria
         self._lu = None
-        self._work: list[Dense] = []
+        self._work: dict = {}
         self._setup()
 
     def _setup(self) -> None:
@@ -364,11 +383,13 @@ class Solver(LinOp):
         ----------
         b, x : Dense
             Right-hand side and iterate, one system per column.  Columns are
-            solved independently; the report aggregates them (iteration
-            maximum, norms combined in the Frobenius sense).
+            solved independently, CG and BiCGStab in lockstep; the report
+            aggregates them (iteration maximum, norms combined in the
+            Frobenius sense).  A breakdown raises once the other columns are solved.
         callback : callable, optional
             Invoked as ``callback(iteration, residual_norm)`` after every
-            residual evaluation, iteration 0 included.
+            residual evaluation, iteration 0 included; in lockstep the norm
+            covers all columns, stopped ones at their final norm.
 
         Returns
         -------
@@ -378,49 +399,41 @@ class Solver(LinOp):
         return self._solve(b, x, callback)
 
     def _solve(self, b: Dense, x: Dense, callback) -> SolveReport:
+        if self._factory.algorithm in ("cg", "bicgstab"):
+            return self._solve_lockstep(b, x, callback)
         if b.size.cols == 1:
             return self._solve_column(b, x, callback)
-        reports = [
-            self._solve_column(b.column(j), x.column(j), callback)
-            for j in range(b.size.cols)
-        ]
-        return SolveReport(
-            iterations=max(r.iterations for r in reports),
-            initial_residual_norm=math.hypot(*(r.initial_residual_norm for r in reports)),
-            final_residual_norm=math.hypot(*(r.final_residual_norm for r in reports)),
-            converged=all(r.converged for r in reports),
-            stop_reason=next(
-                (r.stop_reason for r in reports if not r.converged),
-                reports[0].stop_reason,
-            ),
-        )
+        return _combine([self._solve_column(b.column(j), x.column(j), callback)
+                         for j in range(b.size.cols)])
 
-    def _scratch(self, count: int, shape) -> list:
-        """Work vectors reused across solves.
-
-        The system size is fixed for the solver's lifetime and the
-        algorithms overwrite every work vector before reading it, so handing
-        out the same ones each solve is safe and keeps repeated small solves
-        free of per-call allocation.
-        """
-        while len(self._work) < count:
-            self._work.append(Dense.create(self.executor, shape))
-        return self._work[:count]
+    def _solve_lockstep(self, b: Dense, x: Dense, callback) -> SolveReport:
+        """Columns run as lanes, x in a work array; work arrays, block apply and
+        outputs persist."""
+        cols, n = b.size.cols, b.size.rows
+        if cols not in self._work:
+            work = {}
+            out = (np.zeros(cols, dtype=np.int64), np.zeros(cols), np.empty(cols, dtype=object))
+            self._work[cols] = (work, _lane_apply(self._a, work), out)
+        work, apply, out = self._work[cols]
+        bv, xv = np.ascontiguousarray(b.view2d().T), _buffer(work, "x", (cols, n))
+        xv[...] = x.view2d().T
+        invd = getattr(self._precond, "inverse_diagonal", None)
+        monitor = callback and (lambda k, lanes: callback(k, math.hypot(*lanes.residual_norms())))
+        block = _cg_block if self._factory.algorithm == "cg" else _bicgstab_block
+        r0, message = block(apply, None, bv, xv, self._criteria,
+                            None if invd is None else np.broadcast_to(invd, (cols, n)),
+                            None, self._factory.tol_breakdown, out, work, monitor)
+        x.view2d()[...] = xv.T
+        report = _combine([_report(out[0].item(j), r0.item(j), out[1].item(j), out[2][j])
+                           for j in range(cols)])
+        if message:
+            raise BreakdownError(message, best=x, iterations=report.iterations,
+                                 residual_norm=report.final_residual_norm)
+        return report
 
     def _solve_column(self, b: Dense, x: Dense, callback) -> SolveReport:
-        algorithm = self._factory.algorithm
-        if algorithm == "lu":
+        if self._factory.algorithm == "lu":
             return self._solve_direct(b, x)
-        if algorithm == "cg":
-            return _cg(
-                self._a, b, x, self._criteria, self._precond,
-                self._factory.tol_breakdown, callback, self._scratch(4, b.size),
-            )
-        if algorithm == "bicgstab":
-            return _bicgstab(
-                self._a, b, x, self._criteria, self._precond,
-                self._factory.tol_breakdown, callback, self._scratch(8, b.size),
-            )
         return _gmres(
             self._a, b, x, self._criteria, self._precond,
             self._factory.restart, callback,
@@ -449,24 +462,20 @@ class Solver(LinOp):
 
 # --- algorithm internals -------------------------------------------------------
 #
-# These operate on single-column vectors.  The short-recurrence methods take
-# their work vectors from the owning Solver's scratch pool and overwrite each
-# one before reading it; GMRES builds its Krylov basis fresh per restart cycle
-# because the basis length varies.  Every vector update goes through the
-# dispatched kernels so backend and determinism guarantees carry over
-# unchanged.
+# CG and BiCGStab are written once, over lanes: (m, n) arrays whose row l is
+# lane l's vector, for the columns of a Solver's solve or the systems of a
+# batched group.  ``apply(vals, src, dst)`` writes every live lane's operator
+# times ``src`` into ``dst``; ``vals`` holds the lanes' matrix values for a
+# batch, None for a Solver.  Updates run in place, in the textbook formulas'
+# operand order, and no lane's arithmetic depends on another's, so a batched
+# system reproduces its single solve bit for bit (einsum sums a lone row of
+# over 8,192 entries in chunks, so there a column alone and among others may
+# differ in the last bits; its ``__array_function__`` dispatch, ~1 us a call
+# on plain ndarrays, is skipped).  GMRES and Dense LU take one column at a time.
 
 
 def _copy_into(dst: Dense, src: Dense) -> None:
     dispatch(dst.executor, "copy")(dst.view2d(), src.view2d())
-
-
-def _aypx(y: Dense, beta: float, x: Dense) -> None:
-    dispatch(y.executor, "aypx")(y.view2d(), beta, x.view2d())
-
-
-def _waxpby(w: Dense, alpha: float, x: Dense, beta: float, y: Dense) -> None:
-    dispatch(w.executor, "waxpby")(w.view2d(), alpha, x.view2d(), beta, y.view2d())
 
 
 def _norm(v: Dense) -> float:
@@ -498,133 +507,243 @@ def _unchecked(a: LinOp):
     return apply, advanced
 
 
-def _cg(a, b, x, criteria, precond, tol_breakdown, callback, work) -> SolveReport:
-    """Preconditioned conjugate gradients (Hestenes-Stiefel recurrence)."""
-    r, z, p, q = work
-    apply, advanced_apply = _unchecked(a)
+def _lane_apply(a: LinOp, work: dict):
+    """A Solver's block apply: ``a``'s unchecked ``apply`` per lane, as an (n, 1)
+    column.  The columns of the ``work`` arrays are wrapped once and kept."""
+    op, exec_, views = _unchecked(a)[0], a.executor, {}  # id(array) -> (array, columns)
 
-    _copy_into(r, b)
-    advanced_apply(-1.0, x, 1.0, r)
-    r0_norm = rk_norm = _norm(r)
-    b_norm_sq = _dot(b, b)
-    if callback:
-        callback(0, rk_norm)
-    reason = first_met(criteria, 0, r0_norm, rk_norm)
-    if reason:
-        return _report(0, r0_norm, rk_norm, reason)
+    def wrap(arr):
+        n = arr.shape[1]
+        entry = (arr, [Dense.from_array(exec_, (n, 1), array_view(exec_, n, row)) for row in arr])
+        if any(arr is buf for buf in work.values()):
+            views[id(arr)] = entry
+        return entry
 
-    precond.apply(r, z)
-    _copy_into(p, z)
-    rho = _dot(r, z)
-    k = 0
-    while True:
-        k += 1
-        if abs(rho) < tol_breakdown * b_norm_sq:
-            raise BreakdownError(
-                "cg: rho fell below the breakdown tolerance",
-                best=x, iterations=k - 1, residual_norm=rk_norm,
-            )
-        apply(p, q)
-        pq = _dot(p, q)
-        if pq == 0.0 or not math.isfinite(pq):
-            raise BreakdownError(
-                "cg: search direction lost conjugacy (p . Ap degenerate)",
-                best=x, iterations=k - 1, residual_norm=rk_norm,
-            )
-        alpha = rho / pq
-        x.add_scaled(alpha, p)
-        r.add_scaled(-alpha, q)
-        rk_norm = _norm(r)
-        if callback:
-            callback(k, rk_norm)
-        reason = first_met(criteria, k, r0_norm, rk_norm)
-        if reason:
-            return _report(k, r0_norm, rk_norm, reason)
-        precond.apply(r, z)
-        rho_new = _dot(r, z)
-        beta = rho_new / rho
-        _aypx(p, beta, z)  # p = z + beta p
-        rho = rho_new
+    def apply(vals, src, dst):
+        s, d = views.get(id(src)), views.get(id(dst))
+        if s is None or s[0] is not src:
+            s = wrap(src)
+        if d is None or d[0] is not dst:
+            d = wrap(dst)
+        for sc, dc in zip(s[1], d[1]):
+            op(sc, dc)
+
+    return apply
 
 
-def _bicgstab(a, b, x, criteria, precond, tol_breakdown, callback, work) -> SolveReport:
-    """Preconditioned BiCGStab (van der Vorst).
+def _buffer(work, name: str, shape) -> np.ndarray:
+    if work is None:  # nothing to keep: compaction can free what it replaces
+        return np.empty(shape)
+    return work[name] if name in work else work.setdefault(name, np.empty(shape))
 
-    The half step checks the residual criteria on ||s||; when they fire the
-    iterate is advanced by the half update only, which both saves work and
-    avoids dividing by a vanishing t.t.
-    """
-    r, rhat, p, phat, v, s, shat, t = work
-    apply, advanced_apply = _unchecked(a)
 
-    _copy_into(r, b)
-    advanced_apply(-1.0, x, 1.0, r)
-    _copy_into(rhat, r)
-    r0_norm = rk_norm = _norm(r)
-    b_norm_sq = _dot(b, b)
-    if callback:
-        callback(0, rk_norm)
-    reason = first_met(criteria, 0, r0_norm, rk_norm)
-    if reason:
-        return _report(0, r0_norm, rk_norm, reason)
+_rowdot = functools.partial(np.einsum.__wrapped__, "ij,ij->i")  # see the section comment
 
-    rho_prev = alpha = omega = 1.0
-    k = 0
-    while True:
-        k += 1
-        rho = _dot(rhat, r)
-        if abs(rho) < tol_breakdown * b_norm_sq:
-            raise BreakdownError(
-                "bicgstab: rho fell below the breakdown tolerance",
-                best=x, iterations=k - 1, residual_norm=rk_norm,
-            )
-        if k == 1:
-            _copy_into(p, r)
+
+def _targets(criteria, r0):
+    """Each lane's residual target and the iteration cap (or None): ``rk <= target``
+    exactly when a residual criterion is met, as rounding is monotone (fmax skips
+    NaN bounds, which meet nothing; a finite factor maps r0 = 0 to +-0)."""
+    target, cap = None, None
+    for crit in criteria:
+        if isinstance(crit, ResidualNorm):
+            bound = crit.reduction_factor * r0
+            if not math.isfinite(crit.reduction_factor):
+                bound[r0 == 0.0] = np.inf
+            target = bound if target is None else np.fmax(target, bound)
         else:
-            if omega == 0.0:
-                raise BreakdownError(
-                    "bicgstab: omega collapsed to zero",
-                    best=x, iterations=k - 1, residual_norm=rk_norm,
-                )
-            beta = (rho / rho_prev) * (alpha / omega)
-            p.add_scaled(-omega, v)
-            _aypx(p, beta, r)  # p = r + beta (p - omega v)
-        precond.apply(p, phat)
-        apply(phat, v)
-        rhat_v = _dot(rhat, v)
-        if rhat_v == 0.0 or not math.isfinite(rhat_v):
-            raise BreakdownError(
-                "bicgstab: rhat . A p degenerate",
-                best=x, iterations=k - 1, residual_norm=rk_norm,
-            )
-        alpha = rho / rhat_v
-        _waxpby(s, 1.0, r, -alpha, v)
-        s_norm = _norm(s)
-        if _residual_criteria_met(criteria, r0_norm, s_norm):
-            x.add_scaled(alpha, phat)
-            _copy_into(r, s)
-            if callback:
-                callback(k, s_norm)
-            return _report(k, r0_norm, s_norm, STOP_RESIDUAL)
-        precond.apply(s, shat)
-        apply(shat, t)
-        tt = _dot(t, t)
-        if tt == 0.0 or not math.isfinite(tt):
-            raise BreakdownError(
-                "bicgstab: stabilization direction vanished",
-                best=x, iterations=k - 1, residual_norm=s_norm,
-            )
-        omega = _dot(t, s) / tt
-        x.add_scaled(alpha, phat)
-        x.add_scaled(omega, shat)
-        _waxpby(r, 1.0, s, -omega, t)
-        rk_norm = _norm(r)
-        if callback:
-            callback(k, rk_norm)
-        reason = first_met(criteria, k, r0_norm, rk_norm)
-        if reason:
-            return _report(k, r0_norm, rk_norm, reason)
-        rho_prev = rho
+            cap = crit.max_iters if cap is None else min(cap, crit.max_iters)
+    return (np.full(r0.shape, -np.inf) if target is None else target), cap
+
+
+class _Lanes:
+    """The lanes of a block that are still iterating, set up from ``xv``.
+
+    Public array attributes hold one row per live lane in block order;
+    ``_ids`` maps rows to block slots (None while they agree).  Work arrays
+    named in ``scratch`` (the first takes A x at set-up) carry nothing across
+    a :meth:`stop`, which truncates them and compacts the others with
+    ``take``.  Stopped lanes leave ``x`` to ``xv`` and their report to ``out``
+    = (iterations, final norms, reasons).  ``invd`` is each lane's inverse
+    diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
+    ``monitor(k, lanes)`` sees every residual."""
+
+    def __init__(self, apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out,
+                 work, state, scratch, monitor):
+        self._out, self._ids, self._scratch, self._monitor = (xv, *out), None, scratch, monitor
+        self.count, self.message = xv.shape[0], None
+        self.x, self.vals, self.invd = xv, vals, invd
+        for name in ("r",) + state + scratch:
+            setattr(self, name, _buffer(work, name, xv.shape))
+        ax = getattr(self, scratch[0])
+        apply(vals, xv, ax)
+        np.subtract(bv, ax, out=self.r)
+        self.measure()
+        self._r0 = self.rk  # rk is replaced, never written in place
+        self.target, self.cap = _targets(criteria, self._r0)
+        self.bd_tol = tol_breakdown * _rowdot(bv, bv)
+        if singular is not None:
+            self.stop(singular, 0, STOP_SINGULAR_PRECONDITIONER)
+        self.check(0)
+
+    def measure(self) -> None:
+        """``rr = r . r`` and ``rk = ||r||``; unpreconditioned CG's rho is rr."""
+        self.rr = _rowdot(self.r, self.r)
+        self.rk = np.sqrt(self.rr)
+
+    def stop(self, mask, k, reason, *temps):
+        """Stop lanes in ``mask`` after ``k`` iterations; returns ``temps`` compacted alike."""
+        stopping = np.count_nonzero(mask) if self.count else 0  # cheaper than mask.any()
+        if not stopping:
+            return temps
+        xv, iters, finals, reasons = self._out
+        rows = mask if stopping < self.count else slice(None)
+        gone = rows if self._ids is None else self._ids[rows]
+        if self.x is not xv:
+            xv[gone] = self.x[rows]
+        finals[gone], iters[gone], reasons[gone] = self.rk[rows], k, reason
+        self.count -= stopping
+        if not self.count:
+            return temps
+        keep = np.flatnonzero(~mask)
+        self._ids = keep if self._ids is None else self._ids[keep]
+        # one array at a time, so each full-size original is freed first
+        for name in [n for n, v in vars(self).items() if isinstance(v, np.ndarray)]:
+            if name[0] != "_":
+                value = getattr(self, name)
+                setattr(self, name, value[: self.count] if name in self._scratch
+                        else value.take(keep, axis=0))
+        return tuple(t.take(keep, axis=0) for t in temps)
+
+    def fail(self, mask, k, message, *temps):
+        """:meth:`stop` lanes in ``mask`` as broken down, keeping the first message."""
+        if not (self.count and np.count_nonzero(mask)):
+            return temps
+        self.message = self.message or message
+        return self.stop(mask, k, STOP_BREAKDOWN, *temps)
+
+    def check(self, k) -> None:
+        """Show iteration ``k`` to the monitor, then stop lanes by the criteria."""
+        if self._monitor:
+            self._monitor(k, self)
+        self.stop(self.rk <= self.target, k, STOP_RESIDUAL)
+        if self.count and self.cap is not None and k >= self.cap:
+            self.stop(np.ones(self.count, dtype=bool), k, STOP_ITERATION)
+
+    def residual_norms(self) -> np.ndarray:
+        """Each lane's residual norm: its current one if live, else its final one."""
+        norms = self._out[2].copy()
+        if self.count:
+            norms[slice(None) if self._ids is None else self._ids] = self.rk
+        return norms
+
+
+def _cg_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+              monitor=None):
+    """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane, with
+    :class:`_Lanes`' arguments.  Returns every lane's initial residual norm and
+    the first breakdown's message (or None)."""
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+                   ("p",), ("q",), monitor)
+    z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
+    np.copyto(lanes.p, z)
+    lanes.rho = lanes.rr if invd is None else _rowdot(lanes.r, z)
+    k = 0
+    while lanes.count:
+        k += 1
+        apply(lanes.vals, lanes.p, lanes.q)
+        pq = _rowdot(lanes.p, lanes.q)
+        q, pq = lanes.fail(np.abs(lanes.rho) < lanes.bd_tol, k - 1,
+                           "cg: rho fell below the breakdown tolerance", lanes.q, pq)
+        q, pq = lanes.fail((pq == 0.0) | ~np.isfinite(pq), k - 1,
+                           "cg: search direction lost conjugacy (p . Ap degenerate)", q, pq)
+        if not lanes.count:
+            break
+        alpha = (lanes.rho / pq)[:, None]
+        lanes.r -= np.multiply(alpha, q, out=q)
+        lanes.x += np.multiply(alpha, lanes.p, out=q)  # q is free now, and z is kept in it
+        lanes.measure()
+        lanes.check(k)
+        if not lanes.count:
+            break
+        z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
+        rho_new = lanes.rr if invd is None else _rowdot(lanes.r, z)
+        # rho is 0 only where b is 0, which the breakdown test cannot catch.
+        beta = np.zeros(lanes.count)
+        np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
+        np.add(z, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)  # z + beta p
+        lanes.rho = rho_new
+    return lanes._r0, lanes.message
+
+
+def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+                    monitor=None):
+    """Preconditioned BiCGStab (van der Vorst) on every lane, like :func:`_cg_block`.
+    A lane that meets its criteria on ||s|| takes the half update only, which
+    saves work and avoids dividing by a vanishing t.t."""
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+                   ("rhat", "p", "v"), ("s", "t", "phat", "shat"), monitor)
+    np.copyto(lanes.rhat, lanes.r)
+    lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.count) for _ in range(3))
+    k = 0
+    while lanes.count:
+        k += 1
+        rho = _rowdot(lanes.rhat, lanes.r)
+        (rho,) = lanes.fail(np.abs(rho) < lanes.bd_tol, k - 1,
+                            "bicgstab: rho fell below the breakdown tolerance", rho)
+        (rho,) = lanes.fail(lanes.omega == 0.0, k - 1, "bicgstab: omega collapsed to zero", rho)
+        if not lanes.count:
+            break
+        if k == 1:
+            np.copyto(lanes.p, lanes.r)
+        else:
+            # p = r + beta (p - omega v), beta = (rho / rho_prev) (alpha / omega);
+            # rho_prev is 0 only where b is 0, which the breakdown test misses.
+            beta = np.zeros(lanes.count)
+            np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
+            beta *= lanes.alpha / lanes.omega
+            lanes.p -= np.multiply(lanes.omega[:, None], lanes.v, out=lanes.phat)
+            np.add(lanes.r, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)
+        lanes.rho = rho
+        phat = lanes.p if invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
+        apply(lanes.vals, phat, lanes.v)
+        rhat_v = _rowdot(lanes.rhat, lanes.v)
+        phat, rhat_v = lanes.fail((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1,
+                                  "bicgstab: rhat . A p degenerate", phat, rhat_v)
+        if not lanes.count:
+            break
+        lanes.alpha = lanes.rho / rhat_v
+        s = np.subtract(lanes.r, np.multiply(lanes.alpha[:, None], lanes.v, out=lanes.s),
+                        out=lanes.s)  # r - alpha v
+        s_norm = np.sqrt(_rowdot(s, s))
+        half = s_norm <= lanes.target
+        if np.count_nonzero(half):
+            lanes.x[half] += lanes.alpha[half, None] * phat[half]
+            lanes.rk = np.where(half, s_norm, lanes.rk)
+            if monitor and np.count_nonzero(half) == lanes.count:
+                monitor(k, lanes)
+            phat, s = lanes.stop(half, k, STOP_RESIDUAL, phat, s)
+            if not lanes.count:
+                break
+        shat = s if invd is None else np.multiply(s, lanes.invd, out=lanes.shat)
+        apply(lanes.vals, shat, lanes.t)
+        tt = _rowdot(lanes.t, lanes.t)
+        phat, s, shat, t, tt = lanes.fail((tt == 0.0) | ~np.isfinite(tt), k - 1,
+                                          "bicgstab: stabilization direction vanished",
+                                          phat, s, shat, lanes.t, tt)
+        if not lanes.count:
+            break
+        # x += alpha phat + omega shat, r = s - omega t (t is free once r is; shat may be s)
+        lanes.omega = _rowdot(t, s) / tt
+        omega = lanes.omega[:, None]
+        np.subtract(s, np.multiply(omega, t, out=t), out=lanes.r)
+        update = np.multiply(lanes.alpha[:, None], phat, out=lanes.phat)
+        update += np.multiply(omega, shat, out=t)
+        lanes.x += update
+        del phat, s, shat, t, update  # no full-size temporary may outlive a compaction
+        lanes.measure()
+        lanes.check(k)
+    return lanes._r0, lanes.message
 
 
 def _gmres(a, b, x, criteria, precond, restart, callback) -> SolveReport:

@@ -20,6 +20,7 @@ from linopkit.solver import (
     Iteration,
     JacobiPreconditioner,
     ResidualNorm,
+    Solver,
     SolverFactory,
     extract_diagonal,
     first_met,
@@ -354,26 +355,104 @@ class TestSolverAsOperator:
 
 
 class TestMultiColumn:
+    """CG and BiCGStab run the columns in lockstep; each column still gets the
+    bits of its own single solve."""
+
     def test_matches_per_column_solves(self, ref, rng):
         a = random_spd_dense(rng, 6)
+        a[0, 0] *= 1e3  # ill-scaled, so Jacobi changes every iterate
         bmat = rng.normal(size=(6, 3))
-        solver = make_solver(ref, a, reduction=1e-11)
+        for algorithm in ("cg", "bicgstab", "gmres"):
+            for preconditioner in (None, "jacobi"):
+                context = (algorithm, preconditioner)
+                solver = make_solver(ref, a, algorithm=algorithm, reduction=1e-11,
+                                     preconditioner=preconditioner)
+                together = Dense.create(ref, (6, 3))
+                report = solver.solve(dense_from_numpy(ref, bmat), together)
 
-        together = Dense.create(ref, (6, 3))
-        report = solver.solve(dense_from_numpy(ref, bmat), together)
+                singles = []
+                reports = []
+                for j in range(3):
+                    xj = Dense.create(ref, (6, 1))
+                    reports.append(solver.solve(dense_from_numpy(ref, bmat[:, j]), xj))
+                    singles.append(xj.view2d()[:, 0].copy())
+                assert np.array_equal(together.view2d(), np.column_stack(singles)), context
+                assert report.iterations == max(r.iterations for r in reports), context
+                assert report.converged == all(r.converged for r in reports), context
+                assert report.converged, context
+                assert report.initial_residual_norm == math.hypot(
+                    *(r.initial_residual_norm for r in reports)), context
+                assert report.final_residual_norm == math.hypot(
+                    *(r.final_residual_norm for r in reports)), context
 
-        singles = []
-        reports = []
-        for j in range(3):
-            xj = Dense.create(ref, (6, 1))
-            reports.append(solver.solve(dense_from_numpy(ref, bmat[:, j]), xj))
-            singles.append(xj.view2d()[:, 0].copy())
-        assert np.array_equal(together.view2d(), np.column_stack(singles))
-        assert report.iterations == max(r.iterations for r in reports)
-        assert report.converged == all(r.converged for r in reports)
-        assert report.initial_residual_norm == pytest.approx(
-            math.hypot(*(r.initial_residual_norm for r in reports))
-        )
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    def test_callback_sees_all_columns_and_ends_at_the_report(self, ref, rng, algorithm):
+        a = random_dd_dense(rng, 8) if algorithm == "bicgstab" else random_spd_dense(rng, 8)
+        a[0, 1:] = a[1:, 0] = 0.0
+        bmat = rng.normal(size=(8, 3))
+        bmat[:, 0] = [3.0] + [0.0] * 7  # along an eigenvector: stops after one iteration
+        solver = make_solver(ref, a, algorithm=algorithm, reduction=1e-11)
+        history = []
+        report = solver.solve(dense_from_numpy(ref, bmat), Dense.create(ref, (8, 3)),
+                              callback=lambda k, r: history.append((k, r)))
+        assert report.converged
+        assert [k for k, _ in history] == list(range(report.iterations + 1))
+        assert history[0][1] == report.initial_residual_norm
+        assert history[-1][1] == report.final_residual_norm
+        # a column stopped early and contributed its final norm to the rest
+        singles = [solver.solve(dense_from_numpy(ref, bmat[:, j]), Dense.create(ref, (8, 1)))
+                   for j in range(3)]
+        assert min(r.iterations for r in singles) < report.iterations
+
+    def test_breakdown_in_one_column_raises_after_the_others_are_solved(self, ref):
+        # p . Ap = 0 at once for [1, 1]; [1, 0] is solved in one iteration
+        solver = make_solver(ref, np.array([[1.0, 0.0], [0.0, -1.0]]))
+        b = dense_from_numpy(ref, [[1.0, 1.0], [1.0, 0.0]])
+        x = Dense.create(ref, (2, 2))
+        with pytest.raises(BreakdownError, match="conjugacy") as err:
+            solver.solve(b, x)
+        assert err.value.best is x
+        assert list(x.view2d()[:, 0]) == [0.0, 0.0]
+        assert list(x.view2d()[:, 1]) == [1.0, 0.0]
+        assert err.value.iterations == 1
+        assert err.value.residual_norm == math.hypot(math.sqrt(2.0), 0.0)
+
+
+class _Laplacian1D(LinOp):
+    """The 1-D Laplacian stencil [-1, 2, -1], applied without stored entries."""
+
+    def __init__(self, exec_, n):
+        super().__init__(exec_, (n, n))
+        self.columns_applied = []
+
+    def _apply(self, b, x):
+        self.columns_applied.append(b.size.cols)
+        v = b.view2d()
+        out = 2.0 * v
+        out[1:] -= v[:-1]
+        out[:-1] -= v[1:]
+        x.view2d()[...] = out
+
+    def _advanced_apply(self, alpha, b, beta, x):
+        t = Dense.create(self.executor, x.size)
+        self._apply(b, t)
+        x.view2d()[...] = alpha * t.view2d() + beta * x.view2d()
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+def test_matrix_free_operator_solves_two_columns(ref, rng, algorithm):
+    n = 20
+    op = _Laplacian1D(ref, n)
+    factory = SolverFactory(algorithm, criteria=(Iteration(200), ResidualNorm(1e-12)))
+    solver = Solver(factory, op, factory.criteria)
+    bmat = rng.normal(size=(n, 2))
+    x = Dense.create(ref, (n, 2))
+    report = solver.solve(dense_from_numpy(ref, bmat), x)
+    assert report.converged
+    dense = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    for j in range(2):
+        assert relative_residual(dense, x.view2d()[:, j], bmat[:, j]) <= 1e-10
+    assert set(op.columns_applied) == {1}  # one column per call, through its own apply
 
 
 class TestFactoryValidation:
