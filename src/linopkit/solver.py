@@ -9,10 +9,12 @@ as preconditioners for other solvers.
 
 Stopping is governed by a non-empty collection of criteria combined as a
 disjunction: the first one that fires ends the solve, and the report records
-which one it was.  Iterative solves track the recurrence residual; the
+which one it was (the residual target when it is met on the iteration the cap
+is reached).  Iterative solves track the recurrence residual; the
 iteration-zero residual is evaluated against the criteria before any work
-happens, so a converged initial guess costs nothing.  CG and BiCGStab run all
-columns in lockstep, through the recurrences batched solves run too.
+happens, so a converged initial guess costs nothing.  Every algorithm runs
+all columns in lockstep, CG and BiCGStab through the recurrences batched
+solves run too.
 """
 
 from __future__ import annotations
@@ -80,22 +82,6 @@ class ResidualNorm:
 StoppingCriterion = Union[Iteration, ResidualNorm]
 
 
-def first_met(criteria, iteration: int, r0_norm: float, rk_norm: float) -> Optional[str]:
-    """The stop reason if any criterion fires, else None.
-
-    Residual criteria take precedence when several fire at once, so hitting
-    the target on the final allowed iteration still counts as convergence.
-    """
-    hit_iteration = False
-    for crit in criteria:
-        if isinstance(crit, ResidualNorm):
-            if crit.met(iteration, r0_norm, rk_norm):
-                return STOP_RESIDUAL
-        elif crit.met(iteration, r0_norm, rk_norm):
-            hit_iteration = True
-    return STOP_ITERATION if hit_iteration else None
-
-
 @dataclass
 class SolveReport:
     """What a solve did.
@@ -118,21 +104,6 @@ class SolveReport:
     final_residual_norm: float
     converged: bool
     stop_reason: str
-
-
-def _combine(reports) -> SolveReport:
-    """One report for several columns: iteration maximum, Frobenius norms,
-    and the first unconverged column's stop reason."""
-    if len(reports) == 1:
-        return reports[0]
-    return SolveReport(
-        iterations=max(r.iterations for r in reports),
-        initial_residual_norm=math.hypot(*(r.initial_residual_norm for r in reports)),
-        final_residual_norm=math.hypot(*(r.final_residual_norm for r in reports)),
-        converged=all(r.converged for r in reports),
-        stop_reason=next((r.stop_reason for r in reports if not r.converged),
-                         reports[0].stop_reason),
-    )
 
 
 # --- preconditioners ---------------------------------------------------------
@@ -184,25 +155,6 @@ def _diagonal_positions(row_ids: np.ndarray, col_idxs: np.ndarray, rows: int) ->
     pos = np.full(rows, -1, dtype=np.int64)
     pos[row_ids[on_diag]] = np.flatnonzero(on_diag)
     return pos
-
-
-class _IdentityPreconditioner:
-    def __init__(self, executor):
-        self._executor = executor
-
-    def apply(self, r: Dense, z: Dense) -> None:
-        dispatch(self._executor, "copy")(z.view2d(), r.view2d())
-
-
-class _DirectPreconditioner:
-    """Applies an LU factorization as M^{-1}, for LU-preconditioned GMRES."""
-
-    def __init__(self, factors):
-        self.factors = factors
-
-    def apply(self, r: Dense, z: Dense) -> None:
-        perm, lower, upper = self.factors
-        z.view2d()[...] = lu_solve_dense(perm, lower, upper, r.view2d())
 
 
 # --- dense LU ----------------------------------------------------------------
@@ -258,15 +210,18 @@ def lu_factorize(a, tol_pivot: float = DEFAULT_TOL_PIVOT):
 
 
 def lu_solve_dense(perm, lower, upper, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs given lu_factorize output. rhs has shape (n, k)."""
-    n = lower.shape[0]
-    y = np.array(rhs[perm], dtype=np.float64)
-    for i in range(n):
-        y[i] -= lower[i, :i] @ y[:i]
-    for i in reversed(range(n)):
-        y[i] -= upper[i, i + 1 :] @ y[i + 1 :]
-        y[i] /= upper[i, i]
-    return y
+    """Solve A x = rhs given lu_factorize output. rhs has shape (n, k).
+
+    The sweeps run on the transposed right-hand sides, one row each, so every
+    column gets the bits it would get alone (up to 8,192 rows, see the
+    algorithm internals below)."""
+    y = np.asarray(rhs, dtype=np.float64).T.take(perm, axis=1)
+    for i in range(lower.shape[0]):
+        y[:, i] -= _einsum("ij,j->i", y[:, :i], lower[i, :i])
+    for i in reversed(range(lower.shape[0])):
+        y[:, i] -= _einsum("ij,j->i", y[:, i + 1 :], upper[i, i + 1 :])
+        y[:, i] /= upper[i, i]
+    return y.T
 
 
 # --- factory and solver -------------------------------------------------------
@@ -342,19 +297,22 @@ class Solver(LinOp):
         self._factory = factory
         self._a = a
         self._criteria = criteria
-        self._lu = None
         self._work: dict = {}
         self._setup()
 
     def _setup(self) -> None:
-        algorithm = self._factory.algorithm
-        if algorithm in ("lu", "gmres_lu"):
-            self._lu = lu_factorize(self._a, self._factory.tol_pivot)
-            self._precond = _DirectPreconditioner(self._lu)
-        elif self._factory.preconditioner == "jacobi":
-            self._precond = JacobiPreconditioner(self._a)
+        """Pick the lane block and build what the matrix values determine."""
+        factory, lu, self._invd = self._factory, None, None
+        if factory.algorithm in ("lu", "gmres_lu"):
+            lu = lu_factorize(self._a, factory.tol_pivot)
+        elif factory.preconditioner == "jacobi":
+            self._invd = 1.0 / extract_diagonal(self._a)
+        if factory.algorithm == "lu":
+            self._block = functools.partial(_lu_block, lu=lu)
+        elif factory.algorithm in ("gmres", "gmres_lu"):
+            self._block = functools.partial(_gmres_block, restart=factory.restart, lu=lu)
         else:
-            self._precond = _IdentityPreconditioner(self.executor)
+            self._block = _cg_block if factory.algorithm == "cg" else _bicgstab_block
 
     @property
     def system_matrix(self) -> Csr:
@@ -382,14 +340,18 @@ class Solver(LinOp):
         Parameters
         ----------
         b, x : Dense
-            Right-hand side and iterate, one system per column.  Columns are
-            solved independently, CG and BiCGStab in lockstep; the report
-            aggregates them (iteration maximum, norms combined in the
-            Frobenius sense).  A breakdown raises once the other columns are solved.
+            Right-hand side and iterate, one system per column, at least one.
+            Columns are solved independently, in lockstep, each (up to 8,192
+            rows) to the bits of its own solve; the report aggregates them
+            (iteration maximum, norms combined in the Frobenius sense, the
+            first unconverged column's stop reason).  A breakdown raises once
+            the other columns are solved.
         callback : callable, optional
             Invoked as ``callback(iteration, residual_norm)`` after every
             residual evaluation, iteration 0 included; in lockstep the norm
-            covers all columns, stopped ones at their final norm.
+            covers all columns, stopped ones at their final norm.  GMRES
+            evaluates its residual estimate, and the true residual at every
+            restart.
 
         Returns
         -------
@@ -399,17 +361,11 @@ class Solver(LinOp):
         return self._solve(b, x, callback)
 
     def _solve(self, b: Dense, x: Dense, callback) -> SolveReport:
-        if self._factory.algorithm in ("cg", "bicgstab"):
-            return self._solve_lockstep(b, x, callback)
-        if b.size.cols == 1:
-            return self._solve_column(b, x, callback)
-        return _combine([self._solve_column(b.column(j), x.column(j), callback)
-                         for j in range(b.size.cols)])
-
-    def _solve_lockstep(self, b: Dense, x: Dense, callback) -> SolveReport:
         """Columns run as lanes, x in a work array; work arrays, block apply and
         outputs persist."""
         cols, n = b.size.cols, b.size.rows
+        if not cols:
+            raise InvalidArgumentError("a solve needs at least one column")
         if cols not in self._work:
             work = {}
             out = (np.zeros(cols, dtype=np.int64), np.zeros(cols), np.empty(cols, dtype=object))
@@ -417,39 +373,19 @@ class Solver(LinOp):
         work, apply, out = self._work[cols]
         bv, xv = np.ascontiguousarray(b.view2d().T), _buffer(work, "x", (cols, n))
         xv[...] = x.view2d().T
-        invd = getattr(self._precond, "inverse_diagonal", None)
+        invd = None if self._invd is None else np.broadcast_to(self._invd, (cols, n))
         monitor = callback and (lambda k, lanes: callback(k, math.hypot(*lanes.residual_norms())))
-        block = _cg_block if self._factory.algorithm == "cg" else _bicgstab_block
-        r0, message = block(apply, None, bv, xv, self._criteria,
-                            None if invd is None else np.broadcast_to(invd, (cols, n)),
-                            None, self._factory.tol_breakdown, out, work, monitor)
+        r0, message = self._block(apply, None, bv, xv, self._criteria, invd, None,
+                                  self._factory.tol_breakdown, out, work, monitor)
         x.view2d()[...] = xv.T
-        report = _combine([_report(out[0].item(j), r0.item(j), out[1].item(j), out[2][j])
-                           for j in range(cols)])
+        iterations, finals, reasons = (a.tolist() for a in out)  # Python scalars are cheaper
+        reason = next((r for r in reasons if r not in _CONVERGED), reasons[0])
+        report = SolveReport(max(iterations), math.hypot(*r0.tolist()), math.hypot(*finals),
+                             reason in _CONVERGED, reason)
         if message:
             raise BreakdownError(message, best=x, iterations=report.iterations,
                                  residual_norm=report.final_residual_norm)
         return report
-
-    def _solve_column(self, b: Dense, x: Dense, callback) -> SolveReport:
-        if self._factory.algorithm == "lu":
-            return self._solve_direct(b, x)
-        return _gmres(
-            self._a, b, x, self._criteria, self._precond,
-            self._factory.restart, callback,
-        )
-
-    def _solve_direct(self, b: Dense, x: Dense) -> SolveReport:
-        r = Dense.create(self.executor, b.size)
-        _copy_into(r, b)
-        self._a.advanced_apply(-1.0, x, 1.0, r)
-        r0 = float(r.norm2()[0])
-        perm, lower, upper = self._lu
-        x.view2d()[...] = lu_solve_dense(perm, lower, upper, b.view2d())
-        _copy_into(r, b)
-        self._a.advanced_apply(-1.0, x, 1.0, r)
-        rk = float(r.norm2()[0])
-        return SolveReport(0, r0, rk, True, STOP_DIRECT)
 
     def _apply(self, b: Dense, x: Dense) -> None:
         self._solve(b, x, None)
@@ -462,55 +398,30 @@ class Solver(LinOp):
 
 # --- algorithm internals -------------------------------------------------------
 #
-# CG and BiCGStab are written once, over lanes: (m, n) arrays whose row l is
+# Every algorithm is written once, over lanes: (m, n) arrays whose row l is
 # lane l's vector, for the columns of a Solver's solve or the systems of a
 # batched group.  ``apply(vals, src, dst)`` writes every live lane's operator
 # times ``src`` into ``dst``; ``vals`` holds the lanes' matrix values for a
 # batch, None for a Solver.  Updates run in place, in the textbook formulas'
 # operand order, and no lane's arithmetic depends on another's, so a batched
-# system reproduces its single solve bit for bit (einsum sums a lone row of
-# over 8,192 entries in chunks, so there a column alone and among others may
-# differ in the last bits; its ``__array_function__`` dispatch, ~1 us a call
-# on plain ndarrays, is skipped).  GMRES and Dense LU take one column at a time.
+# system reproduces its single solve bit for bit, and so does a column of a
+# multi-column solve (einsum sums a lone row of over 8,192 entries in chunks,
+# in the dot products and GMRES's basis products alike, so there a column
+# alone and among others may differ in the last bits; its
+# ``__array_function__`` dispatch, ~1 us a call on plain ndarrays, is skipped).
 
-
-def _copy_into(dst: Dense, src: Dense) -> None:
-    dispatch(dst.executor, "copy")(dst.view2d(), src.view2d())
-
-
-def _norm(v: Dense) -> float:
-    return float(v.norm2()[0])
-
-
-def _dot(a: Dense, b: Dense) -> float:
-    return float(a.dot(b)[0])
-
-
-def _report(iterations, r0, rk, reason) -> SolveReport:
-    return SolveReport(iterations, r0, rk, reason == STOP_RESIDUAL, reason)
-
-
-def _unchecked(a: LinOp):
-    """``a``'s ``(apply, advanced_apply)`` without the argument checks.
-
-    The Krylov loops apply the system matrix only to vectors that
-    ``Solver.solve`` checked or that the loop sized and owns, so repeating
-    the public methods' checks (the alias test above all) buys nothing.  A
-    subclass that overrides a public method, to trace it say, is still
-    called through its override.
-    """
-    cls = type(a)
-    apply = a._apply if cls.apply is LinOp.apply else a.apply
-    advanced = (
-        a._advanced_apply if cls.advanced_apply is LinOp.advanced_apply else a.advanced_apply
-    )
-    return apply, advanced
+_CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 
 
 def _lane_apply(a: LinOp, work: dict):
-    """A Solver's block apply: ``a``'s unchecked ``apply`` per lane, as an (n, 1)
-    column.  The columns of the ``work`` arrays are wrapped once and kept."""
-    op, exec_, views = _unchecked(a)[0], a.executor, {}  # id(array) -> (array, columns)
+    """A Solver's block apply: ``a``'s ``apply`` per lane, as an (n, 1) column.
+
+    The lanes are vectors the solve checked or the loop sized and owns, so the
+    public method's checks (the alias test above all) are skipped; a subclass
+    that overrides ``apply``, to trace it say, is still called through its
+    override.  The columns of the ``work`` arrays are wrapped once and kept."""
+    op = a._apply if type(a).apply is LinOp.apply else a.apply
+    exec_, views = a.executor, {}  # id(array) -> (array, columns)
 
     def wrap(arr):
         n = arr.shape[1]
@@ -537,7 +448,8 @@ def _buffer(work, name: str, shape) -> np.ndarray:
     return work[name] if name in work else work.setdefault(name, np.empty(shape))
 
 
-_rowdot = functools.partial(np.einsum.__wrapped__, "ij,ij->i")  # see the section comment
+_einsum = np.einsum.__wrapped__  # see the section comment
+_rowdot = functools.partial(_einsum, "ij,ij->i")
 
 
 def _targets(criteria, r0):
@@ -746,104 +658,113 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
     return lanes._r0, lanes.message
 
 
-def _gmres(a, b, x, criteria, precond, restart, callback) -> SolveReport:
-    """Restarted GMRES with right preconditioning.
+def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+                 monitor=None, restart=DEFAULT_RESTART, lu=None):
+    """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
+    by ``invd`` (Jacobi), the ``lu`` factors or nothing.
 
-    Arnoldi with modified Gram-Schmidt; Givens rotations keep a running
-    residual estimate, and right preconditioning keeps that estimate equal
-    to the true residual norm (up to roundoff).  One iteration means one
-    Krylov vector, counted across restarts; the residual is recomputed
-    exactly at every restart boundary.
-    """
-    exec_ = a.executor
-    shape = b.size
-    apply, advanced_apply = _unchecked(a)
-    r = Dense.create(exec_, shape)
-    w = Dense.create(exec_, shape)
+    Arnoldi orthogonalizes by classical Gram-Schmidt run twice (CGS2: two
+    products with the basis and two updates per step).  ``rot`` keeps the
+    product of the cycle's Givens rotations, so turning a new Hessenberg
+    column and the residual estimate beta |rot[j + 1, 0]| are a few lane-wide
+    calls.  A lane's x takes the update M^-1 V y when it stops and at every
+    restart, where its true residual replaces the estimate.  One iteration is
+    one Krylov vector, counted across restarts."""
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+                   (), ("w", "z"), monitor)
+    (m, n), live = xv.shape, lanes.count
+    lanes.b = bv if lanes._ids is None else bv[lanes._ids]
+    lanes.basis = _buffer(work, "basis", (m, restart + 1, n))[:live]
+    lanes.rot = _buffer(work, "rot", (m, restart + 1, restart + 1))[:live]
+    lanes.hess = _buffer(work, "hess", (m, restart, restart))[:live]
 
-    _copy_into(r, b)
-    advanced_apply(-1.0, x, 1.0, r)
-    r0_norm = rk_norm = _norm(r)
-    if callback:
-        callback(0, rk_norm)
-    reason = first_met(criteria, 0, r0_norm, rk_norm)
-    if reason:
-        return _report(0, r0_norm, rk_norm, reason)
+    def precondition(v, rows=slice(None)):
+        """M^-1 v in place, ``v`` holding the lanes in ``rows``."""
+        if lu is not None:
+            v[...] = lu_solve_dense(*lu, v.T).T
+        elif invd is not None:
+            v *= lanes.invd[rows]
+        return v
 
-    total = 0
-    while True:
-        beta = rk_norm
-        if beta == 0.0:
-            return SolveReport(total, r0_norm, 0.0, True, STOP_RESIDUAL)
-        v0 = Dense.create(exec_, shape)
-        _copy_into(v0, r)
-        v0.scale(1.0 / beta)
-        basis = [v0]
-        zdirs = []
-        h_cols: list[list[float]] = []
-        cs: list[float] = []
-        sn: list[float] = []
-        g = [beta]
-        j = 0
-        while j < restart:
-            z = Dense.create(exec_, shape)
-            precond.apply(basis[j], z)
-            zdirs.append(z)
-            apply(z, w)
-            hcol = []
-            for i in range(j + 1):
-                hij = _dot(w, basis[i])
-                w.add_scaled(-hij, basis[i])
-                hcol.append(hij)
-            h_next = _norm(w)
-            for i in range(j):
-                tmp = cs[i] * hcol[i] + sn[i] * hcol[i + 1]
-                hcol[i + 1] = -sn[i] * hcol[i] + cs[i] * hcol[i + 1]
-                hcol[i] = tmp
-            denom = math.hypot(hcol[j], h_next)
-            if denom == 0.0:
-                raise BreakdownError(
-                    "gmres: zero subdiagonal with zero pivot",
-                    best=x, iterations=total, residual_norm=rk_norm,
-                )
-            c, s_rot = hcol[j] / denom, h_next / denom
-            cs.append(c)
-            sn.append(s_rot)
-            hcol[j] = denom
-            g.append(-s_rot * g[j])
-            g[j] = c * g[j]
-            h_cols.append(hcol)
-            rk_est = abs(g[j + 1])
-            total += 1
-            if callback:
-                callback(total, rk_est)
-            reason = first_met(criteria, total, r0_norm, rk_est)
-            happy = h_next == 0.0
-            if reason or happy or j == restart - 1:
-                dim = j + 1
-                y = [0.0] * dim
-                for i in reversed(range(dim)):
-                    acc = g[i]
-                    for col in range(i + 1, dim):
-                        acc -= h_cols[col][i] * y[col]
-                    y[i] = acc / h_cols[i][i]
-                for i in range(dim):
-                    x.add_scaled(y[i], zdirs[i])
-                if reason:
-                    return _report(total, r0_norm, rk_est, reason)
-                if happy:
-                    # The Krylov space is invariant: the computed update is
-                    # exact within it, so the solve cannot progress further.
-                    return SolveReport(total, r0_norm, rk_est, True, STOP_RESIDUAL)
+    k = 0
+    while lanes.count:
+        lanes.stop(lanes.rk == 0.0, k, STOP_RESIDUAL)  # solved: no Krylov space to build
+        if not lanes.count:
+            break
+        lanes.beta = lanes.rk
+        np.divide(lanes.r, lanes.beta[:, None], out=lanes.basis[:, 0])
+        lanes.rot.fill(0.0)
+        lanes.rot[:, 0, 0] = 1.0
+        lanes.hess.fill(0.0)
+        for j in range(restart):
+            k += 1
+            basis = lanes.basis[:, : j + 1]
+            np.copyto(lanes.z, basis[:, j])
+            apply(lanes.vals, precondition(lanes.z), lanes.w)
+            w = lanes.w
+            h = _einsum("ijk,ik->ij", basis, w)
+            w -= _einsum("ij,ijk->ik", h, basis)
+            h2 = _einsum("ijk,ik->ij", basis, w)
+            w -= _einsum("ij,ijk->ik", h2, basis)
+            h += h2
+            h_next = np.sqrt(_rowdot(w, w))
+            col = _einsum("ijk,ik->ij", lanes.rot[:, : j + 1, : j + 1], h)
+            denom = np.hypot(col[:, j], h_next)
+            lanes.rk = lanes.beta  # x is the cycle's start for every live lane
+            w, h_next, col, denom = lanes.fail(
+                (denom == 0.0) | ~np.isfinite(denom), k - 1,
+                "gmres: Hessenberg column degenerate (zero or not finite)",
+                w, h_next, col, denom)
+            if not lanes.count:
                 break
-            vnext = Dense.create(exec_, shape)
-            _copy_into(vnext, w)
-            vnext.scale(1.0 / h_next)
-            basis.append(vnext)
-            j += 1
-        _copy_into(r, b)
-        advanced_apply(-1.0, x, 1.0, r)
-        rk_norm = _norm(r)
-        reason = first_met(criteria, total, r0_norm, rk_norm)
-        if reason:
-            return _report(total, r0_norm, rk_norm, reason)
+            np.divide(w, h_next[:, None], out=lanes.basis[:, j + 1], where=h_next[:, None] != 0.0)
+            c, s = col[:, j] / denom, h_next / denom
+            col[:, j] = denom
+            lanes.hess[:, : j + 1, j] = col
+            rot = lanes.rot[:, : j + 2, : j + 2]  # rows j, j + 1 turn by (c, s)
+            np.multiply(-s[:, None], rot[:, j], out=rot[:, j + 1])
+            rot[:, j + 1, j + 1] = c
+            rot[:, j] *= c[:, None]
+            rot[:, j, j + 1] = s
+            estimate = lanes.beta * np.abs(rot[:, j + 1, 0])
+            lanes.happy = h_next == 0.0  # an invariant Krylov space: x is exact in it
+            restarting = j == restart - 1
+            ends = (estimate <= lanes.target) | lanes.happy | (restarting or k == lanes.cap)
+            count = np.count_nonzero(ends)
+            if count:  # x += M^-1 V y, with H y = beta rot[:, 0] (H upper triangular)
+                rows = ends if count < lanes.count else slice(None)
+                g = lanes.beta[rows, None] * lanes.rot[rows, : j + 1, 0]
+                y = np.linalg.solve(lanes.hess[rows, : j + 1, : j + 1], g[:, :, None])[:, :, 0]
+                step = _einsum("ij,ijk->ik", y, lanes.basis[rows, : j + 1])
+                lanes.x[rows] += precondition(step, rows)
+            if restarting:
+                apply(lanes.vals, lanes.x, lanes.w)
+                np.subtract(lanes.b, lanes.w, out=lanes.r)
+                lanes.measure()
+            else:
+                lanes.rk = estimate
+            lanes.check(k)
+            lanes.stop(lanes.happy, k, STOP_RESIDUAL)
+            if not lanes.count:
+                break
+    return lanes._r0, lanes.message
+
+
+def _lu_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+              monitor=None, lu=None):
+    """Dense LU on every lane at once, with :func:`_cg_block`'s arguments (the
+    factors in ``lu``; criteria, preconditioner and monitor play no part)."""
+    r = _buffer(work, "r", xv.shape)
+
+    def residual_norms():
+        apply(vals, xv, r)
+        np.subtract(bv, r, out=r)
+        return np.sqrt(_rowdot(r, r))
+
+    r0 = residual_norms()
+    xv[...] = lu_solve_dense(*lu, bv.T).T
+    iterations, finals, reasons = out
+    iterations.fill(0)
+    finals[...] = residual_norms()
+    reasons.fill(STOP_DIRECT)
+    return r0, None

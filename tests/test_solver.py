@@ -23,7 +23,6 @@ from linopkit.solver import (
     Solver,
     SolverFactory,
     extract_diagonal,
-    first_met,
     lu_factorize,
     lu_solve_dense,
 )
@@ -64,12 +63,6 @@ class TestCriteria:
     def test_zero_initial_residual_fires_immediately(self):
         assert ResidualNorm(1e-30).met(0, 0.0, 0.0)
 
-    def test_first_met_prefers_residual_on_ties(self):
-        crits = (Iteration(3), ResidualNorm(1e-6))
-        assert first_met(crits, 3, 1.0, 1e-7) == "residual_norm"
-        assert first_met(crits, 3, 1.0, 1.0) == "iteration"
-        assert first_met(crits, 2, 1.0, 1.0) is None
-
     @given(
         factor=st.floats(1e-12, 1.0),
         r0=st.floats(1e-6, 1e6),
@@ -80,6 +73,22 @@ class TestCriteria:
         rk = r0 * ratio
         if crit.met(1, r0, rk):
             assert crit.met(1, r0, rk / 2.0)
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_residual_target_met_at_the_iteration_cap_counts_as_convergence(ref, rng, algorithm, cols):
+    a = random_spd_dense(rng, 10)
+    b = dense_from_numpy(ref, rng.normal(size=(10, cols)))
+    free = make_solver(ref, a, algorithm=algorithm, reduction=1e-10, restart=4)
+    needed = free.solve(b, Dense.create(ref, (10, cols))).iterations
+    assert needed > 1
+    capped = make_solver(ref, a, algorithm=algorithm, reduction=1e-10, max_iters=needed,
+                         restart=4)
+    report = capped.solve(b, Dense.create(ref, (10, cols)))
+    assert report.iterations == needed
+    assert report.stop_reason == "residual_norm"
+    assert report.converged
 
 
 class TestCg:
@@ -355,18 +364,19 @@ class TestSolverAsOperator:
 
 
 class TestMultiColumn:
-    """CG and BiCGStab run the columns in lockstep; each column still gets the
+    """Every algorithm runs the columns in lockstep; each column still gets the
     bits of its own single solve."""
 
     def test_matches_per_column_solves(self, ref, rng):
         a = random_spd_dense(rng, 6)
         a[0, 0] *= 1e3  # ill-scaled, so Jacobi changes every iterate
         bmat = rng.normal(size=(6, 3))
-        for algorithm in ("cg", "bicgstab", "gmres"):
+        for algorithm in ("cg", "bicgstab", "gmres", "lu", "gmres_lu"):
             for preconditioner in (None, "jacobi"):
                 context = (algorithm, preconditioner)
+                # GMRES(3) restarts, and its columns stop in different cycles
                 solver = make_solver(ref, a, algorithm=algorithm, reduction=1e-11,
-                                     preconditioner=preconditioner)
+                                     preconditioner=preconditioner, restart=3)
                 together = Dense.create(ref, (6, 3))
                 report = solver.solve(dense_from_numpy(ref, bmat), together)
 
@@ -385,7 +395,7 @@ class TestMultiColumn:
                 assert report.final_residual_norm == math.hypot(
                     *(r.final_residual_norm for r in reports)), context
 
-    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
     def test_callback_sees_all_columns_and_ends_at_the_report(self, ref, rng, algorithm):
         a = random_dd_dense(rng, 8) if algorithm == "bicgstab" else random_spd_dense(rng, 8)
         a[0, 1:] = a[1:, 0] = 0.0
@@ -439,7 +449,7 @@ class _Laplacian1D(LinOp):
         x.view2d()[...] = alpha * t.view2d() + beta * x.view2d()
 
 
-@pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
 def test_matrix_free_operator_solves_two_columns(ref, rng, algorithm):
     n = 20
     op = _Laplacian1D(ref, n)
@@ -453,6 +463,30 @@ def test_matrix_free_operator_solves_two_columns(ref, rng, algorithm):
     for j in range(2):
         assert relative_residual(dense, x.view2d()[:, j], bmat[:, j]) <= 1e-10
     assert set(op.columns_applied) == {1}  # one column per call, through its own apply
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres", "lu", "gmres_lu"])
+def test_zero_columns_are_rejected(ref, algorithm):
+    solver = make_solver(ref, np.diag([2.0, 4.0]), algorithm=algorithm)
+    for run in (solver.solve, solver.apply):
+        with pytest.raises(InvalidArgumentError, match="at least one column"):
+            run(Dense.create(ref, (2, 0)), Dense.create(ref, (2, 0)))
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_nan_right_hand_side_breaks_down_at_the_guess(ref, rng, algorithm, cols):
+    a = random_spd_dense(rng, 8)
+    bmat = rng.normal(size=(8, cols))
+    bmat[3, 0] = np.nan
+    guess = rng.normal(size=(8, cols))
+    x = dense_from_numpy(ref, guess)
+    with pytest.raises(BreakdownError) as err:
+        make_solver(ref, a, algorithm=algorithm).solve(dense_from_numpy(ref, bmat), x)
+    assert err.value.best is x
+    assert np.array_equal(x.view2d()[:, 0], guess[:, 0])
+    # the NaN column stops at iteration 0, after the finite one is solved
+    assert (err.value.iterations == 0) == (cols == 1)
 
 
 class TestFactoryValidation:
@@ -495,17 +529,18 @@ class TestFactoryValidation:
 def test_parallel_backend_produces_the_same_history(par, ref, rng):
     a = random_spd_dense(rng, 16)
     b = rng.normal(size=16)
-    histories = {}
-    for exec_ in (ref, par):
-        solver = make_solver(exec_, a, reduction=1e-11)
-        x = Dense.create(exec_, (16, 1))
-        hist = []
-        solver.solve(dense_from_numpy(exec_, b), x, callback=lambda k, r: hist.append((k, r)))
-        histories[exec_.kind.value] = (hist, x.view2d()[:, 0].copy())
-    # n=16 stays under both the chunking and tiling thresholds, so the
-    # parallel run executes identical arithmetic
-    assert histories["reference"][0] == histories["parallel"][0]
-    assert np.array_equal(histories["reference"][1], histories["parallel"][1])
+    for algorithm in ("cg", "gmres", "gmres_lu"):  # GMRES(5) restarts
+        histories = {}
+        for exec_ in (ref, par):
+            solver = make_solver(exec_, a, algorithm=algorithm, reduction=1e-11, restart=5)
+            x = Dense.create(exec_, (16, 1))
+            hist = []
+            solver.solve(dense_from_numpy(exec_, b), x, callback=lambda k, r: hist.append((k, r)))
+            histories[exec_.kind.value] = (hist, x.view2d()[:, 0].view(np.uint64).copy())
+        # the lane core runs the same numpy calls on both kinds, so the
+        # parallel run executes identical arithmetic
+        assert histories["reference"][0] == histories["parallel"][0], algorithm
+        assert np.array_equal(histories["reference"][1], histories["parallel"][1]), algorithm
 
 
 def test_heat_cg_from_a_random_rhs_is_bitwise_equal_across_kinds_and_spmv_bodies(monkeypatch):
