@@ -2,8 +2,13 @@
 
 The Poisson problem -lap(u) = f with u = 0 on the boundary, discretized with
 the 5-point stencil on an n x n interior grid.  The manufactured solution
-u*(x, y) = sin(pi x) sin(pi y) gives f = 2 pi^2 u*, so the discretization
-error is known to shrink like h^2.
+u*(x, y) = e^x sin(pi x) sin(pi y) gives
+f = e^x sin(pi y) ((2 pi^2 - 1) sin(pi x) - 2 pi cos(pi x)), so the
+discretization error is known to shrink like h^2.  u* is not an eigenvector
+of the stencil (sin(pi x) sin(pi y) alone is one, and CG stops after one
+iteration on it), nor a polynomial of degree 3 or less per variable (on
+which the stencil is exact), so the demo exercises both the Krylov loop and
+the discretization.
 
 Everything below talks to the solver exclusively through the application
 facade: assembly into AppMatrix, vectors in AppVector, configuration through
@@ -59,10 +64,15 @@ def assemble_poisson(n: int) -> AppMatrix:
     return matrix
 
 
+def _grid(n: int) -> np.ndarray:
+    """The interior grid points along one axis; x runs along the first grid index."""
+    return (np.arange(n) + 1) / (n + 1)
+
+
 def manufactured_solution(n: int) -> np.ndarray:
-    h = 1.0 / (n + 1)
-    x = (np.arange(n) + 1) * h
-    return np.outer(np.sin(math.pi * x), np.sin(math.pi * x)).ravel()
+    """u* at the grid points, in row order ``i * n + j`` for (x_i, y_j)."""
+    x = _grid(n)
+    return np.outer(np.exp(x) * np.sin(math.pi * x), np.sin(math.pi * x)).ravel()
 
 
 def run_heat_demo(n: int, backend: str = "reference", worker_count: int | None = None,
@@ -72,7 +82,11 @@ def run_heat_demo(n: int, backend: str = "reference", worker_count: int | None =
     exec_ = executor_from_name(backend, worker_count)
     matrix = assemble_poisson(n)
     exact = manufactured_solution(n)
-    f = 2.0 * math.pi**2 * exact
+    grid = _grid(n)
+    # f = -lap(u*), the module docstring's formula
+    f = np.outer(np.exp(grid) * ((2.0 * math.pi**2 - 1.0) * np.sin(math.pi * grid)
+                                 - 2.0 * math.pi * np.cos(math.pi * grid)),
+                 np.sin(math.pi * grid)).ravel()
 
     b = AppVector.from_values(f)
     x = AppVector(n * n)

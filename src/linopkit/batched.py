@@ -6,8 +6,10 @@ nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
 BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
 per system, so each system gets exactly the bits of its single solve.  A
 system leaves the lockstep when its own criteria stop it, or when it breaks
-down, which marks it failed without disturbing its siblings; the state is
-compacted to the systems still iterating.
+down, which marks it failed without disturbing its siblings.  Its result is
+written out at its stop; its row stays in the state, its later arithmetic
+discarded, until the systems still iterating fall to half the rows held, and
+only then is the state compacted to them.
 
 On parallel executors the batch is split into contiguous system ranges
 through the ``run_partitioned`` kernel, and each range is solved in
@@ -17,7 +19,7 @@ the dispatched kernels, which keeps the worker pool free of nested
 submissions, so neither the partitioning nor the grouping can change any
 result.
 
-A group's SpMV runs compiled when scipy is installed: its live systems form
+A group's SpMV runs compiled when scipy is installed: its held systems form
 one block-diagonal CSR matrix whose pattern
 :func:`~linopkit.kernels.block_pattern` builds once per solve from the
 pattern a ``BatchCsr`` checked and froze, and one ``csr_matvec`` call

@@ -400,7 +400,7 @@ class Solver(LinOp):
 #
 # Every algorithm is written once, over lanes: (m, n) arrays whose row l is
 # lane l's vector, for the columns of a Solver's solve or the systems of a
-# batched group.  ``apply(vals, src, dst)`` writes every live lane's operator
+# batched group.  ``apply(vals, src, dst)`` writes every held lane's operator
 # times ``src`` into ``dst``; ``vals`` holds the lanes' matrix values for a
 # batch, None for a Solver.  Updates run in place, in the textbook formulas'
 # operand order, and no lane's arithmetic depends on another's, so a batched
@@ -469,21 +469,28 @@ def _targets(criteria, r0):
 
 
 class _Lanes:
-    """The lanes of a block that are still iterating, set up from ``xv``.
+    """The lanes of a block, set up from ``xv``, and which of them still iterate.
 
-    Public array attributes hold one row per live lane in block order;
-    ``_ids`` maps rows to block slots (None while they agree).  Work arrays
-    named in ``scratch`` (the first takes A x at set-up) carry nothing across
-    a :meth:`stop`, which truncates them and compacts the others with
-    ``take``.  Stopped lanes leave ``x`` to ``xv`` and their report to ``out``
-    = (iterations, final norms, reasons).  ``invd`` is each lane's inverse
-    diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
+    Public array attributes hold one row per held lane in block order;
+    ``_ids`` maps rows to block slots (None while they agree).  A lane that
+    stops leaves its x to ``xv`` and its report to ``out`` = (iterations,
+    final norms, reasons) at once, but keeps its row, marked dead in ``live``
+    (None while every row held is live).  Its later arithmetic is discarded,
+    and may overflow or divide by zero (see :func:`_quiet`).  Only when the
+    live lanes fall to half the rows held does :meth:`stop` compact them, one
+    ``take`` per array: the rows held never exceed twice the live ones, and
+    all compactions together copy fewer rows than the block has lanes.  Work
+    arrays named in ``scratch`` (the first takes A x at set-up) carry nothing
+    across a compaction, which truncates them.  ``invd`` is each lane's
+    inverse diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
     ``monitor(k, lanes)`` sees every residual."""
 
     def __init__(self, apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out,
                  work, state, scratch, monitor):
         self._out, self._ids, self._scratch, self._monitor = (xv, *out), None, scratch, monitor
-        self.count, self.message = xv.shape[0], None
+        self._work, self.message = work, None
+        self.count = self.held = xv.shape[0]
+        self.live = None
         self.x, self.vals, self.invd = xv, vals, invd
         for name in ("r",) + state + scratch:
             setattr(self, name, _buffer(work, name, xv.shape))
@@ -503,13 +510,20 @@ class _Lanes:
         self.rr = _rowdot(self.r, self.r)
         self.rk = np.sqrt(self.rr)
 
+    def live_only(self, mask):
+        """``mask`` (over the rows held) without the dead rows."""
+        return mask if self.live is None else mask & self.live
+
     def stop(self, mask, k, reason, *temps):
-        """Stop lanes in ``mask`` after ``k`` iterations; returns ``temps`` compacted alike."""
+        """Stop the live lanes in ``mask`` after ``k`` iterations; returns ``temps``
+        compacted alike when the rows are."""
+        if self.live is not None:  # live_only, inlined for one-lane solves' sake
+            mask = mask & self.live
         stopping = np.count_nonzero(mask) if self.count else 0  # cheaper than mask.any()
         if not stopping:
             return temps
         xv, iters, finals, reasons = self._out
-        rows = mask if stopping < self.count else slice(None)
+        rows = mask if stopping < self.held else slice(None)
         gone = rows if self._ids is None else self._ids[rows]
         if self.x is not xv:
             xv[gone] = self.x[rows]
@@ -517,8 +531,18 @@ class _Lanes:
         self.count -= stopping
         if not self.count:
             return temps
-        keep = np.flatnonzero(~mask)
+        if self.live is None:
+            self.live = ~mask
+        else:
+            self.live[mask] = False
+        if 2 * self.count > self.held:
+            if self.x is xv:  # the dead rows' arithmetic must not reach the results
+                self.x = _buffer(self._work, "x_lanes", xv.shape)
+                np.copyto(self.x, xv)
+            return temps
+        keep = np.flatnonzero(self.live)
         self._ids = keep if self._ids is None else self._ids[keep]
+        self.held, self.live = self.count, None
         # one array at a time, so each full-size original is freed first
         for name in [n for n, v in vars(self).items() if isinstance(v, np.ndarray)]:
             if name[0] != "_":
@@ -528,7 +552,9 @@ class _Lanes:
         return tuple(t.take(keep, axis=0) for t in temps)
 
     def fail(self, mask, k, message, *temps):
-        """:meth:`stop` lanes in ``mask`` as broken down, keeping the first message."""
+        """:meth:`stop` live lanes in ``mask`` as broken down, keeping the first message."""
+        if self.live is not None:
+            mask = mask & self.live
         if not (self.count and np.count_nonzero(mask)):
             return temps
         self.message = self.message or message
@@ -540,16 +566,33 @@ class _Lanes:
             self._monitor(k, self)
         self.stop(self.rk <= self.target, k, STOP_RESIDUAL)
         if self.count and self.cap is not None and k >= self.cap:
-            self.stop(np.ones(self.count, dtype=bool), k, STOP_ITERATION)
+            self.stop(np.ones(self.held, dtype=bool), k, STOP_ITERATION)
 
     def residual_norms(self) -> np.ndarray:
         """Each lane's residual norm: its current one if live, else its final one."""
         norms = self._out[2].copy()
         if self.count:
-            norms[slice(None) if self._ids is None else self._ids] = self.rk
+            live = slice(None) if self.live is None else self.live
+            norms[live if self._ids is None else self._ids[live]] = self.rk[live]
         return norms
 
 
+def _quiet(block):
+    """``block`` run with floating-point errors ignored when it holds three lanes
+    or more: a dead row's discarded arithmetic may overflow or divide by zero
+    (one or two lanes never hold a dead row, and keep numpy's error state)."""
+
+    @functools.wraps(block)
+    def run(apply, vals, bv, xv, *args, **kwargs):
+        if xv.shape[0] < 3:
+            return block(apply, vals, bv, xv, *args, **kwargs)
+        with np.errstate(all="ignore"):
+            return block(apply, vals, bv, xv, *args, **kwargs)
+
+    return run
+
+
+@_quiet
 def _cg_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
               monitor=None):
     """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane, with
@@ -581,13 +624,14 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out,
         z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
         rho_new = lanes.rr if invd is None else _rowdot(lanes.r, z)
         # rho is 0 only where b is 0, which the breakdown test cannot catch.
-        beta = np.zeros(lanes.count)
+        beta = np.zeros(lanes.held)
         np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
         np.add(z, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)  # z + beta p
         lanes.rho = rho_new
     return lanes._r0, lanes.message
 
 
+@_quiet
 def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
                     monitor=None):
     """Preconditioned BiCGStab (van der Vorst) on every lane, like :func:`_cg_block`.
@@ -596,7 +640,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
     lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
                    ("rhat", "p", "v"), ("s", "t", "phat", "shat"), monitor)
     np.copyto(lanes.rhat, lanes.r)
-    lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.count) for _ in range(3))
+    lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.held) for _ in range(3))
     k = 0
     while lanes.count:
         k += 1
@@ -611,7 +655,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
         else:
             # p = r + beta (p - omega v), beta = (rho / rho_prev) (alpha / omega);
             # rho_prev is 0 only where b is 0, which the breakdown test misses.
-            beta = np.zeros(lanes.count)
+            beta = np.zeros(lanes.held)
             np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
             beta *= lanes.alpha / lanes.omega
             lanes.p -= np.multiply(lanes.omega[:, None], lanes.v, out=lanes.phat)
@@ -628,7 +672,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
         s = np.subtract(lanes.r, np.multiply(lanes.alpha[:, None], lanes.v, out=lanes.s),
                         out=lanes.s)  # r - alpha v
         s_norm = np.sqrt(_rowdot(s, s))
-        half = s_norm <= lanes.target
+        half = lanes.live_only(s_norm <= lanes.target)
         if np.count_nonzero(half):
             lanes.x[half] += lanes.alpha[half, None] * phat[half]
             lanes.rk = np.where(half, s_norm, lanes.rk)
@@ -652,12 +696,13 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
         update = np.multiply(lanes.alpha[:, None], phat, out=lanes.phat)
         update += np.multiply(omega, shat, out=t)
         lanes.x += update
-        del phat, s, shat, t, update  # no full-size temporary may outlive a compaction
+        del phat, s, shat, t, update  # a compaction in check frees the arrays these held
         lanes.measure()
         lanes.check(k)
     return lanes._r0, lanes.message
 
 
+@_quiet
 def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
                  monitor=None, restart=DEFAULT_RESTART, lu=None):
     """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
@@ -672,11 +717,11 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, o
     one Krylov vector, counted across restarts."""
     lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
                    (), ("w", "z"), monitor)
-    (m, n), live = xv.shape, lanes.count
+    (m, n), held = xv.shape, lanes.held
     lanes.b = bv if lanes._ids is None else bv[lanes._ids]
-    lanes.basis = _buffer(work, "basis", (m, restart + 1, n))[:live]
-    lanes.rot = _buffer(work, "rot", (m, restart + 1, restart + 1))[:live]
-    lanes.hess = _buffer(work, "hess", (m, restart, restart))[:live]
+    lanes.basis = _buffer(work, "basis", (m, restart + 1, n))[:held]
+    lanes.rot = _buffer(work, "rot", (m, restart + 1, restart + 1))[:held]
+    lanes.hess = _buffer(work, "hess", (m, restart, restart))[:held]
 
     def precondition(v, rows=slice(None)):
         """M^-1 v in place, ``v`` holding the lanes in ``rows``."""
@@ -729,10 +774,11 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, o
             estimate = lanes.beta * np.abs(rot[:, j + 1, 0])
             lanes.happy = h_next == 0.0  # an invariant Krylov space: x is exact in it
             restarting = j == restart - 1
-            ends = (estimate <= lanes.target) | lanes.happy | (restarting or k == lanes.cap)
+            ends = lanes.live_only((estimate <= lanes.target) | lanes.happy
+                                   | (restarting or k == lanes.cap))
             count = np.count_nonzero(ends)
             if count:  # x += M^-1 V y, with H y = beta rot[:, 0] (H upper triangular)
-                rows = ends if count < lanes.count else slice(None)
+                rows = ends if count < lanes.held else slice(None)
                 g = lanes.beta[rows, None] * lanes.rot[rows, : j + 1, 0]
                 y = np.linalg.solve(lanes.hess[rows, : j + 1, : j + 1], g[:, :, None])[:, :, 0]
                 step = _einsum("ij,ijk->ik", y, lanes.basis[rows, : j + 1])

@@ -439,7 +439,8 @@ class TestHeatDemo:
     def test_manufactured_solution_peaks_at_the_center(self):
         vals = manufactured_solution(5)
         assert vals.shape == (25,)
-        assert np.argmax(vals) == 12
+        # on the center line y = 1/2, one point toward x = 1 (the e^x factor)
+        assert divmod(int(np.argmax(vals)), 5) == (3, 2)
 
     def test_solution_accuracy_scales_with_the_grid(self):
         small = run_heat_demo(8)

@@ -5,7 +5,7 @@ import pytest
 
 import ctypes
 
-from linopkit import batched, kernels
+from linopkit import batched, kernels, solver
 from linopkit.batched import (
     BatchCsr,
     BatchDense,
@@ -22,8 +22,9 @@ from linopkit.solver import Iteration, ResidualNorm, SolverFactory
 
 from helpers import COMPILED_SPMV, dense_from_numpy, random_dd_dense, random_spd_dense, use_spmv_body
 
-# The recurrences divide without masks once stopped systems have left, so a
-# division on a system that should have stopped must fail loudly.
+# A stopped system keeps its row until the next compaction, and its discarded
+# arithmetic there may divide by zero unseen; the single solves every batched
+# result is compared with run one lane, and must stay quiet.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -106,10 +107,12 @@ def assert_compiled_ran(spy):
         assert spy.calls > 0
 
 
-def assert_batch_equals_singles(exec_, a, bv, x, report, algorithm, preconditioner):
-    """Every system's solution, iterations, stop reason, convergence flag and
-    final norm are bit for bit those of its single solve."""
-    for k in range(a.num_systems):
+def assert_batch_equals_singles(exec_, a, bv, x, report, algorithm, preconditioner,
+                                systems=None):
+    """Every system's (or every one in ``systems``') solution, iterations, stop
+    reason, convergence flag and final norm are bit for bit those of its single
+    solve."""
+    for k in range(a.num_systems) if systems is None else systems:
         xk, rk = solo_solve(exec_, a.extract_system(k), bv[k, :, 0], algorithm, CRITERIA,
                             preconditioner)
         context = (algorithm, preconditioner, k)
@@ -254,6 +257,62 @@ class TestFaultIsolation:
         x = BatchDense.zeros(ref, 2, (2, 1))
         report = batch_solve("cg", a, b, x, CRITERIA, preconditioner="jacobi")
         assert all(r == "singular_preconditioner" for r in report.stop_reasons)
+
+
+class TestDeadLanes:
+    """A stopped system keeps its row, dead, until the live systems fall to half
+    the rows held; nothing computed there may reach any result."""
+
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    def test_mixed_stops_match_single_solves_and_stay_put(self, ref, rng, monkeypatch,
+                                                          algorithm):
+        # 0: b = 0, solved at iteration 0; 1: the identity, one iteration;
+        # 2: all ones against a zero-sum b, breaks down; 3: a zero diagonal;
+        # 4-5 well conditioned; 6-11 condition number 1e4, 15+ iterations.
+        num, n = 12, 24
+        stack = np.stack([random_spd_dense(rng, n) for _ in range(num)])
+        for k in range(6, num):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            stack[k] = (q * np.geomspace(1e-4, 1.0, n)) @ q.T
+        stack[1], stack[2], stack[3, 5, 5] = np.eye(n), 1.0, 0.0
+        bv = rng.normal(size=(num, n, 1))
+        bv[0] = 0.0
+        bv[2, :, 0] = np.tile([1.0, -1.0], n // 2)
+        a = build_batch(ref, stack)
+
+        real_stop, stops, dead = solver._Lanes.stop, {}, []
+
+        def spying_stop(lanes, *args):
+            """Record each system's x when it stops, and how many dead rows stay."""
+            result = real_stop(lanes, *args)
+            xv, _, _, reasons = lanes._out
+            for slot in np.flatnonzero(np.not_equal(reasons, None)):
+                stops.setdefault(slot, xv[slot].copy())
+            dead.append(lanes.held - lanes.count)
+            return result
+
+        monkeypatch.setattr(solver._Lanes, "stop", spying_stop)
+        for spy in spmv_bodies(monkeypatch):
+            stops.clear()
+            dead.clear()
+            x = BatchDense.zeros(ref, num, (n, 1))
+            report = batch_solve(algorithm, a, BatchDense.from_values(ref, bv), x, CRITERIA,
+                                 preconditioner="jacobi")
+            assert_compiled_ran(spy)
+            assert max(dead) > 0 and len(stops) == num
+            for k, at_stop in stops.items():
+                assert np.array_equal(x.system_view(k)[:, 0].view(np.uint64),
+                                      at_stop.view(np.uint64)), (algorithm, k)
+            iterations, reasons = report.iterations, report.stop_reasons
+            assert (iterations[0], iterations[1]) == (0, 1) and iterations[6:].min() >= 15
+            assert (reasons[2], reasons[3]) == ("breakdown", "singular_preconditioner")
+            assert iterations[3] == 0 and not x.system_view(3).any()
+            with pytest.raises(BreakdownError) as err:
+                solo_solve(ref, a.extract_system(2), bv[2, :, 0], algorithm, CRITERIA, "jacobi")
+            assert err.value.iterations == iterations[2]
+            assert np.array_equal(x.system_view(2), err.value.best.view2d())
+            assert_batch_equals_singles(ref, a, bv, x, report, algorithm, "jacobi",
+                                        [k for k in range(num) if k not in (2, 3)])
 
 
 class TestSharedStorage:

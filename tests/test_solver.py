@@ -38,6 +38,10 @@ from helpers import (
     use_spmv_body,
 )
 
+# Multi-column solves keep stopped columns' rows until a compaction, and only
+# that arithmetic may divide by zero unseen; one column alone must stay quiet.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def make_solver(exec_, dense, algorithm="cg", reduction=1e-12, max_iters=200, **kw):
     factory = SolverFactory(
@@ -413,6 +417,38 @@ class TestMultiColumn:
         singles = [solver.solve(dense_from_numpy(ref, bmat[:, j]), Dense.create(ref, (8, 1)))
                    for j in range(3)]
         assert min(r.iterations for r in singles) < report.iterations
+
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+    def test_a_dead_column_neither_breaks_down_nor_changes_the_others(self, ref, rng,
+                                                                      algorithm):
+        # Column 0 lies along an eigenvector and stops after one iteration; its
+        # row stays held (three of four lanes live) while the others run on,
+        # and its recurrence degenerates there (a zero rho, p . Ap or
+        # Hessenberg column).
+        n = 40
+        q, _ = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))
+        a = np.zeros((n, n))
+        a[0, 0] = 2.0
+        a[1:, 1:] = (q * np.geomspace(1e-3, 1.0, n - 1)) @ q.T
+        bmat = rng.normal(size=(n, 4))
+        bmat[:, 0] = [3.0] + [0.0] * (n - 1)
+        for preconditioner in (None, "jacobi"):
+            solver = make_solver(ref, a, algorithm=algorithm, reduction=1e-12,
+                                 preconditioner=preconditioner, restart=10)
+            together, history = Dense.create(ref, (n, 4)), []
+            report = solver.solve(dense_from_numpy(ref, bmat), together,
+                                  callback=lambda k, r: history.append((k, r)))
+            assert [k for k, _ in history] == list(range(report.iterations + 1)), preconditioner
+            assert history[-1][1] == report.final_residual_norm, preconditioner
+            singles = []
+            for j in range(4):
+                xj = Dense.create(ref, (n, 1))
+                singles.append(solver.solve(dense_from_numpy(ref, bmat[:, j]), xj))
+                assert np.array_equal(together.view2d()[:, j].view(np.uint64),
+                                      xj.view2d()[:, 0].view(np.uint64)), (preconditioner, j)
+            assert singles[0].iterations == 1 and report.iterations >= 15, preconditioner
+            assert report.final_residual_norm == math.hypot(
+                *(r.final_residual_norm for r in singles)), preconditioner
 
     def test_breakdown_in_one_column_raises_after_the_others_are_solved(self, ref):
         # p . Ap = 0 at once for [1, 1]; [1, 0] is solved in one iteration
