@@ -101,7 +101,10 @@ class BatchCsr:
         The template is converted once (sorted, duplicates summed); the value
         block must follow the converted ordering and hold num_systems * nnz
         entries, either flat or as a (num_systems, nnz) array.  The batch
-        keeps the pattern the conversion built and checked, uncopied.
+        keeps the pattern the conversion built and checked, uncopied, and
+        keeps a C-contiguous float64 value block uncopied too, so later
+        writes to that block show in later solves; pass a copy to decouple.
+        Any other value input is copied into a contiguous float64 block.
         """
         structure = Csr.from_data(executor, template)
         nnz = structure.num_stored_elements
@@ -117,7 +120,7 @@ class BatchCsr:
             structure.size,
             structure._row_ptrs.numpy(),
             structure._col_idxs.numpy(),
-            vals.reshape(num_systems, nnz).copy(),
+            np.ascontiguousarray(vals.reshape(num_systems, nnz)),
         )
         return batch
 

@@ -281,30 +281,44 @@ class Csr(LinOp):
     def from_data(cls, executor: Executor, data: MatrixData) -> "Csr":
         """Convert an assembly buffer to CSR normal form.
 
-        Sorts entries by (row, col), sums duplicates in insertion order, and
-        keeps explicit entries even when the sum is zero.  Counted as one
+        Sorts entries by (row, col) with one stable sort on the row-major key
+        ``row * cols + col`` (a two-key sort only when that key could
+        overflow int64), sums duplicates in insertion order, and keeps
+        explicit entries even when the sum is zero.  Duplicate-free input,
+        the common case, skips the summation: its values are gathered and
+        ``+ 0.0`` turns -0.0 into +0.0 as the sum would.  Counted as one
         matrix conversion.
         """
         rows, cols = data.size
         r, c, v = data.arrays()
         nnz = len(v)
         if nnz:
-            order = np.lexsort((c, r))  # stable, so duplicates keep insertion order
-            r, c, v = r[order], c[order], v[order]
-            first = np.empty(nnz, dtype=bool)
-            first[0] = True
-            first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            group = np.cumsum(first) - 1
-            vals = np.bincount(group, weights=v)
-            rr, cc = r[first], c[first]
-            counts = np.bincount(rr, minlength=rows)
+            if rows * cols < 2**63:
+                key = r * cols + c
+                order = np.argsort(key, kind="stable")  # duplicates keep insertion order
+                key = key[order]
+                same = key[1:] == key[:-1]
+            else:
+                order = np.lexsort((c, r))
+                rs, cs = r[order], c[order]
+                same = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
+            if same.any():  # sum each run of equal keys, in insertion order
+                first = np.ones(nnz, dtype=bool)
+                first[1:] = ~same
+                vals = np.bincount(np.cumsum(first) - 1, weights=v[order])
+                order = order[first]
+                r = r[order]
+            else:
+                vals = v[order]
+                vals += 0.0
+            col_idxs = c[order]
+            counts = np.bincount(r, minlength=rows)
         else:
             vals = np.zeros(0)
-            cc = np.zeros(0, dtype=np.int64)
+            col_idxs = np.zeros(0, dtype=np.int64)
             counts = np.zeros(rows, dtype=np.int64)
         row_ptrs = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptrs[1:])
-        col_idxs = cc.astype(np.int64, copy=False)
         freeze_checked_pattern(row_ptrs, col_idxs, cols)
         _count_conversion()
         return cls(

@@ -332,6 +332,46 @@ class TestSharedStorage:
         a.values[0, 0] = 123.0
         assert sys0.to_dense()[0, 0] == 123.0
 
+    def test_from_template_keeps_a_contiguous_float64_block(self, ref, rng):
+        block = np.stack([random_spd_dense(rng, 3) for _ in range(4)]).reshape(4, 9)
+        a = BatchCsr.from_template(ref, 4, full_pattern(3), block)
+        assert np.shares_memory(a.values, block)
+
+    def test_writes_to_the_borrowed_block_show_in_the_next_solve(self, ref, rng):
+        stack = np.stack([random_spd_dense(rng, 3) for _ in range(3)])
+        block = stack.reshape(3, 9).copy()
+        a = BatchCsr.from_template(ref, 3, full_pattern(3), block)
+        bvals = rng.normal(size=(3, 3, 1))
+
+        def solve(batch):
+            x = BatchDense.zeros(ref, 3, (3, 1))
+            batch_solve("cg", batch, BatchDense.from_values(ref, bvals), x, CRITERIA)
+            return x.values.view(np.uint64)
+
+        before = solve(a)
+        block[1] *= 2.0
+        after = solve(a)
+        assert np.array_equal(after, solve(build_batch(ref, block.reshape(3, 3, 3).copy())))
+        assert np.array_equal(after[[0, 2]], before[[0, 2]])
+        assert not np.array_equal(after[1], before[1])
+
+    @pytest.mark.parametrize("convert", [np.ndarray.tolist,
+                                         lambda v: v.astype(np.float32),
+                                         np.asfortranarray])
+    def test_other_value_inputs_get_a_contiguous_float64_copy(self, ref, rng, convert):
+        stack = np.stack([random_spd_dense(rng, 3) for _ in range(3)])
+        given = convert(stack.reshape(3, 9))
+        expected = np.array(given, dtype=np.float64)  # a float64 block of its own
+        a = BatchCsr.from_template(ref, 3, full_pattern(3), given)
+        assert a.values.dtype == np.float64 and a.values.flags.c_contiguous
+        assert not np.shares_memory(a.values, np.asarray(given))
+        assert np.array_equal(a.values, expected)
+        b = rng.normal(size=(3, 3, 1))
+        xs = [BatchDense.zeros(ref, 3, (3, 1)) for _ in range(2)]
+        for batch, x in zip((a, BatchCsr.from_template(ref, 3, full_pattern(3), expected)), xs):
+            batch_solve("bicgstab", batch, BatchDense.from_values(ref, b), x, CRITERIA)
+        assert np.array_equal(xs[0].values.view(np.uint64), xs[1].values.view(np.uint64))
+
     def test_extract_bounds(self, ref, rng):
         a = build_batch(ref, np.stack([random_spd_dense(rng, 3)]))
         with pytest.raises(InvalidArgumentError, match="out of range"):

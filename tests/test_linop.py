@@ -87,6 +87,60 @@ class TestArrayConversion:
         assert list(m.get_values(const=True).numpy()) == [0.0, 0.0]
         assert list(m.get_row_ptrs().numpy()) == [0, 1, 2, 2, 2]  # empty rows 2, 3
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_free_triplets_skip_the_summation(self, ref, seed):
+        # every (row, col) once, in random order; the values' bits are kept,
+        # except that -0.0 becomes +0.0 as a sum starting from +0.0 makes it
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+        nnz = int(rng.integers(1, rows * cols + 1))
+        flat = rng.choice(rows * cols, nnz, replace=False)
+        v = rng.standard_normal(nnz)
+        for special in (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan):
+            v[rng.random(nnz) < 0.1] = special
+        data = MatrixData((rows, cols))
+        data.add_entries(flat // cols, flat % cols, v)
+        m = Csr.from_data(ref, data)
+        assert m.num_stored_elements == nnz
+        assert_csr_bits(m, fromiter_conversion((rows, cols), list(data)))
+        stored = m.get_values(const=True).numpy()
+        assert not np.any(np.signbit(stored[stored == 0.0]))
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_already_sorted_input(self, ref, rng, duplicates):
+        dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.5)
+        r, c = np.nonzero(dense)  # row-major order
+        v = dense[r, c]
+        if duplicates:
+            r, c, v = np.repeat(r, 2), np.repeat(c, 2), np.repeat(v, 2) * 0.5
+        data = MatrixData((7, 5))
+        data.add_entries(r, c, v)
+        m = Csr.from_data(ref, data)
+        assert_csr_bits(m, fromiter_conversion((7, 5), list(data)))
+        assert np.array_equal(m.to_dense(), dense)
+
+    def test_empty_rows(self, ref):
+        # rows 0, 2, 3 and 6 hold nothing, among them the first and the last
+        triplets = [(5, 1, 2.0), (1, 3, -1.0), (4, 0, 0.5), (1, 0, 3.0), (5, 0, -0.0)]
+        data = MatrixData((7, 4), triplets)
+        m = Csr.from_data(ref, data)
+        assert_csr_bits(m, fromiter_conversion((7, 4), triplets))
+        assert list(m.get_row_ptrs().numpy()) == [0, 0, 2, 2, 2, 3, 5, 5]
+
+    def test_key_overflowing_shape_sorts_by_two_keys(self, ref, monkeypatch):
+        # rows * cols >= 2**63, so the row-major key would overflow int64
+        size = (3, 2**62)
+        triplets = [(2, 5, 1.0), (0, 2**62 - 1, 2.0), (2, 3, -0.0), (0, 7, 4.0), (2, 5, 8.0)]
+        expected = fromiter_conversion(size, triplets)
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
+        m = Csr.from_data(ref, MatrixData(size, triplets))
+        assert calls == [1]
+        assert_csr_bits(m, expected)
+        assert list(m.get_col_idxs().numpy()) == [7, 2**62 - 1, 3, 5]
+        assert list(m.get_values(const=True).numpy()) == [4.0, 2.0, 0.0, 9.0]
+
     def test_explicit_zeros_stay_stored(self, ref):
         data = MatrixData((3, 3))
         data.add_entries([2, 0, 2], [2, 0, 1], [0.0, 0.0, -0.0])

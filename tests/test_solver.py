@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from linopkit import solver as solver_module
 from linopkit.apps.heat import assemble_poisson
 from linopkit.container import MatrixData
 from linopkit.errors import (
@@ -449,6 +450,40 @@ class TestMultiColumn:
             assert singles[0].iterations == 1 and report.iterations >= 15, preconditioner
             assert report.final_residual_norm == math.hypot(
                 *(r.final_residual_norm for r in singles)), preconditioner
+
+    def test_bicgstab_half_stop_beside_dead_rows_reaches_the_callback_once(self, ref,
+                                                                           monkeypatch):
+        # On a diagonal matrix a column with m nonzero entries is solved in
+        # about m iterations.  Columns 0 and 1 (four entries) stop at 4 and
+        # keep their rows (three of five lanes live); at 7 their dead rows'
+        # ||s|| meets the target while column 2 takes the half step alone.
+        # Counting the dead rows there would fire the callback for 7 twice.
+        n = 12
+        a = np.diag(np.linspace(1.0, 3.0, n))
+        sizes = [4, 4, 7, 8, 11]
+        bmat = np.zeros((n, len(sizes)))
+        for j, m in enumerate(sizes):
+            bmat[:m, j] = 1.0
+        solver = make_solver(ref, a, algorithm="bicgstab", reduction=1e-10)
+        seen = []  # (dead, live) rows of each mask restricted to live lanes
+        real = solver_module._Lanes.live_only
+
+        def spy(lanes, mask):
+            if lanes.live is not None:
+                seen.append((int(np.count_nonzero(mask & ~lanes.live)),
+                             int(np.count_nonzero(mask & lanes.live))))
+            return real(lanes, mask)
+
+        monkeypatch.setattr(solver_module._Lanes, "live_only", spy)
+        history = []
+        report = solver.solve(dense_from_numpy(ref, bmat), Dense.create(ref, (n, 5)),
+                              callback=lambda k, r: history.append(k))
+        assert history == list(range(report.iterations + 1))
+        assert report.converged and report.iterations == 9
+        assert (2, 1) in seen  # the case this test is built for
+        singles = [solver.solve(dense_from_numpy(ref, bmat[:, j]), Dense.create(ref, (n, 1)))
+                   for j in range(len(sizes))]
+        assert [r.iterations for r in singles] == [4, 4, 7, 8, 9]
 
     def test_breakdown_in_one_column_raises_after_the_others_are_solved(self, ref):
         # p . Ap = 0 at once for [1, 1]; [1, 0] is solved in one iteration
