@@ -50,7 +50,6 @@ from .facade import (
 from .linop import Csr, Dense, LinOp
 from .solver import (
     Iteration,
-    JacobiPreconditioner,
     ResidualNorm,
     SolveReport,
     Solver,
@@ -78,7 +77,6 @@ __all__ = [
     "Executor",
     "InvalidArgumentError",
     "Iteration",
-    "JacobiPreconditioner",
     "LibraryError",
     "LinOp",
     "MatrixData",

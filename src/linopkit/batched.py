@@ -19,16 +19,15 @@ the dispatched kernels, which keeps the worker pool free of nested
 submissions, so neither the partitioning nor the grouping can change any
 result.
 
-A group's SpMV runs compiled when scipy is installed: its held systems form
-one block-diagonal CSR matrix whose pattern
-:func:`~linopkit.kernels.block_pattern` builds once per solve from the
-pattern a ``BatchCsr`` checked and froze, and one ``csr_matvec`` call
-multiplies them all.  :func:`_spmv_block`, plain numpy and the tests' oracle,
-gives the same bits; it runs when scipy is absent or a call does not fit.
+A group's held systems form one block-diagonal CSR matrix, whose pattern
+:func:`~linopkit.kernels.block_pattern` builds once per solve, and every
+SpMV of the solve is one :func:`~linopkit.kernels.block_spmv` call on it.
+That kernel picks the compiled loop or the numpy body, with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +60,9 @@ class BatchCsr:
 
     The constructor copies the shared pattern, checks it by Csr's rules and
     makes it read-only; :meth:`from_template` keeps the pattern its
-    conversion built and checked.  Either way :meth:`extract_system` hands
-    out matrices that SpMV can run compiled, and batched solves run their
-    SpMV compiled too.
+    conversion built and checked.  Either way the matrices
+    :meth:`extract_system` hands out, and batched solves, may take SpMV's
+    compiled body, as the kernels decide.
     """
 
     def __init__(self, executor: Executor, num_systems: int, size, row_ptrs, col_idxs, values):
@@ -208,9 +207,6 @@ class BatchDense:
     def values(self) -> np.ndarray:
         return self._values
 
-    def system_view(self, k: int) -> np.ndarray:
-        return self._values[k]
-
 
 @dataclass
 class BatchSolveReport:
@@ -287,14 +283,14 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     block = _cg_block if algorithm == "cg" else _bicgstab_block
 
     group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
-    pattern = block_pattern(a.row_ptrs, a.col_idxs, min(group, num))
+    spmv = functools.partial(
+        block_spmv, block_pattern(a.row_ptrs, a.col_idxs, a.size.cols, max(1, min(group, num))))
 
     def body(lo, hi):
         for start in range(lo, hi, group):
             g = slice(start, min(start + group, hi))
             vals = a.values[g]
             invd, singular = _jacobi(vals, diag_pos) if jacobi else (None, None)
-            spmv = _group_spmv(pattern, a._row_ids, a.col_idxs, n, g.stop - g.start)
             block(spmv, vals, bvals[g], xvals[g], criteria, invd, singular,
                   DEFAULT_TOL_BREAKDOWN, (iters[g], finals[g], reasons[g]), None)
 
@@ -312,35 +308,3 @@ def _jacobi(vals, diag_pos):
     invd = np.zeros(dvals.shape)
     np.divide(1.0, dvals, out=invd, where=dvals != 0.0)
     return invd, (dvals == 0.0).any(axis=1)
-
-
-def _flat_rows(row_ids, n, m) -> np.ndarray:
-    """Output slot of every stored entry of ``m`` stacked systems, lane-major;
-    the first ``k * nnz`` entries are the index for the first ``k`` lanes."""
-    return (np.arange(m)[:, None] * n + row_ids[None, :]).ravel()
-
-
-def _spmv_block(vals, flat, col_idxs, n, xb) -> np.ndarray:
-    """Per-system SpMV, row sums accumulated left to right like the solo kernel:
-    the numpy body, which :func:`block_spmv` matches bit for bit.  ``flat`` is
-    :func:`_flat_rows` for at least ``xb.shape[0]`` lanes."""
-    m = xb.shape[0]
-    prod = np.take(xb, col_idxs, axis=1)
-    prod *= vals
-    return np.bincount(flat[: prod.size], weights=prod.ravel(), minlength=m * n).reshape(m, n)
-
-
-def _group_spmv(pattern, row_ids, col_idxs, n, m):
-    """The block apply ``spmv(vals, xb, out)`` for up to ``m`` lanes of one group:
-    compiled on ``pattern``, the solve's block-diagonal expansion, when it can,
-    else :func:`_spmv_block`, whose index is built on first use."""
-    flat = None
-
-    def spmv(vals, xb, out):
-        nonlocal flat
-        if pattern is None or block_spmv(pattern, vals, xb, out) is None:
-            if flat is None:
-                flat = _flat_rows(row_ids, n, m)
-            out[...] = _spmv_block(vals, flat, col_idxs, n, xb)
-
-    return spmv

@@ -36,12 +36,16 @@ and guarded three ways:
   or ``BatchCsr`` validated and made read-only.  Every other call, raw
   arrays included, takes the numpy body and its checks.
 
-The batched solvers use the same loop through :func:`block_spmv`: the live
-systems of a group, laid down the diagonal of one CSR matrix
-(:func:`block_pattern`, built once per solve from a checked pattern), are one
-``csr_matvec`` call, bit for bit the per-system numpy body.
+Batched solves multiply through :func:`block_spmv` alone, which makes the
+same choice: the held systems of a group, laid down the diagonal of one CSR
+matrix (:func:`block_pattern`, built once per solve), are one ``csr_matvec``
+call or one pass of the numpy body, bit for bit the per-system numpy body.
 
 Like the numpy body it holds the GIL, so it gains nothing from threads.
+
+``aypx`` and ``diag_scale`` have no caller in the library, and ``waxpby``
+only ``Solver``'s advanced apply; they stay registered because the
+benchmark's kernel probes dispatch them by name.
 
 The tile width also keeps every ``np.dot`` call at or below 8,192 elements,
 under the 10,000 above which OpenBLAS splits ``ddot`` across its own
@@ -168,12 +172,10 @@ def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
     temporary; neither changes a bit of the result.  ``take`` copies a
     read-only index array before gathering, so a read-only ``col_idxs`` (such
     as ``Csr.get_col_idxs()``) is gathered by 1-D fancy indexing instead,
-    which reads it in place.  Every index is bounds-checked: both accept
-    indices in ``[-len(b), 0)`` too, so a pattern that no ``Csr`` checked is
-    first searched for a negative column.
+    which reads it in place.  Every index is bounds-checked, but both accept
+    indices in ``[-len(b), 0)`` too, so callers rule out negative columns
+    (:func:`_spmv_rows` searches for them; a :class:`BlockPattern` has none).
     """
-    if _checked_bound(col_idxs) is None and col_idxs.size and col_idxs.min() < 0:
-        raise IndexError(f"column index {col_idxs.min()} is negative")
     n = len(row_ptrs) - 1
     for j in range(b.shape[1]):
         prod = b[:, j].take(col_idxs) if col_idxs.flags.writeable else b[:, j][col_idxs]
@@ -225,6 +227,8 @@ def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
     if tools is not None and _compiled_may_run(row_ptrs, col_idxs, values, b, out):
         _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out, alpha, beta)
     else:
+        if _checked_bound(col_idxs) is None and nnz and col_idxs.min() < 0:
+            raise IndexError(f"column index {col_idxs.min()} is negative")
         _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta)
 
 
@@ -317,40 +321,40 @@ def _compiled_may_run(row_ptrs, col_idxs, values, b, out) -> bool:
 
 # --- block-diagonal SpMV for batched solves ------------------------------------
 #
-# k systems that share one checked pattern are one CSR matrix with k copies of
-# that pattern down its diagonal: block row l * rows + i holds row i's entries
-# in the same order, columns offset by l * cols.  One csr_matvec call then
-# multiplies all k lanes, and every row sum is the solo row's, bit for bit.
+# k systems that share one pattern are one CSR matrix with k copies of that
+# pattern down its diagonal: block row l * rows + i holds row i's entries in
+# the same order, columns offset by l * cols.  One csr_matvec call, or one
+# pass of the numpy body, then multiplies all k lanes, and every row sum is
+# the solo row's, bit for bit.
 
 
 class BlockPattern:
-    """``lanes`` copies of a checked CSR pattern down the diagonal of one matrix.
+    """``lanes`` copies of a CSR pattern down the diagonal of one matrix.
 
     Built only by :func:`block_pattern`.  Its index arrays are its own,
-    read-only and never handed out, so every index in them stays in range
-    for ``lanes * cols`` columns.  Any prefix of the lanes is itself a block
-    pattern, which serves smaller and compacted lane sets.
+    read-only and never handed out, and every index in them is in range for
+    ``lanes * cols`` columns.  Any prefix of the lanes is itself a block
+    pattern, which serves smaller and compacted lane sets.  ``checked`` is
+    True when it was expanded from a pattern a ``Csr`` or ``BatchCsr``
+    checked and froze, which admits the compiled body.
     """
 
-    __slots__ = ("lanes", "rows", "cols", "nnz", "_row_ptrs", "_col_idxs")
+    __slots__ = ("lanes", "rows", "cols", "nnz", "checked", "_row_ptrs", "_col_idxs", "_row_ids")
 
 
-def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, lanes: int) -> BlockPattern | None:
-    """The block-diagonal expansion of a pattern for up to ``lanes`` lanes, or None.
+def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int, lanes: int) -> BlockPattern:
+    """The block-diagonal expansion of a ``cols``-column pattern for up to ``lanes`` lanes.
 
-    None when the compiled body is not in use or the pattern is not one a
-    ``Csr`` or ``BatchCsr`` checked and froze; callers then run their numpy
-    body.
+    Lanes are offset by the caller's column count ``cols``, never by the
+    largest stored index, which an empty last column makes smaller.  A
+    pattern that was not checked and frozen for ``cols`` columns has its
+    column indices checked here.
     """
-    if _SPARSETOOLS is None:
-        return None
-    cols = _checked_bound(col_idxs)
-    if cols is None or cols == _ROW_PTRS or _checked_bound(row_ptrs) != _ROW_PTRS:
-        return None
-    nnz = col_idxs.shape[0]
-    if row_ptrs[-1] != nnz:
-        return None
-    rows = row_ptrs.shape[0] - 1
+    nnz, rows = col_idxs.shape[0], row_ptrs.shape[0] - 1
+    checked = _checked_bound(col_idxs) == cols and _checked_bound(row_ptrs) == _ROW_PTRS
+    if row_ptrs[-1] != nnz or (not checked and nnz
+                               and not 0 <= col_idxs.min() <= col_idxs.max() < cols):
+        raise DimensionError(f"not a pattern of {nnz} entries in {cols} columns")
     lane = np.arange(lanes, dtype=np.int64)[:, None]
     block_ptrs = np.empty(lanes * rows + 1, dtype=np.int64)
     np.add(row_ptrs[:-1], lane * nnz, out=block_ptrs[:-1].reshape(lanes, rows))
@@ -359,49 +363,49 @@ def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, lanes: int) -> Blo
     np.add(col_idxs, lane * cols, out=block_cols.reshape(lanes, nnz))
     block_ptrs.flags.writeable = block_cols.flags.writeable = False
     block = BlockPattern()
-    block.lanes, block.rows, block.cols, block.nnz = lanes, rows, cols, nnz
-    block._row_ptrs, block._col_idxs = block_ptrs, block_cols
+    block.lanes, block.rows, block.cols, block.nnz, block.checked = lanes, rows, cols, nnz, checked
+    block._row_ptrs, block._col_idxs, block._row_ids = block_ptrs, block_cols, None
     return block
 
 
 def _block_may_run(block: BlockPattern, vals, xb, out) -> bool:
-    """True when ``vals``, ``xb`` and ``out`` fit the first ``len(xb)`` lanes of ``block``.
-
-    The block's own arrays bound every index the compiled loop reads, so
-    only the operands' shapes, dtype and layout are checked, in O(1).
-    """
-    k = xb.shape[0]
-    return (
-        k <= block.lanes
-        and vals.dtype is _F64
-        and xb.dtype is _F64
-        and out.dtype is _F64
-        and vals.shape == (k, block.nnz)
-        and xb.shape == (k, block.cols)
-        and out.shape == (k, block.rows)
-        and vals.flags.c_contiguous
-        and xb.flags.c_contiguous
-        and out.flags.c_contiguous
-    )
+    """True when the compiled loop may run operands of fitting shapes on ``block``:
+    its own arrays bound every index the loop reads, so only the lane count
+    and the operands' dtype and layout are checked, in O(1)."""
+    return (block.checked and xb.shape[0] <= block.lanes
+            and vals.dtype is xb.dtype is out.dtype is _F64
+            and vals.flags.c_contiguous and xb.flags.c_contiguous and out.flags.c_contiguous)
 
 
-def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray,
-               out: np.ndarray) -> np.ndarray | None:
-    """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``, compiled; or None.
+def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``; returns ``out``.
 
     ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``;
-    ``out`` must not overlap ``xb``.  Returns ``out``, with the numpy body's
-    bits, or None when this call cannot run compiled and the caller must use
-    its numpy body.
+    ``out`` must not overlap ``xb``.  The compiled loop runs when
+    :func:`_block_may_run` allows it, the numpy body otherwise, on at most
+    ``block.lanes`` lanes at a time; both give the numpy body's bits.
     """
+    k, rows, nnz = xb.shape[0], block.rows, block.nnz
+    if vals.shape != (k, nnz) or xb.shape != (k, block.cols) or out.shape != (k, rows):
+        raise DimensionError(f"values {vals.shape}, x {xb.shape} and out {out.shape} do not "
+                             f"fit {rows} x {block.cols} systems of {nnz} entries")
     tools = _SPARSETOOLS
-    if tools is None or not _block_may_run(block, vals, xb, out):
-        return None
-    k = xb.shape[0]
-    out.fill(0.0)
-    # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads.
-    tools.csr_matvec(k * block.rows, k * block.cols, block._row_ptrs[: k * block.rows + 1],
-                     block._col_idxs[: k * block.nnz], vals, xb, out)
+    if tools is not None and _block_may_run(block, vals, xb, out):
+        out.fill(0.0)
+        # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads.
+        tools.csr_matvec(k * rows, k * block.cols, block._row_ptrs[: k * rows + 1],
+                         block._col_idxs[: k * nnz], vals, xb, out)
+        return out
+    if block._row_ids is None:  # workers that race here build equal arrays
+        block._row_ids = np.repeat(np.arange(block.lanes * rows), np.diff(block._row_ptrs))
+    for lo in range(0, k, block.lanes):
+        m = min(block.lanes, k - lo)
+        y = out[lo:lo + m].reshape(-1, 1)  # a view of out when it is C-contiguous
+        _spmv_numpy(block._row_ptrs[: m * rows + 1], block._row_ids[: m * nnz],
+                    block._col_idxs[: m * nnz], vals[lo:lo + m].reshape(-1),
+                    xb[lo:lo + m].reshape(-1, 1), y, None, 0.0)
+        if not np.may_share_memory(y, out):
+            out[lo:lo + m] = y.reshape(m, rows)
     return out
 
 

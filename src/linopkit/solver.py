@@ -59,9 +59,6 @@ class Iteration:
 
     max_iters: int
 
-    def met(self, iteration: int, r0_norm: float, rk_norm: float) -> bool:
-        return iteration >= self.max_iters
-
 
 @dataclass(frozen=True)
 class ResidualNorm:
@@ -72,11 +69,6 @@ class ResidualNorm:
     """
 
     reduction_factor: float
-
-    def met(self, iteration: int, r0_norm: float, rk_norm: float) -> bool:
-        if r0_norm == 0.0:
-            return True
-        return rk_norm <= self.reduction_factor * r0_norm
 
 
 StoppingCriterion = Union[Iteration, ResidualNorm]
@@ -107,27 +99,6 @@ class SolveReport:
 
 
 # --- preconditioners ---------------------------------------------------------
-
-
-class JacobiPreconditioner:
-    """Point-Jacobi preconditioner: z_i = r_i / A_ii.
-
-    Requires every diagonal entry to be stored and nonzero; anything else
-    raises :class:`SingularPreconditionerError` at construction.
-    """
-
-    def __init__(self, a: Csr):
-        self._executor = a.executor
-        self._inverse_diagonal = 1.0 / extract_diagonal(a)
-
-    @property
-    def inverse_diagonal(self) -> np.ndarray:
-        return self._inverse_diagonal
-
-    def apply(self, r: Dense, z: Dense) -> None:
-        dispatch(self._executor, "diag_scale")(
-            z.view2d(), self._inverse_diagonal, r.view2d()
-        )
 
 
 def extract_diagonal(a: Csr) -> np.ndarray:

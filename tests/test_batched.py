@@ -6,16 +6,9 @@ import pytest
 import ctypes
 
 from linopkit import batched, kernels, solver
-from linopkit.batched import (
-    BatchCsr,
-    BatchDense,
-    _flat_rows,
-    _group_spmv,
-    _spmv_block,
-    batch_solve,
-)
+from linopkit.batched import BatchCsr, BatchDense, batch_solve
 from linopkit.container import MatrixData, copy_stats, reset_copy_stats
-from linopkit.errors import BreakdownError, InvalidArgumentError
+from linopkit.errors import BreakdownError, DimensionError, InvalidArgumentError
 from linopkit.executor import executor_from_name
 from linopkit.linop import Dense
 from linopkit.solver import Iteration, ResidualNorm, SolverFactory
@@ -116,7 +109,7 @@ def assert_batch_equals_singles(exec_, a, bv, x, report, algorithm, precondition
         xk, rk = solo_solve(exec_, a.extract_system(k), bv[k, :, 0], algorithm, CRITERIA,
                             preconditioner)
         context = (algorithm, preconditioner, k)
-        assert np.array_equal(x.system_view(k)[:, 0].view(np.uint64), xk.view(np.uint64)), context
+        assert np.array_equal(x.values[k][:, 0].view(np.uint64), xk.view(np.uint64)), context
         assert report.iterations[k] == rk.iterations, context
         assert report.stop_reasons[k] == rk.stop_reason, context
         assert bool(report.converged[k]) == rk.converged, context
@@ -301,16 +294,16 @@ class TestDeadLanes:
             assert_compiled_ran(spy)
             assert max(dead) > 0 and len(stops) == num
             for k, at_stop in stops.items():
-                assert np.array_equal(x.system_view(k)[:, 0].view(np.uint64),
+                assert np.array_equal(x.values[k][:, 0].view(np.uint64),
                                       at_stop.view(np.uint64)), (algorithm, k)
             iterations, reasons = report.iterations, report.stop_reasons
             assert (iterations[0], iterations[1]) == (0, 1) and iterations[6:].min() >= 15
             assert (reasons[2], reasons[3]) == ("breakdown", "singular_preconditioner")
-            assert iterations[3] == 0 and not x.system_view(3).any()
+            assert iterations[3] == 0 and not x.values[3].any()
             with pytest.raises(BreakdownError) as err:
                 solo_solve(ref, a.extract_system(2), bv[2, :, 0], algorithm, CRITERIA, "jacobi")
             assert err.value.iterations == iterations[2]
-            assert np.array_equal(x.system_view(2), err.value.best.view2d())
+            assert np.array_equal(x.values[2], err.value.best.view2d())
             assert_batch_equals_singles(ref, a, bv, x, report, algorithm, "jacobi",
                                         [k for k in range(num) if k not in (2, 3)])
 
@@ -389,11 +382,6 @@ class TestSharedStorage:
             assert kernels._checked_bound(a.row_ptrs) == kernels._ROW_PTRS
             assert kernels._checked_bound(a.col_idxs) == 2
 
-    def test_system_view_shares_memory(self, ref):
-        b = BatchDense.zeros(ref, 3, (2, 1))
-        b.system_view(1)[0, 0] = 7.0
-        assert b.values[1, 0, 0] == 7.0
-
 
 class TestParallelPartitioning:
     def test_results_bitwise_identical_across_worker_counts(self, rng, monkeypatch):
@@ -468,57 +456,80 @@ class TestSpmvBlock:
         num = 9
         a, xb = self._batch(ref, rng, num)
         n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
-        flat = _flat_rows(row_ids, n, num)
+        pattern = kernels.block_pattern(a.row_ptrs, col_idxs, n, num)
+        assert pattern.checked
         for spy in spmv_bodies(monkeypatch):
-            pattern = kernels.block_pattern(a.row_ptrs, col_idxs, num)
-            assert (pattern is None) == (spy is None)
             with np.errstate(invalid="ignore"):
                 # every lane, a prefix, and a scattered set as compaction leaves it
                 for lanes in (np.arange(num), np.arange(4), np.array([1, 2, 5, 7, 8])):
                     vals = a.values[lanes]
                     expected = self._old_formula(vals, row_ids, col_idxs, n, xb[lanes])
-                    got = {"numpy": _spmv_block(vals, flat, col_idxs, n, xb[lanes]),
-                           "group": np.full(expected.shape, np.nan)}
-                    _group_spmv(pattern, row_ids, col_idxs, n, num)(vals, xb[lanes], got["group"])
-                    if pattern is not None:
-                        got["compiled"] = kernels.block_spmv(
-                            pattern, vals, xb[lanes], np.full(expected.shape, np.nan))
-                    for body, out in got.items():
-                        assert out.shape == (len(lanes), n)
-                        assert np.array_equal(expected.view(np.uint64), out.view(np.uint64)), (
-                            body, lanes)
+                    out = np.full(expected.shape, np.nan)
+                    assert kernels.block_spmv(pattern, vals, xb[lanes], out) is out
+                    assert np.array_equal(expected.view(np.uint64), out.view(np.uint64)), (
+                        spy, lanes)
             assert np.isnan(expected).any() and np.isinf(out).any() and (out[:, 1] == 0.0).all()
             if spy is not None:
-                assert spy.calls == 6  # three lane sets, each direct and through the group
+                assert spy.calls == 3
 
     def test_mismatched_calls_fall_back_with_the_same_bits(self, ref, rng, monkeypatch):
-        """Calls that do not fit the block's lanes, shape or layout take the
-        numpy body; none of them reaches the compiled loop."""
+        """Calls that do not fit the block's lanes or layout take the numpy body
+        and give its bits; none of them reaches the compiled loop.  Operands
+        of the wrong shape are refused."""
         spy = use_spmv_body(monkeypatch, "compiled")
         a, xb = self._batch(ref, rng, 9)
         n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
-        pattern = kernels.block_pattern(a.row_ptrs, col_idxs, 4)
+        pattern = kernels.block_pattern(a.row_ptrs, col_idxs, n, 4)
         vals = a.values
-        out3 = np.empty((3, n))
         cases = {
-            "more lanes than the block": (vals[:6], xb[:6], np.empty((6, n))),
-            "strided x": (vals[:3], np.repeat(xb[:3], 2, axis=1)[:, ::2], out3),
-            "Fortran-ordered x": (vals[:3], np.asfortranarray(xb[:3]), out3),
-            "Fortran-ordered values": (np.asfortranarray(vals[:3]), xb[:3], out3),
-            "a row too short": (vals[:3], xb[:3, :-1], out3),
+            "more lanes than the block": (vals, xb, np.empty((9, n))),
+            "strided x": (vals[:3], np.repeat(xb[:3], 2, axis=1)[:, ::2], np.empty((3, n))),
+            "Fortran-ordered x": (vals[:3], np.asfortranarray(xb[:3]), np.empty((3, n))),
+            "Fortran-ordered values": (np.asfortranarray(vals[:3]), xb[:3], np.empty((3, n))),
             "strided out": (vals[:3], xb[:3], np.empty((3, 2 * n))[:, ::2]),
-            "Fortran-ordered out": (vals[:3], xb[:3], np.asfortranarray(out3)),
+            "Fortran-ordered out": (vals[:3], xb[:3], np.empty((3, n), order="F")),
+        }
+        short = {
+            "a row too short": (vals[:3], xb[:3, :-1], np.empty((3, n))),
+            "values too short": (vals[:3, :-1], xb[:3], np.empty((3, n))),
             "an out row too short": (vals[:3], xb[:3], np.empty((3, n - 1))),
         }
         with np.errstate(invalid="ignore"):
             for case, (v, x, out) in cases.items():
-                assert kernels.block_spmv(pattern, v, x, out) is None, case
-                if x.shape[1] < n or out.shape[1] < n:
-                    continue
+                out[...] = np.nan
                 expected = self._old_formula(v, row_ids, col_idxs, n, x)
-                _group_spmv(pattern, row_ids, col_idxs, n, x.shape[0])(v, x, out)
+                assert kernels.block_spmv(pattern, v, x, out) is out, case
                 assert np.array_equal(expected.view(np.uint64), out.view(np.uint64)), case
+        for case, (v, x, out) in short.items():
+            with pytest.raises(DimensionError):
+                kernels.block_spmv(pattern, v, x, out)
         assert spy.calls == 0
+
+    def test_non_contiguous_solution_takes_the_numpy_body(self, ref, rng, monkeypatch):
+        """With the compiled body in use, a solve whose ``x`` is not C-contiguous
+        multiplies it by the numpy body, and writes the contiguous solve's bits
+        into the caller's array."""
+        spy = use_spmv_body(monkeypatch, "compiled")
+        seen, real = [], spy.csr_matvec
+
+        def recording(*args):  # keeps each call's x operand
+            seen.append(args[-2])
+            real(*args)
+
+        monkeypatch.setattr(spy, "csr_matvec", recording)
+        stack, bv = mixed_exit_batch(rng)
+        x0 = rng.normal(size=bv.shape)
+        for algorithm in ("cg", "bicgstab"):
+            a = build_batch(ref, stack)
+            want = BatchDense.from_values(ref, x0)
+            batch_solve(algorithm, a, BatchDense.from_values(ref, bv), want, MIXED_CRITERIA, "jacobi")
+            given = np.asfortranarray(x0)
+            x = BatchDense(ref, x0.shape[0], x0.shape[1:], given)
+            seen.clear()
+            batch_solve(algorithm, a, BatchDense.from_values(ref, bv), x, MIXED_CRITERIA, "jacobi")
+            assert x.values is given and not given[:, :, 0].flags.c_contiguous
+            assert np.array_equal(given.view(np.uint64), want.values.view(np.uint64)), algorithm
+            assert seen and not any(np.shares_memory(xb, given) for xb in seen), algorithm
 
     @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
     def test_both_bodies_give_the_same_solves_unpreconditioned(self, rng, monkeypatch, algorithm):
@@ -553,10 +564,10 @@ class TestBlockPatternSafety:
         "forged writable views": lambda a: (_writable_alias(a.row_ptrs), _writable_alias(a.col_idxs)),
     }
 
-    def _solve(self, a, bv):
+    def _solve(self, a, bv, preconditioner="jacobi"):
         b = BatchDense.from_values(a.executor, bv.copy())
         x = BatchDense.zeros(a.executor, a.num_systems, (a.size.rows, 1))
-        report = batch_solve("bicgstab", a, b, x, MIXED_CRITERIA, preconditioner="jacobi")
+        report = batch_solve("bicgstab", a, b, x, MIXED_CRITERIA, preconditioner=preconditioner)
         return x.values.copy(), report.iterations.copy(), np.array(report.stop_reasons)
 
     @pytest.mark.parametrize("forgery", sorted(FORGERIES))
@@ -567,7 +578,7 @@ class TestBlockPatternSafety:
         assert spy.calls > 0
         a = build_batch(ref, stack)
         rp, ci = self.FORGERIES[forgery](a)
-        assert kernels.block_pattern(rp, ci, a.num_systems) is None
+        assert not kernels.block_pattern(rp, ci, a.size.cols, a.num_systems).checked
         monkeypatch.setattr(a, "_row_ptrs", rp)
         monkeypatch.setattr(a, "_col_idxs", ci)
         spy.calls = 0
@@ -581,9 +592,34 @@ class TestBlockPatternSafety:
         stack, bv = mixed_exit_batch(rng)
         a = build_batch(ref, stack)
         a.col_idxs.flags.writeable = True  # the owner can be unfrozen, and then changed
-        assert kernels.block_pattern(a.row_ptrs, a.col_idxs, a.num_systems) is None
+        assert not kernels.block_pattern(a.row_ptrs, a.col_idxs, a.size.cols, a.num_systems).checked
         self._solve(a, bv)
         assert spy.calls == 0
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_lanes_are_offset_by_the_column_count(self, ref, rng, monkeypatch, forgery):
+        """No entry is stored in the last column, so the largest index is not
+        the column count; each lane reads its own x only when the block
+        offsets lanes by the latter."""
+        num, n = 12, 6
+        stack = np.stack([random_dd_dense(rng, n) for _ in range(num)])[:, :, :-1]
+        template = MatrixData((n, n), [(i, j, 1.0) for i in range(n) for j in range(n - 1)])
+        a = BatchCsr.from_template(ref, num, template, stack.reshape(num, -1))
+        bv = rng.normal(size=(num, n, 1))
+        expected = self._solve(a, bv, None)
+        rp, ci = self.FORGERIES[forgery](a)
+        assert ci.max() == n - 2
+        xb = rng.normal(size=(num, n))
+        want = TestSpmvBlock._old_formula(a.values, a._row_ids, a.col_idxs, n, xb)
+        for pattern in ((a.row_ptrs, a.col_idxs), (rp, ci)):
+            out = kernels.block_spmv(kernels.block_pattern(*pattern, n, num), a.values, xb,
+                                     np.empty((num, n)))
+            assert np.array_equal(want.view(np.uint64), out.view(np.uint64)), forgery
+        monkeypatch.setattr(a, "_row_ptrs", rp)
+        monkeypatch.setattr(a, "_col_idxs", ci)
+        got = self._solve(a, bv, None)
+        for checked, forged in zip(expected, got):
+            assert np.array_equal(checked, forged), forgery
 
 
 class TestValidation:
