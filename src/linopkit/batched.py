@@ -4,7 +4,8 @@ A :class:`BatchCsr` stores one copy of the CSR structure and a (num_systems,
 nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
 :func:`batch_solve` runs the systems in lockstep through the same CG and
 BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
-per system, so each system gets exactly the bits of its single solve.  A
+per system, so each system of up to 8,192 rows gets exactly the bits of its
+single solve (see the solver's algorithm internals).  A
 system leaves the lockstep when its own criteria stop it, or when it breaks
 down, which marks it failed without disturbing its siblings.  Its result is
 written out at its stop; its row stays in the state, its later arithmetic
@@ -38,7 +39,6 @@ from .executor import Executor, dispatch
 from .kernels import block_pattern, block_spmv, freeze_checked_pattern
 from .linop import Csr, check_pattern
 from .solver import (
-    DEFAULT_TOL_BREAKDOWN,
     STOP_RESIDUAL,
     _bicgstab_block,
     _cg_block,
@@ -83,7 +83,7 @@ class BatchCsr:
         self._size = size
         self._row_ptrs = row_ptrs
         self._col_idxs = col_idxs
-        self._values = np.asarray(values, dtype=np.float64)
+        self._values = np.ascontiguousarray(values, dtype=np.float64)
         nnz = self._col_idxs.shape[0]
         if self._values.shape != (self._num_systems, nnz):
             raise InvalidArgumentError(
@@ -119,7 +119,7 @@ class BatchCsr:
             structure.size,
             structure._row_ptrs.numpy(),
             structure._col_idxs.numpy(),
-            np.ascontiguousarray(vals.reshape(num_systems, nnz)),
+            vals.reshape(num_systems, nnz),
         )
         return batch
 
@@ -292,7 +292,7 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
             vals = a.values[g]
             invd, singular = _jacobi(vals, diag_pos) if jacobi else (None, None)
             block(spmv, vals, bvals[g], xvals[g], criteria, invd, singular,
-                  DEFAULT_TOL_BREAKDOWN, (iters[g], finals[g], reasons[g]), None)
+                  (iters[g], finals[g], reasons[g]), None)
 
     dispatch(a.executor, "run_partitioned")(num, body)
     return BatchSolveReport(iters, finals, reasons == STOP_RESIDUAL, list(reasons))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .container import Dim, MatrixData, array_view
 from .errors import ConfigurationError, InvalidArgumentError
-from .executor import Executor, executor_from_name
+from .executor import Executor
 from .linop import Csr, Dense
 from .solver import (
     DEFAULT_RESTART,
@@ -34,15 +34,11 @@ from .solver import (
 VALID_ALGORITHMS = ("cg", "bicgstab", "gmres", "lu")
 VALID_PRECONDITIONERS = ("none", "jacobi")
 
-_HOST = executor_from_name("reference")
-
-
 class AppVector:
     """A vector as an application would own it: one flat float64 buffer.
 
     Rows may be padded (``stride >= num_cols``); element (i, j) lives at flat
-    offset ``i * stride + j``.  The arithmetic helpers exist so application
-    code in the demos never has to import backend types.
+    offset ``i * stride + j``.
     """
 
     def __init__(self, num_rows, num_cols=1, stride=None, data=None):
@@ -96,22 +92,6 @@ class AppVector:
         """Copy of the logical (rows, cols) block, squeezed for single columns."""
         block = np.array(self._view2d())
         return block[:, 0] if self.num_cols == 1 else block
-
-    # arithmetic, delegated through zero-copy views so the results are the
-    # library's, not a reimplementation
-    def scale(self, alpha) -> None:
-        _dense_view(_HOST, self).scale(alpha)
-
-    def add_scaled(self, alpha, other: "AppVector") -> None:
-        _dense_view(_HOST, self).add_scaled(alpha, _dense_view(_HOST, other))
-
-    def dot(self, other: "AppVector"):
-        out = _dense_view(_HOST, self).dot(_dense_view(_HOST, other))
-        return float(out[0]) if self.num_cols == 1 else out
-
-    def norm2(self):
-        out = _dense_view(_HOST, self).norm2()
-        return float(out[0]) if self.num_cols == 1 else out
 
 
 class AppMatrix:

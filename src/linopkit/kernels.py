@@ -43,9 +43,11 @@ call or one pass of the numpy body, bit for bit the per-system numpy body.
 
 Like the numpy body it holds the GIL, so it gains nothing from threads.
 
-``aypx`` and ``diag_scale`` have no caller in the library, and ``waxpby``
-only ``Solver``'s advanced apply; they stay registered because the
-benchmark's kernel probes dispatch them by name.
+``aypx``, ``waxpby`` and ``diag_scale`` have no caller in the library; they
+stay registered for the benchmark's kernel probes, which dispatch them by
+name.  The advanced apply ``x = alpha op(b) + beta x`` has no kernel of its
+own: :meth:`~linopkit.linop.LinOp.advanced_apply` combines ``apply``'s result
+with one numpy expression for every operator.
 
 The tile width also keeps every ``np.dot`` call at or below 8,192 elements,
 under the 10,000 above which OpenBLAS splits ``ddot`` across its own
@@ -163,8 +165,8 @@ def _norm2(exec_, a):
 # this section).
 
 
-def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
-    """``out = A b`` when ``alpha`` is None, else ``out = alpha A b + beta out``.
+def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out):
+    """``out = A b``.
 
     Each row sum is ``np.bincount`` over the products ``b[col] * value`` of
     that row, added left to right.  ``take`` on one column gathers about three
@@ -174,31 +176,25 @@ def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
     as ``Csr.get_col_idxs()``) is gathered by 1-D fancy indexing instead,
     which reads it in place.  Every index is bounds-checked, but both accept
     indices in ``[-len(b), 0)`` too, so callers rule out negative columns
-    (:func:`_spmv_rows` searches for them; a :class:`BlockPattern` has none).
+    (:func:`_spmv` searches for them; a :class:`BlockPattern` has none).
     """
     n = len(row_ptrs) - 1
     for j in range(b.shape[1]):
         prod = b[:, j].take(col_idxs) if col_idxs.flags.writeable else b[:, j][col_idxs]
         prod *= values
-        s = np.bincount(row_ids, weights=prod, minlength=n)
-        if alpha is None:
-            out[:, j] = s
-        elif beta == 0.0:
-            out[:, j] = alpha * s
-        else:
-            out[:, j] = alpha * s + beta * out[:, j]
+        out[:, j] = np.bincount(row_ids, weights=prod, minlength=n)
 
 
-def _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out, alpha, beta):
+def _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out):
     """The same result as :func:`_spmv_numpy`, from sparsetools' row loop.
 
     ``csr_matvec`` and ``csr_matvecs`` add ``value * b[col]`` onto ``y`` row
     by row, left to right, so starting from ``y = +0.0`` gives the bincount
-    sums.  A plain product is accumulated straight into a C-contiguous
-    ``out`` that does not overlap ``b``; anything else goes through ``y``.
+    sums.  The products are accumulated straight into a C-contiguous ``out``
+    that does not overlap ``b``; any other ``out`` goes through ``y``.
     """
     n, k = out.shape
-    if alpha is None and out.flags.c_contiguous and not np.may_share_memory(out, b):
+    if out.flags.c_contiguous and not np.may_share_memory(out, b):
         y = out
         y[...] = 0.0
     else:
@@ -207,16 +203,12 @@ def _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out, alpha, beta):
         tools.csr_matvec(n, b.shape[0], row_ptrs, col_idxs, values, b, y)
     else:
         tools.csr_matvecs(n, b.shape[0], k, row_ptrs, col_idxs, values, b, y)
-    if alpha is None:
-        if y is not out:
-            out[...] = y
-    elif beta == 0.0:
-        out[...] = alpha * y
-    else:
-        out[...] = alpha * y + beta * out
+    if y is not out:
+        out[...] = y
 
 
-def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
+@register_kernel("spmv")
+def _spmv(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
     nnz = col_idxs.shape[0]
     if row_ptrs[-1] != nnz or row_ids.shape[0] != nnz or values.shape[0] != nnz:
         raise DimensionError(
@@ -225,21 +217,11 @@ def _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta):
         )
     tools = _SPARSETOOLS
     if tools is not None and _compiled_may_run(row_ptrs, col_idxs, values, b, out):
-        _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out, alpha, beta)
+        _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out)
     else:
         if _checked_bound(col_idxs) is None and nnz and col_idxs.min() < 0:
             raise IndexError(f"column index {col_idxs.min()} is negative")
-        _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta)
-
-
-@register_kernel("spmv")
-def _spmv(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
-    _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, None, 0.0)
-
-
-@register_kernel("spmv_advanced")
-def _spmv_advanced(exec_, row_ptrs, row_ids, col_idxs, values, alpha, b, beta, out):
-    _spmv_rows(row_ptrs, row_ids, col_idxs, values, b, out, alpha, beta)
+        _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out)
 
 
 # --- checked patterns --------------------------------------------------------
@@ -403,7 +385,7 @@ def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.nd
         y = out[lo:lo + m].reshape(-1, 1)  # a view of out when it is C-contiguous
         _spmv_numpy(block._row_ptrs[: m * rows + 1], block._row_ids[: m * nnz],
                     block._col_idxs[: m * nnz], vals[lo:lo + m].reshape(-1),
-                    xb[lo:lo + m].reshape(-1, 1), y, None, 0.0)
+                    xb[lo:lo + m].reshape(-1, 1), y)
         if not np.may_share_memory(y, out):
             out[lo:lo + m] = y.reshape(m, rows)
     return out
@@ -464,9 +446,9 @@ def _agrees_with_numpy(tools) -> bool:
     try:
         for bk in (b[:, :1].copy(), b):
             want = np.empty((5, bk.shape[1]))
-            _spmv_numpy(row_ptrs, row_ids, col_idxs, values, bk, want, None, 0.0)
+            _spmv_numpy(row_ptrs, row_ids, col_idxs, values, bk, want)
             got = np.full_like(want, -0.0)
-            _spmv_compiled(tools, row_ptrs, col_idxs, values, bk, got, None, 0.0)
+            _spmv_compiled(tools, row_ptrs, col_idxs, values, bk, got)
             if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
                 return False
     except (TypeError, ValueError):  # a body that cannot run the probe is not used either
@@ -490,12 +472,3 @@ _SPARSETOOLS = _verified_sparsetools()
 @register_kernel("dense_apply")
 def _dense_apply(exec_, a, b, out):
     out[...] = a @ b
-
-
-@register_kernel("dense_apply_advanced")
-def _dense_apply_advanced(exec_, a, alpha, b, beta, out):
-    t = a @ b
-    if beta == 0.0:
-        out[...] = alpha * t
-    else:
-        out[...] = alpha * t + beta * out

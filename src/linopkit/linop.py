@@ -59,9 +59,16 @@ class LinOp(abc.ABC):
         self._apply(b, x)
 
     def advanced_apply(self, alpha: float, b: "Dense", beta: float, x: "Dense") -> None:
-        """x := alpha * op(b) + beta * x."""
+        """x := alpha * op(b) + beta * x.
+
+        op(b) is applied into a fresh zero block (a solver's initial guess),
+        then combined as that one expression; ``beta == 0`` ignores ``x``.
+        """
         self._check_vectors(b, x)
-        self._advanced_apply(float(alpha), b, float(beta), x)
+        t = Dense.create(self._executor, x.size)
+        self._apply(b, t)
+        t, out, alpha = t.view2d(), x.view2d(), float(alpha)
+        out[...] = alpha * t if beta == 0.0 else alpha * t + float(beta) * out
 
     def _check_vectors(self, b: "Dense", x: "Dense") -> None:
         if not isinstance(b, Dense) or not isinstance(x, Dense):
@@ -85,9 +92,6 @@ class LinOp(abc.ABC):
 
     @abc.abstractmethod
     def _apply(self, b: "Dense", x: "Dense") -> None: ...
-
-    @abc.abstractmethod
-    def _advanced_apply(self, alpha: float, b: "Dense", beta: float, x: "Dense") -> None: ...
 
 
 class Dense(LinOp):
@@ -212,11 +216,6 @@ class Dense(LinOp):
 
     def _apply(self, b: "Dense", x: "Dense") -> None:
         dispatch(self._executor, "dense_apply")(self.view2d(), b.view2d(), x.view2d())
-
-    def _advanced_apply(self, alpha: float, b: "Dense", beta: float, x: "Dense") -> None:
-        dispatch(self._executor, "dense_apply_advanced")(
-            self.view2d(), alpha, b.view2d(), beta, x.view2d()
-        )
 
 
 def check_pattern(size, rp: np.ndarray, ci: np.ndarray) -> None:
@@ -417,14 +416,3 @@ class Csr(LinOp):
             x.view2d(),
         )
 
-    def _advanced_apply(self, alpha: float, b: "Dense", beta: float, x: "Dense") -> None:
-        dispatch(self._executor, "spmv_advanced")(
-            self._row_ptrs.numpy(),
-            self._row_ids(),
-            self._col_idxs.numpy(),
-            self._values.numpy(),
-            alpha,
-            b.view2d(),
-            beta,
-            x.view2d(),
-        )

@@ -33,12 +33,13 @@ from .errors import (
     SingularMatrixError,
     SingularPreconditionerError,
 )
-from .executor import dispatch
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
-DEFAULT_TOL_BREAKDOWN = 1e-30
-DEFAULT_TOL_PIVOT = 1e-14
+#: A Krylov lane breaks down once |rho| falls below this times ||b||^2.
+TOL_BREAKDOWN = 1e-30
+#: LU rejects a pivot of at most this times its column's largest magnitude.
+TOL_PIVOT = 1e-14
 
 STOP_ITERATION = "iteration"
 STOP_RESIDUAL = "residual_norm"
@@ -131,20 +132,18 @@ def _diagonal_positions(row_ids: np.ndarray, col_idxs: np.ndarray, rows: int) ->
 # --- dense LU ----------------------------------------------------------------
 
 
-def lu_factorize(a, tol_pivot: float = DEFAULT_TOL_PIVOT):
+def lu_factorize(a):
     """Dense LU factorization with partial pivoting: A[perm] == L @ U.
 
     Intended for desk-scale systems; the input is densified and the
-    elimination runs on the host.
+    elimination runs on the host.  At step k the chosen pivot must exceed
+    ``TOL_PIVOT`` times the largest magnitude the original column k
+    contained, otherwise the matrix is declared singular.
 
     Parameters
     ----------
     a : Csr or array_like
         Square matrix to factorize.
-    tol_pivot : float
-        Acceptance threshold coefficient.  At step k the chosen pivot must
-        exceed ``tol_pivot`` times the largest magnitude the original column
-        k contained, otherwise the matrix is declared singular.
 
     Returns
     -------
@@ -168,7 +167,7 @@ def lu_factorize(a, tol_pivot: float = DEFAULT_TOL_PIVOT):
     perm = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[p, k]) <= tol_pivot * col_scale[k]:
+        if abs(m[p, k]) <= TOL_PIVOT * col_scale[k]:
             raise SingularMatrixError(f"no acceptable pivot in column {k}")
         if p != k:
             m[[k, p], :] = m[[p, k], :]
@@ -212,18 +211,12 @@ class SolverFactory:
         ``"jacobi"`` or None.  Ignored by ``lu`` and ``gmres_lu``.
     restart : int
         GMRES restart length.
-    tol_breakdown : float
-        Scale factor for the Krylov breakdown guards.
-    tol_pivot : float
-        Pivot acceptance coefficient for the LU-based algorithms.
     """
 
     algorithm: str
     criteria: Sequence[StoppingCriterion] = ()
     preconditioner: Optional[str] = None
     restart: int = DEFAULT_RESTART
-    tol_breakdown: float = DEFAULT_TOL_BREAKDOWN
-    tol_pivot: float = DEFAULT_TOL_PIVOT
 
     def generate(self, a: Csr) -> "Solver":
         """Bind this configuration to a system matrix."""
@@ -275,7 +268,7 @@ class Solver(LinOp):
         """Pick the lane block and build what the matrix values determine."""
         factory, lu, self._invd = self._factory, None, None
         if factory.algorithm in ("lu", "gmres_lu"):
-            lu = lu_factorize(self._a, factory.tol_pivot)
+            lu = lu_factorize(self._a)
         elif factory.preconditioner == "jacobi":
             self._invd = 1.0 / extract_diagonal(self._a)
         if factory.algorithm == "lu":
@@ -346,8 +339,8 @@ class Solver(LinOp):
         xv[...] = x.view2d().T
         invd = None if self._invd is None else np.broadcast_to(self._invd, (cols, n))
         monitor = callback and (lambda k, lanes: callback(k, math.hypot(*lanes.residual_norms())))
-        r0, message = self._block(apply, None, bv, xv, self._criteria, invd, None,
-                                  self._factory.tol_breakdown, out, work, monitor)
+        r0, message = self._block(apply, None, bv, xv, self._criteria, invd, None, out, work,
+                                  monitor)
         x.view2d()[...] = xv.T
         iterations, finals, reasons = (a.tolist() for a in out)  # Python scalars are cheaper
         reason = next((r for r in reasons if r not in _CONVERGED), reasons[0])
@@ -360,11 +353,6 @@ class Solver(LinOp):
 
     def _apply(self, b: Dense, x: Dense) -> None:
         self._solve(b, x, None)
-
-    def _advanced_apply(self, alpha: float, b: Dense, beta: float, x: Dense) -> None:
-        y = Dense.create(self.executor, x.size)
-        self._solve(b, y, None)
-        dispatch(self.executor, "waxpby")(x.view2d(), alpha, y.view2d(), beta, x.view2d())
 
 
 # --- algorithm internals -------------------------------------------------------
@@ -446,18 +434,19 @@ class _Lanes:
     ``_ids`` maps rows to block slots (None while they agree).  A lane that
     stops leaves its x to ``xv`` and its report to ``out`` = (iterations,
     final norms, reasons) at once, but keeps its row, marked dead in ``live``
-    (None while every row held is live).  Its later arithmetic is discarded,
-    and may overflow or divide by zero (see :func:`_quiet`).  Only when the
-    live lanes fall to half the rows held does :meth:`stop` compact them, one
-    ``take`` per array: the rows held never exceed twice the live ones, and
-    all compactions together copy fewer rows than the block has lanes.  Work
-    arrays named in ``scratch`` (the first takes A x at set-up) carry nothing
-    across a compaction, which truncates them.  ``invd`` is each lane's
-    inverse diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
-    ``monitor(k, lanes)`` sees every residual."""
+    (None while every row held is live), so no array changes shape within an
+    iteration.  Its later arithmetic is discarded, and may overflow or divide
+    by zero (see :func:`_quiet`).  Only at the end of :meth:`check`, once the
+    live lanes are down to half the rows held, are they compacted, one
+    ``take`` per array: after a check the rows held are fewer than twice the
+    live ones, and all compactions together copy fewer rows than the block
+    has lanes.  Work arrays named in ``scratch`` (the first takes A x at
+    set-up) carry nothing across a check, which truncates them.  ``invd`` is
+    each lane's inverse diagonal for Jacobi, or None; lanes in ``singular``
+    stop at once.  ``monitor(k, lanes)`` sees every residual."""
 
-    def __init__(self, apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out,
-                 work, state, scratch, monitor):
+    def __init__(self, apply, vals, bv, xv, criteria, invd, singular, out, work, state, scratch,
+                 monitor):
         self._out, self._ids, self._scratch, self._monitor = (xv, *out), None, scratch, monitor
         self._work, self.message = work, None
         self.count = self.held = xv.shape[0]
@@ -471,7 +460,7 @@ class _Lanes:
         self.measure()
         self._r0 = self.rk  # rk is replaced, never written in place
         self.target, self.cap = _targets(criteria, self._r0)
-        self.bd_tol = tol_breakdown * _rowdot(bv, bv)
+        self.bd_tol = TOL_BREAKDOWN * _rowdot(bv, bv)
         if singular is not None:
             self.stop(singular, 0, STOP_SINGULAR_PRECONDITIONER)
         self.check(0)
@@ -485,14 +474,16 @@ class _Lanes:
         """``mask`` (over the rows held) without the dead rows."""
         return mask if self.live is None else mask & self.live
 
-    def stop(self, mask, k, reason, *temps):
-        """Stop the live lanes in ``mask`` after ``k`` iterations; returns ``temps``
-        compacted alike when the rows are."""
+    def stop(self, mask, k, reason, message=None) -> None:
+        """Stop the live lanes in ``mask`` after ``k`` iterations: record their
+        results and mark their rows dead.  ``message`` explains a breakdown; the
+        first one is kept."""
         if self.live is not None:  # live_only, inlined for one-lane solves' sake
             mask = mask & self.live
         stopping = np.count_nonzero(mask) if self.count else 0  # cheaper than mask.any()
         if not stopping:
-            return temps
+            return
+        self.message = self.message or message
         xv, iters, finals, reasons = self._out
         rows = mask if stopping < self.held else slice(None)
         gone = rows if self._ids is None else self._ids[rows]
@@ -501,16 +492,25 @@ class _Lanes:
         finals[gone], iters[gone], reasons[gone] = self.rk[rows], k, reason
         self.count -= stopping
         if not self.count:
-            return temps
+            return
         if self.live is None:
             self.live = ~mask
         else:
             self.live[mask] = False
-        if 2 * self.count > self.held:
-            if self.x is xv:  # the dead rows' arithmetic must not reach the results
-                self.x = _buffer(self._work, "x_lanes", xv.shape)
-                np.copyto(self.x, xv)
-            return temps
+        if self.x is xv:  # the dead rows' arithmetic must not reach the results
+            self.x = _buffer(self._work, "x_lanes", xv.shape)
+            np.copyto(self.x, xv)
+
+    def check(self, k) -> None:
+        """Show iteration ``k`` to the monitor, stop lanes by the criteria, and
+        compact the rows held once the live lanes are down to half of them."""
+        if self._monitor:
+            self._monitor(k, self)
+        self.stop(self.rk <= self.target, k, STOP_RESIDUAL)
+        if self.count and self.cap is not None and k >= self.cap:
+            self.stop(np.ones(self.held, dtype=bool), k, STOP_ITERATION)
+        if not self.count or 2 * self.count > self.held:
+            return
         keep = np.flatnonzero(self.live)
         self._ids = keep if self._ids is None else self._ids[keep]
         self.held, self.live = self.count, None
@@ -520,24 +520,6 @@ class _Lanes:
                 value = getattr(self, name)
                 setattr(self, name, value[: self.count] if name in self._scratch
                         else value.take(keep, axis=0))
-        return tuple(t.take(keep, axis=0) for t in temps)
-
-    def fail(self, mask, k, message, *temps):
-        """:meth:`stop` live lanes in ``mask`` as broken down, keeping the first message."""
-        if self.live is not None:
-            mask = mask & self.live
-        if not (self.count and np.count_nonzero(mask)):
-            return temps
-        self.message = self.message or message
-        return self.stop(mask, k, STOP_BREAKDOWN, *temps)
-
-    def check(self, k) -> None:
-        """Show iteration ``k`` to the monitor, then stop lanes by the criteria."""
-        if self._monitor:
-            self._monitor(k, self)
-        self.stop(self.rk <= self.target, k, STOP_RESIDUAL)
-        if self.count and self.cap is not None and k >= self.cap:
-            self.stop(np.ones(self.held, dtype=bool), k, STOP_ITERATION)
 
     def residual_norms(self) -> np.ndarray:
         """Each lane's residual norm: its current one if live, else its final one."""
@@ -549,13 +531,13 @@ class _Lanes:
 
 
 def _quiet(block):
-    """``block`` run with floating-point errors ignored when it holds three lanes
+    """``block`` run with floating-point errors ignored when it holds two lanes
     or more: a dead row's discarded arithmetic may overflow or divide by zero
-    (one or two lanes never hold a dead row, and keep numpy's error state)."""
+    (one lane never holds a dead row, and keeps numpy's error state)."""
 
     @functools.wraps(block)
     def run(apply, vals, bv, xv, *args, **kwargs):
-        if xv.shape[0] < 3:
+        if xv.shape[0] < 2:
             return block(apply, vals, bv, xv, *args, **kwargs)
         with np.errstate(all="ignore"):
             return block(apply, vals, bv, xv, *args, **kwargs)
@@ -564,13 +546,12 @@ def _quiet(block):
 
 
 @_quiet
-def _cg_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
-              monitor=None):
+def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None):
     """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane, with
     :class:`_Lanes`' arguments.  Returns every lane's initial residual norm and
     the first breakdown's message (or None)."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
-                   ("p",), ("q",), monitor)
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, work, ("p",), ("q",),
+                   monitor)
     z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
     np.copyto(lanes.p, z)
     lanes.rho = lanes.rr if invd is None else _rowdot(lanes.r, z)
@@ -579,15 +560,15 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out,
         k += 1
         apply(lanes.vals, lanes.p, lanes.q)
         pq = _rowdot(lanes.p, lanes.q)
-        q, pq = lanes.fail(np.abs(lanes.rho) < lanes.bd_tol, k - 1,
-                           "cg: rho fell below the breakdown tolerance", lanes.q, pq)
-        q, pq = lanes.fail((pq == 0.0) | ~np.isfinite(pq), k - 1,
-                           "cg: search direction lost conjugacy (p . Ap degenerate)", q, pq)
+        lanes.stop(np.abs(lanes.rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
+                   "cg: rho fell below the breakdown tolerance")
+        lanes.stop((pq == 0.0) | ~np.isfinite(pq), k - 1, STOP_BREAKDOWN,
+                   "cg: search direction lost conjugacy (p . Ap degenerate)")
         if not lanes.count:
             break
         alpha = (lanes.rho / pq)[:, None]
-        lanes.r -= np.multiply(alpha, q, out=q)
-        lanes.x += np.multiply(alpha, lanes.p, out=q)  # q is free now, and z is kept in it
+        lanes.r -= np.multiply(alpha, lanes.q, out=lanes.q)
+        lanes.x += np.multiply(alpha, lanes.p, out=lanes.q)  # q is free now, and z is kept in it
         lanes.measure()
         lanes.check(k)
         if not lanes.count:
@@ -603,12 +584,11 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out,
 
 
 @_quiet
-def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
-                    monitor=None):
+def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None):
     """Preconditioned BiCGStab (van der Vorst) on every lane, like :func:`_cg_block`.
     A lane that meets its criteria on ||s|| takes the half update only, which
     saves work and avoids dividing by a vanishing t.t."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, work,
                    ("rhat", "p", "v"), ("s", "t", "phat", "shat"), monitor)
     np.copyto(lanes.rhat, lanes.r)
     lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.held) for _ in range(3))
@@ -616,9 +596,9 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
     while lanes.count:
         k += 1
         rho = _rowdot(lanes.rhat, lanes.r)
-        (rho,) = lanes.fail(np.abs(rho) < lanes.bd_tol, k - 1,
-                            "bicgstab: rho fell below the breakdown tolerance", rho)
-        (rho,) = lanes.fail(lanes.omega == 0.0, k - 1, "bicgstab: omega collapsed to zero", rho)
+        lanes.stop(np.abs(rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
+                   "bicgstab: rho fell below the breakdown tolerance")
+        lanes.stop(lanes.omega == 0.0, k - 1, STOP_BREAKDOWN, "bicgstab: omega collapsed to zero")
         if not lanes.count:
             break
         if k == 1:
@@ -635,8 +615,8 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
         phat = lanes.p if invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
         apply(lanes.vals, phat, lanes.v)
         rhat_v = _rowdot(lanes.rhat, lanes.v)
-        phat, rhat_v = lanes.fail((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1,
-                                  "bicgstab: rhat . A p degenerate", phat, rhat_v)
+        lanes.stop((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1, STOP_BREAKDOWN,
+                   "bicgstab: rhat . A p degenerate")
         if not lanes.count:
             break
         lanes.alpha = lanes.rho / rhat_v
@@ -649,15 +629,15 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
             lanes.rk = np.where(half, s_norm, lanes.rk)
             if monitor and np.count_nonzero(half) == lanes.count:
                 monitor(k, lanes)
-            phat, s = lanes.stop(half, k, STOP_RESIDUAL, phat, s)
+            lanes.stop(half, k, STOP_RESIDUAL)
             if not lanes.count:
                 break
         shat = s if invd is None else np.multiply(s, lanes.invd, out=lanes.shat)
         apply(lanes.vals, shat, lanes.t)
-        tt = _rowdot(lanes.t, lanes.t)
-        phat, s, shat, t, tt = lanes.fail((tt == 0.0) | ~np.isfinite(tt), k - 1,
-                                          "bicgstab: stabilization direction vanished",
-                                          phat, s, shat, lanes.t, tt)
+        t = lanes.t
+        tt = _rowdot(t, t)
+        lanes.stop((tt == 0.0) | ~np.isfinite(tt), k - 1, STOP_BREAKDOWN,
+                   "bicgstab: stabilization direction vanished")
         if not lanes.count:
             break
         # x += alpha phat + omega shat, r = s - omega t (t is free once r is; shat may be s)
@@ -674,8 +654,8 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown
 
 
 @_quiet
-def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
-                 monitor=None, restart=DEFAULT_RESTART, lu=None):
+def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None,
+                 restart=DEFAULT_RESTART, lu=None):
     """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
     by ``invd`` (Jacobi), the ``lu`` factors or nothing.
 
@@ -686,8 +666,8 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, o
     calls.  A lane's x takes the update M^-1 V y when it stops and at every
     restart, where its true residual replaces the estimate.  One iteration is
     one Krylov vector, counted across restarts."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
-                   (), ("w", "z"), monitor)
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, work, (), ("w", "z"),
+                   monitor)
     (m, n), held = xv.shape, lanes.held
     lanes.b = bv if lanes._ids is None else bv[lanes._ids]
     lanes.basis = _buffer(work, "basis", (m, restart + 1, n))[:held]
@@ -727,10 +707,8 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, o
             col = _einsum("ijk,ik->ij", lanes.rot[:, : j + 1, : j + 1], h)
             denom = np.hypot(col[:, j], h_next)
             lanes.rk = lanes.beta  # x is the cycle's start for every live lane
-            w, h_next, col, denom = lanes.fail(
-                (denom == 0.0) | ~np.isfinite(denom), k - 1,
-                "gmres: Hessenberg column degenerate (zero or not finite)",
-                w, h_next, col, denom)
+            lanes.stop((denom == 0.0) | ~np.isfinite(denom), k - 1, STOP_BREAKDOWN,
+                       "gmres: Hessenberg column degenerate (zero or not finite)")
             if not lanes.count:
                 break
             np.divide(w, h_next[:, None], out=lanes.basis[:, j + 1], where=h_next[:, None] != 0.0)
@@ -767,8 +745,8 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, o
     return lanes._r0, lanes.message
 
 
-def _lu_block(apply, vals, bv, xv, criteria, invd, singular, tol_breakdown, out, work,
-              monitor=None, lu=None):
+def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None,
+              lu=None):
     """Dense LU on every lane at once, with :func:`_cg_block`'s arguments (the
     factors in ``lu``; criteria, preconditioner and monitor play no part)."""
     r = _buffer(work, "r", xv.shape)

@@ -276,8 +276,11 @@ class TestDeadLanes:
         real_stop, stops, dead = solver._Lanes.stop, {}, []
 
         def spying_stop(lanes, *args):
-            """Record each system's x when it stops, and how many dead rows stay."""
+            """Record each system's x when it stops, and how many dead rows stay;
+            a stop never compacts (only ``check`` does)."""
+            held = lanes.held
             result = real_stop(lanes, *args)
+            assert lanes.held == held
             xv, _, _, reasons = lanes._out
             for slot in np.flatnonzero(np.not_equal(reasons, None)):
                 stops.setdefault(slot, xv[slot].copy())
@@ -364,6 +367,25 @@ class TestSharedStorage:
         for batch, x in zip((a, BatchCsr.from_template(ref, 3, full_pattern(3), expected)), xs):
             batch_solve("bicgstab", batch, BatchDense.from_values(ref, b), x, CRITERIA)
         assert np.array_equal(xs[0].values.view(np.uint64), xs[1].values.view(np.uint64))
+
+    def test_fortran_ordered_values_run_the_compiled_body(self, ref, rng, monkeypatch):
+        """The constructor makes a Fortran-ordered value block C-contiguous, so
+        every SpMV of its solve is compiled, with the C-ordered block's bits."""
+        spy = use_spmv_body(monkeypatch, "compiled")
+        stack, bv = mixed_exit_batch(rng)
+        num, n, _ = stack.shape
+        rp, ci = np.arange(0, n * n + 1, n), np.tile(np.arange(n), n)
+        block = stack.reshape(num, n * n)
+        solves = []
+        for values in (block, np.asfortranarray(block)):
+            a = BatchCsr(ref, num, (n, n), rp, ci, values)
+            x = BatchDense.zeros(ref, num, (n, 1))
+            spy.calls = 0
+            batch_solve("bicgstab", a, BatchDense.from_values(ref, bv), x, MIXED_CRITERIA, "jacobi")
+            assert_compiled_ran(spy)
+            solves.append((spy.calls, x.values.view(np.uint64)))
+        assert solves[0][0] == solves[1][0]
+        assert np.array_equal(solves[0][1], solves[1][1])
 
     def test_extract_bounds(self, ref, rng):
         a = build_batch(ref, np.stack([random_spd_dense(rng, 3)]))

@@ -35,12 +35,17 @@ from linopkit.facade import AppVector
 from linopkit.kernels import REDUCTION_TILE
 from linopkit.linop import Csr, Dense
 
-from helpers import COMPILED_SPMV, csr_from_numpy, random_spd_dense, use_spmv_body
+from helpers import (
+    COMPILED_SPMV,
+    csr_from_numpy,
+    dense_from_numpy,
+    random_spd_dense,
+    use_spmv_body,
+)
 
 ALL_KERNELS = (
     "fill", "copy", "scale", "axpy", "aypx", "waxpby", "diag_scale",
-    "dot", "norm2", "spmv", "spmv_advanced",
-    "dense_apply", "dense_apply_advanced", "run_partitioned",
+    "dot", "norm2", "spmv", "dense_apply", "run_partitioned",
 )
 
 
@@ -220,13 +225,7 @@ class TestBackendEquivalence:
             "dot": lambda e, out: dispatch(e, "dot")(out, out),
             "norm2": lambda e, out: dispatch(e, "norm2")(out),
             "spmv": lambda e, out: dispatch(e, "spmv")(rp, ids, ids, y[:, 0].copy(), y, out),
-            "spmv_advanced": lambda e, out: dispatch(e, "spmv_advanced")(
-                rp, ids, ids, y[:, 0].copy(), 2.0, y, 0.5, out
-            ),
             "dense_apply": lambda e, out: dispatch(e, "dense_apply")(a.T, out, np.zeros((n // 100, 2))),
-            "dense_apply_advanced": lambda e, out: dispatch(e, "dense_apply_advanced")(
-                a.T, 2.0, out, 0.5, np.zeros((n // 100, 2))
-            ),
         })
         assert set(cases) == set(ALL_KERNELS) - {"run_partitioned"}
         for name, run in cases.items():
@@ -278,12 +277,17 @@ class TestBackendEquivalence:
         a = _rand(rng, (40, 30))
         b = _rand(rng, (30, 3))
         out0 = _rand(rng, (40, 3))
+
+        def advanced(alpha, beta):
+            def run(e, out):  # Dense.advanced_apply straight into ``out``
+                x = Dense.from_array(e, out.shape, array_view(e, out.size, out.reshape(-1)))
+                dense_from_numpy(e, a).advanced_apply(alpha, dense_from_numpy(e, b), beta, x)
+            return run
+
         calls = (
             (lambda e, out: dispatch(e, "dense_apply")(a, b, out), a @ b),
-            (lambda e, out: dispatch(e, "dense_apply_advanced")(a, -0.75, b, 0.0, out),
-             -0.75 * (a @ b)),
-            (lambda e, out: dispatch(e, "dense_apply_advanced")(a, 2.5, b, -1.25, out),
-             2.5 * (a @ b) - 1.25 * out0),
+            (advanced(-0.75, 0.0), -0.75 * (a @ b)),
+            (advanced(2.5, -1.25), 2.5 * (a @ b) - 1.25 * out0),
         )
         for i, (run, formula) in enumerate(calls):
             expected = out0.copy()
@@ -322,9 +326,9 @@ def _same_bits(x, y):
 
 
 class TestSpmvKernel:
-    """``spmv`` and ``spmv_advanced`` equal the bincount formula bit for bit on
-    both SpMV bodies, both kinds and every worker count, including empty rows
-    next to where a row split would fall.
+    """``spmv``, and ``Csr.advanced_apply`` through it, equal the bincount
+    formula bit for bit on both SpMV bodies, both kinds and every worker
+    count, including empty rows next to where a row split would fall.
 
     The compiled body runs only on a pattern a Csr checked and froze; raw
     index arrays, writable or not, take the numpy body under either choice.
@@ -353,30 +357,34 @@ class TestSpmvKernel:
         return row_ptrs, row_ids, col_idxs, values
 
     def _b(self, rng, k, layout):
+        """``b`` as a Dense, compact or read-only with padded rows."""
         b = rng.normal(size=(self.COLS, k))
         b[rng.choice(self.COLS, size=40, replace=False), 0] = -0.0
         b[rng.choice(self.COLS, size=3, replace=False), k - 1] = np.inf
         b[rng.choice(self.COLS, size=3, replace=False), 0] = np.nan
-        if layout == "contiguous":
-            return b
-        vec = AppVector.from_values(b, stride=k + 2)
         ref = executor_from_name("reference")
+        if layout == "contiguous":
+            return dense_from_numpy(ref, b)
+        vec = AppVector.from_values(b, stride=k + 2)
         arr = array_view(ref, vec.total_size(), vec.data(), const=True)
-        view = Dense.create_const(ref, Dim(self.COLS, k), arr, stride=vec.stride).view2d()
-        assert not view.flags.writeable and not view.flags.c_contiguous
-        return view
+        dense = Dense.create_const(ref, Dim(self.COLS, k), arr, stride=vec.stride)
+        assert not dense.view2d().flags.writeable and not dense.view2d().flags.c_contiguous
+        return dense
 
     def _out(self, k, strided, init):
-        """An output block holding ``init``, compact or with padded rows."""
-        out = np.full((self.ROWS, k + 2), np.nan)[:, :k] if strided else np.empty((self.ROWS, k))
-        out[...] = init
-        assert out.flags.c_contiguous != strided
+        """An output Dense holding ``init``, compact or with NaN-padded rows."""
+        out = Dense.create(executor_from_name("reference"), (self.ROWS, k),
+                           stride=k + 2 if strided else k)
+        out.values.numpy()[...] = np.nan
+        out.view2d()[...] = init
+        assert out.view2d().flags.c_contiguous != strided
         return out
 
     @pytest.mark.parametrize("k, layout", [(1, "contiguous"), (3, "contiguous"), (3, "padded_const")])
     def test_bitwise_equal_to_bincount_formula(self, rng, monkeypatch, k, layout):
         row_ptrs, row_ids, col_idxs, values = self._matrix(rng)
-        b = self._b(rng, k, layout)
+        bd = self._b(rng, k, layout)
+        b = bd.view2d()
         s = _bincount_spmv(row_ptrs, row_ids, col_idxs, values, b)
         assert np.isnan(s).any() and np.isinf(s).any() and (s == 0.0).any()
         out0 = rng.normal(size=(self.ROWS, k))
@@ -399,11 +407,13 @@ class TestSpmvKernel:
                 self.EXECUTORS, patterns.items(), (False, True)
             ):
                 where = (body, name, workers, pattern, strided)
-                args = (rp, row_ids, cols, values)
                 exec_ = executor_from_name(name, workers)
                 out = self._out(k, strided, np.nan)
-                dispatch(exec_, "spmv")(*args, b, out)
-                assert _same_bits(out, s), where
+                dispatch(exec_, "spmv")(rp, row_ids, cols, values, b, out.view2d())
+                assert _same_bits(out.view2d(), s), where
+                # a Csr over these very arrays: only the checked ones run compiled
+                matrix = Csr(exec_, (self.ROWS, self.COLS),
+                             *(array_view(exec_, len(v), v) for v in (rp, cols, values)))
                 for alpha, beta in ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25)):
                     if beta == 0.0:
                         out = self._out(k, strided, np.nan)
@@ -411,8 +421,9 @@ class TestSpmvKernel:
                     else:
                         out = self._out(k, strided, out0)
                         expected = alpha * s + beta * out0
-                    dispatch(exec_, "spmv_advanced")(*args, alpha, b, beta, out)
-                    assert _same_bits(out, expected), (*where, alpha, beta)
+                    matrix.advanced_apply(alpha, bd, beta, out)
+                    assert _same_bits(out.view2d(), expected), (*where, alpha, beta)
+                    assert np.isnan(out.values.numpy().reshape(self.ROWS, -1)[:, k:]).all()
                 checked_calls += 4 if pattern == "checked" else 0
             if spy is not None:
                 assert spy.calls == checked_calls
@@ -428,11 +439,8 @@ class TestSpmvKernel:
             v = b0.copy()
             dispatch(exec_, "spmv")(*args, v, v)
             assert _same_bits(v, _bincount_spmv(*args, b0))
-            v = b0.copy()
-            dispatch(exec_, "spmv_advanced")(*args, 0.5, v, -2.0, v)
-            assert _same_bits(v, 0.5 * _bincount_spmv(*args, b0) + -2.0 * b0)
         if spmv_body is not None:
-            assert spmv_body.calls == 4
+            assert spmv_body.calls == 2
 
 
 class _RowLoop:

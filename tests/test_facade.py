@@ -66,17 +66,6 @@ class TestAppVector:
         with pytest.raises(InvalidArgumentError, match="2 elements"):
             AppVector(2, 1, data=np.zeros(3))
 
-    def test_arithmetic_matches_numpy_and_skips_padding(self):
-        v = AppVector.from_values([1.0, 2.0, 3.0], stride=2)
-        w = AppVector.from_values([4.0, 5.0, 6.0], stride=2)
-        pad_before = v.data()[1::2].copy()
-        v.scale(2.0)
-        v.add_scaled(1.0, w)
-        assert np.array_equal(v.to_array(), [6.0, 9.0, 12.0])
-        assert v.dot(w) == pytest.approx(6 * 4 + 9 * 5 + 12 * 6)
-        assert w.norm2() == pytest.approx(np.linalg.norm([4.0, 5.0, 6.0]))
-        assert np.array_equal(v.data()[1::2], pad_before)
-
 
 class TestAppMatrix:
     def test_iterates_every_entry_once(self):

@@ -356,10 +356,6 @@ class TestPatternSafety:
         for pattern in ((rp, ci), (frozen_rp, frozen_ci), checked_pattern):
             with pytest.raises(IndexError):
                 dispatch(ref, "spmv")(pattern[0], row_ids, pattern[1], vals, np.ones((3, 1)), out)
-            with pytest.raises(IndexError):
-                dispatch(ref, "spmv_advanced")(
-                    pattern[0], row_ids, pattern[1], vals, 1.0, np.ones((3, 1)), 0.0, out
-                )
         # a checked row_ptrs [0, 1, 2, 4] passed as column indices, 4 >= b.rows
         four = Csr.from_arrays(ref, (3, 3), [0, 1, 2, 4], [0, 1, 0, 2], np.ones(4))
         with pytest.raises(IndexError):

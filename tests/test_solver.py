@@ -367,6 +367,9 @@ class TestSolverAsOperator:
         x = dense_from_numpy(ref, [1.0, 1.0])
         solver.advanced_apply(2.0, b, 3.0, x)  # 2 * [1,1] + 3 * [1,1]
         assert np.allclose(x.view2d()[:, 0], [5.0, 5.0], rtol=1e-12)
+        x = dense_from_numpy(ref, [np.nan, np.inf])
+        solver.advanced_apply(2.0, b, 0.0, x)  # beta = 0 ignores x, as for matrices
+        assert np.allclose(x.view2d()[:, 0], [2.0, 2.0], rtol=1e-12)
 
     def test_solver_preconditions_another_solver(self, ref, rng):
         # an operator-valued sanity check: x = S(b) with S a solver behaves
@@ -525,11 +528,6 @@ class _Laplacian1D(LinOp):
         out[:-1] -= v[1:]
         x.view2d()[...] = out
 
-    def _advanced_apply(self, alpha, b, beta, x):
-        t = Dense.create(self.executor, x.size)
-        self._apply(b, t)
-        x.view2d()[...] = alpha * t.view2d() + beta * x.view2d()
-
 
 @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
 def test_matrix_free_operator_solves_two_columns(ref, rng, algorithm):
@@ -545,6 +543,9 @@ def test_matrix_free_operator_solves_two_columns(ref, rng, algorithm):
     for j in range(2):
         assert relative_residual(dense, x.view2d()[:, j], bmat[:, j]) <= 1e-10
     assert set(op.columns_applied) == {1}  # one column per call, through its own apply
+    y = dense_from_numpy(ref, bmat)
+    op.advanced_apply(0.5, x, -1.0, y)  # LinOp's own advanced apply: 0.5 A x - b
+    assert np.allclose(y.view2d(), -0.5 * bmat, atol=1e-9)
 
 
 @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres", "lu", "gmres_lu"])
