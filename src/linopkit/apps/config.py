@@ -7,26 +7,13 @@ given on the command line win over the file, which wins over the defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import ConfigurationError, ParseError
 from ..executor import EXECUTOR_NAMES
 from ..facade import VALID_ALGORITHMS, VALID_PRECONDITIONERS
-
-#: config-file key -> RunConfig field
-FILE_KEYS = {
-    "backend": "backend",
-    "matrix": "matrix",
-    "solver": "solver",
-    "preconditioner": "preconditioner",
-    "maxiters": "max_iters",
-    "reductionfactor": "reduction_factor",
-    "restart": "restart",
-    "rhs": "rhs",
-    "output": "output",
-}
 
 _INT_FIELDS = ("max_iters", "restart")
 _FLOAT_FIELDS = ("reduction_factor",)
@@ -43,6 +30,10 @@ class RunConfig:
     restart: int = 30
     rhs: str = "ones"
     output: str | None = None
+
+
+#: config-file key -> RunConfig field
+FILE_KEYS = {f.name.replace("_", ""): f.name for f in fields(RunConfig)}
 
 
 def load_config_file(path) -> dict:

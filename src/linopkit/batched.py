@@ -292,7 +292,7 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
             vals = a.values[g]
             invd, singular = _jacobi(vals, diag_pos) if jacobi else (None, None)
             block(spmv, vals, bvals[g], xvals[g], criteria, invd, singular,
-                  (iters[g], finals[g], reasons[g]), None)
+                  (iters[g], finals[g], reasons[g]))
 
     dispatch(a.executor, "run_partitioned")(num, body)
     return BatchSolveReport(iters, finals, reasons == STOP_RESIDUAL, list(reasons))

@@ -191,9 +191,15 @@ class BackendSolver(AbstractSolver):
         return self._solver.solve(gb, gx, callback=self.iteration_callback)
 
     def update_matrix_values(self, values) -> None:
-        """values follow the converted pattern: row-major, columns sorted."""
+        """values follow the converted pattern: row-major, columns sorted.  Values
+        the solver rejects (a zero diagonal for Jacobi, say) are undone."""
+        previous = self._matrix.get_values(const=True).numpy().copy()
         self._matrix.update_values(values)
-        self._solver.refresh()
+        try:
+            self._solver.refresh()
+        except BaseException:  # whatever stopped the refresh, the old values stand
+            self._matrix.update_values(previous)
+            raise
 
 
 def _validate_options(options: SolverOptions) -> None:

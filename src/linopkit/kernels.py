@@ -352,9 +352,9 @@ def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int, lanes: 
 
 def _block_may_run(block: BlockPattern, vals, xb, out) -> bool:
     """True when the compiled loop may run operands of fitting shapes on ``block``:
-    its own arrays bound every index the loop reads, so only the lane count
-    and the operands' dtype and layout are checked, in O(1)."""
-    return (block.checked and xb.shape[0] <= block.lanes
+    its own arrays bound every index the loop reads, so only the operands'
+    dtype and layout are checked, in O(1)."""
+    return (block.checked
             and vals.dtype is xb.dtype is out.dtype is _F64
             and vals.flags.c_contiguous and xb.flags.c_contiguous and out.flags.c_contiguous)
 
@@ -363,14 +363,16 @@ def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.nd
     """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``; returns ``out``.
 
     ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``;
-    ``out`` must not overlap ``xb``.  The compiled loop runs when
-    :func:`_block_may_run` allows it, the numpy body otherwise, on at most
-    ``block.lanes`` lanes at a time; both give the numpy body's bits.
+    ``out`` must not overlap ``xb``, and there may be at most ``block.lanes``
+    lanes.  The compiled loop runs when :func:`_block_may_run` allows it, the
+    numpy body otherwise; both give the numpy body's bits.
     """
     k, rows, nnz = xb.shape[0], block.rows, block.nnz
-    if vals.shape != (k, nnz) or xb.shape != (k, block.cols) or out.shape != (k, rows):
+    if (k > block.lanes or vals.shape != (k, nnz) or xb.shape != (k, block.cols)
+            or out.shape != (k, rows)):
         raise DimensionError(f"values {vals.shape}, x {xb.shape} and out {out.shape} do not "
-                             f"fit {rows} x {block.cols} systems of {nnz} entries")
+                             f"fit up to {block.lanes} {rows} x {block.cols} systems of "
+                             f"{nnz} entries")
     tools = _SPARSETOOLS
     if tools is not None and _block_may_run(block, vals, xb, out):
         out.fill(0.0)
@@ -380,14 +382,11 @@ def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.nd
         return out
     if block._row_ids is None:  # workers that race here build equal arrays
         block._row_ids = np.repeat(np.arange(block.lanes * rows), np.diff(block._row_ptrs))
-    for lo in range(0, k, block.lanes):
-        m = min(block.lanes, k - lo)
-        y = out[lo:lo + m].reshape(-1, 1)  # a view of out when it is C-contiguous
-        _spmv_numpy(block._row_ptrs[: m * rows + 1], block._row_ids[: m * nnz],
-                    block._col_idxs[: m * nnz], vals[lo:lo + m].reshape(-1),
-                    xb[lo:lo + m].reshape(-1, 1), y)
-        if not np.may_share_memory(y, out):
-            out[lo:lo + m] = y.reshape(m, rows)
+    y = out.reshape(-1, 1)  # a view of out when it is C-contiguous
+    _spmv_numpy(block._row_ptrs[: k * rows + 1], block._row_ids[: k * nnz],
+                block._col_idxs[: k * nnz], vals.reshape(-1), xb.reshape(-1, 1), y)
+    if not np.may_share_memory(y, out):
+        out[...] = y.reshape(k, rows)
     return out
 
 

@@ -33,6 +33,7 @@ from .errors import (
     SingularMatrixError,
     SingularPreconditionerError,
 )
+from .executor import dispatch
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
@@ -220,18 +221,9 @@ class SolverFactory:
 
     def generate(self, a: Csr) -> "Solver":
         """Bind this configuration to a system matrix."""
-        if self.algorithm not in ALGORITHMS:
-            raise InvalidArgumentError(
-                f"unknown algorithm '{self.algorithm}'; valid: {', '.join(ALGORITHMS)}"
-            )
         if not isinstance(a, Csr):
             raise InvalidArgumentError("generate expects a Csr system matrix")
-        if a.size.rows != a.size.cols:
-            raise InvalidArgumentError(f"system matrix must be square, got {a.size}")
-        criteria = _checked_options(self.criteria, self.preconditioner)
-        if self.restart < 1:
-            raise InvalidArgumentError(f"restart must be >= 1, got {self.restart}")
-        return Solver(self, a, criteria)
+        return Solver(self, a)
 
 
 def _checked_options(criteria, preconditioner) -> tuple:
@@ -256,27 +248,37 @@ class Solver(LinOp):
     operator position.
     """
 
-    def __init__(self, factory: SolverFactory, a: Csr, criteria):
+    def __init__(self, factory: SolverFactory, a: LinOp):
+        if factory.algorithm not in ALGORITHMS:
+            raise InvalidArgumentError(
+                f"unknown algorithm '{factory.algorithm}'; valid: {', '.join(ALGORITHMS)}"
+            )
+        if a.size.rows != a.size.cols:
+            raise InvalidArgumentError(f"system matrix must be square, got {a.size}")
+        criteria = _checked_options(factory.criteria, factory.preconditioner)
+        if factory.restart < 1:
+            raise InvalidArgumentError(f"restart must be >= 1, got {factory.restart}")
         super().__init__(a.executor, a.size)
         self._factory = factory
         self._a = a
         self._criteria = criteria
-        self._work: dict = {}
+        self._lanes_apply = _lane_apply(a)
         self._setup()
 
     def _setup(self) -> None:
         """Pick the lane block and build what the matrix values determine."""
-        factory, lu, self._invd = self._factory, None, None
+        factory, lu, invd = self._factory, None, None
         if factory.algorithm in ("lu", "gmres_lu"):
             lu = lu_factorize(self._a)
         elif factory.preconditioner == "jacobi":
-            self._invd = 1.0 / extract_diagonal(self._a)
+            invd = 1.0 / extract_diagonal(self._a)
         if factory.algorithm == "lu":
-            self._block = functools.partial(_lu_block, lu=lu)
+            block = functools.partial(_lu_block, lu=lu)
         elif factory.algorithm in ("gmres", "gmres_lu"):
-            self._block = functools.partial(_gmres_block, restart=factory.restart, lu=lu)
+            block = functools.partial(_gmres_block, restart=factory.restart, lu=lu)
         else:
-            self._block = _cg_block if factory.algorithm == "cg" else _bicgstab_block
+            block = _cg_block if factory.algorithm == "cg" else _bicgstab_block
+        self._invd, self._block = invd, block
 
     @property
     def system_matrix(self) -> Csr:
@@ -294,7 +296,8 @@ class Solver(LinOp):
         """Rebuild value-derived state after the matrix values changed.
 
         Refactorizes LU-based solvers and re-extracts the Jacobi diagonal;
-        plain unpreconditioned iterations have nothing to rebuild.
+        plain unpreconditioned iterations have nothing to rebuild.  If that
+        raises, the solver keeps the state it had.
         """
         self._setup()
 
@@ -325,23 +328,16 @@ class Solver(LinOp):
         return self._solve(b, x, callback)
 
     def _solve(self, b: Dense, x: Dense, callback) -> SolveReport:
-        """Columns run as lanes, x in a work array; work arrays, block apply and
-        outputs persist."""
+        """Columns run as lanes over the caller's x, transposed."""
         cols, n = b.size.cols, b.size.rows
         if not cols:
             raise InvalidArgumentError("a solve needs at least one column")
-        if cols not in self._work:
-            work = {}
-            out = (np.zeros(cols, dtype=np.int64), np.zeros(cols), np.empty(cols, dtype=object))
-            self._work[cols] = (work, _lane_apply(self._a, work), out)
-        work, apply, out = self._work[cols]
-        bv, xv = np.ascontiguousarray(b.view2d().T), _buffer(work, "x", (cols, n))
-        xv[...] = x.view2d().T
+        out = (np.zeros(cols, dtype=np.int64), np.zeros(cols), np.empty(cols, dtype=object))
+        bv = np.ascontiguousarray(b.view2d().T)
         invd = None if self._invd is None else np.broadcast_to(self._invd, (cols, n))
         monitor = callback and (lambda k, lanes: callback(k, math.hypot(*lanes.residual_norms())))
-        r0, message = self._block(apply, None, bv, xv, self._criteria, invd, None, out, work,
-                                  monitor)
-        x.view2d()[...] = xv.T
+        r0, message = self._block(self._lanes_apply, None, bv, x.view2d().T, self._criteria, invd,
+                                  None, out, monitor)
         iterations, finals, reasons = (a.tolist() for a in out)  # Python scalars are cheaper
         reason = next((r for r in reasons if r not in _CONVERGED), reasons[0])
         report = SolveReport(max(iterations), math.hypot(*r0.tolist()), math.hypot(*finals),
@@ -360,8 +356,11 @@ class Solver(LinOp):
 # Every algorithm is written once, over lanes: (m, n) arrays whose row l is
 # lane l's vector, for the columns of a Solver's solve or the systems of a
 # batched group.  ``apply(vals, src, dst)`` writes every held lane's operator
-# times ``src`` into ``dst``; ``vals`` holds the lanes' matrix values for a
-# batch, None for a Solver.  Updates run in place, in the textbook formulas'
+# times ``src`` into ``dst``, both C-contiguous lane arrays of the block's
+# own; ``vals`` holds the lanes' matrix values for a batch, None for a Solver.
+# ``xv`` is the caller's storage, lane-major (a Solver passes its x
+# transposed): a block iterates on its own copy and writes each lane's x back
+# when the lane stops.  Updates run in place, in the textbook formulas'
 # operand order, and no lane's arithmetic depends on another's, so a batched
 # system reproduces its single solve bit for bit, and so does a column of a
 # multi-column solve (einsum sums a lone row of over 8,192 entries in chunks,
@@ -372,39 +371,32 @@ class Solver(LinOp):
 _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 
 
-def _lane_apply(a: LinOp, work: dict):
-    """A Solver's block apply: ``a``'s ``apply`` per lane, as an (n, 1) column.
+def _lane_apply(a: LinOp):
+    """A Solver's block apply: ``a`` times each lane, as an (n, 1) column.
 
-    The lanes are vectors the solve checked or the loop sized and owns, so the
-    public method's checks (the alias test above all) are skipped; a subclass
-    that overrides ``apply``, to trace it say, is still called through its
-    override.  The columns of the ``work`` arrays are wrapped once and kept."""
+    A plain ``Csr`` runs its SpMV kernel, bound once, on each lane's row; the
+    rows are C-contiguous, so the compiled body may run.  Any other operator
+    gets each lane wrapped in a ``Dense`` per call and its ``_apply``, or its
+    ``apply`` if a subclass overrides that (to trace it, say).  The lanes are
+    vectors the block owns, so the public method's checks are skipped."""
+    if type(a) is Csr:
+        spmv = functools.partial(dispatch(a.executor, "spmv"), a._row_ptrs.numpy(),
+                                 a._row_ids(), a._col_idxs.numpy(), a._values.numpy())
+
+        def apply(vals, src, dst):
+            for s, d in zip(src, dst):
+                spmv(s[:, None], d[:, None])
+
+        return apply
     op = a._apply if type(a).apply is LinOp.apply else a.apply
-    exec_, views = a.executor, {}  # id(array) -> (array, columns)
-
-    def wrap(arr):
-        n = arr.shape[1]
-        entry = (arr, [Dense.from_array(exec_, (n, 1), array_view(exec_, n, row)) for row in arr])
-        if any(arr is buf for buf in work.values()):
-            views[id(arr)] = entry
-        return entry
+    exec_, n = a.executor, a.size.rows
 
     def apply(vals, src, dst):
-        s, d = views.get(id(src)), views.get(id(dst))
-        if s is None or s[0] is not src:
-            s = wrap(src)
-        if d is None or d[0] is not dst:
-            d = wrap(dst)
-        for sc, dc in zip(s[1], d[1]):
-            op(sc, dc)
+        for s, d in zip(src, dst):
+            op(Dense.from_array(exec_, (n, 1), array_view(exec_, n, s)),
+               Dense.from_array(exec_, (n, 1), array_view(exec_, n, d)))
 
     return apply
-
-
-def _buffer(work, name: str, shape) -> np.ndarray:
-    if work is None:  # nothing to keep: compaction can free what it replaces
-        return np.empty(shape)
-    return work[name] if name in work else work.setdefault(name, np.empty(shape))
 
 
 _einsum = np.einsum.__wrapped__  # see the section comment
@@ -431,31 +423,33 @@ class _Lanes:
     """The lanes of a block, set up from ``xv``, and which of them still iterate.
 
     Public array attributes hold one row per held lane in block order;
-    ``_ids`` maps rows to block slots (None while they agree).  A lane that
-    stops leaves its x to ``xv`` and its report to ``out`` = (iterations,
-    final norms, reasons) at once, but keeps its row, marked dead in ``live``
-    (None while every row held is live), so no array changes shape within an
-    iteration.  Its later arithmetic is discarded, and may overflow or divide
-    by zero (see :func:`_quiet`).  Only at the end of :meth:`check`, once the
-    live lanes are down to half the rows held, are they compacted, one
-    ``take`` per array: after a check the rows held are fewer than twice the
-    live ones, and all compactions together copy fewer rows than the block
-    has lanes.  Work arrays named in ``scratch`` (the first takes A x at
-    set-up) carry nothing across a check, which truncates them.  ``invd`` is
-    each lane's inverse diagonal for Jacobi, or None; lanes in ``singular``
-    stop at once.  ``monitor(k, lanes)`` sees every residual."""
+    ``_ids`` maps rows to block slots (None while they agree); ``x`` starts as
+    a C-contiguous copy of ``xv``.  A lane that stops writes its x into ``xv``
+    and its report into ``out`` = (iterations, final norms, reasons) at once,
+    but keeps its row, marked dead in ``live`` (None while every row held is
+    live), so no array changes shape within an iteration.  Its later
+    arithmetic is discarded, and may overflow or divide by zero (see
+    :func:`_quiet`).  Only at the end of :meth:`check`, once the live lanes
+    are down to half the rows held, are they compacted, one ``take`` per
+    array: after a check the rows held are fewer than twice the live ones,
+    and all compactions together copy fewer rows than the block has lanes.
+    Work arrays named in ``scratch`` (the first takes A x at set-up) carry
+    nothing across a check, which truncates them.  ``invd`` is each lane's
+    inverse diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
+    ``monitor(k, lanes)`` sees every residual."""
 
-    def __init__(self, apply, vals, bv, xv, criteria, invd, singular, out, work, state, scratch,
+    def __init__(self, apply, vals, bv, xv, criteria, invd, singular, out, state, scratch,
                  monitor):
         self._out, self._ids, self._scratch, self._monitor = (xv, *out), None, scratch, monitor
-        self._work, self.message = work, None
+        self.message = None
         self.count = self.held = xv.shape[0]
         self.live = None
-        self.x, self.vals, self.invd = xv, vals, invd
+        # order="C": np.array keeps a transposed view's order, and lane rows must be contiguous
+        self.x, self.vals, self.invd = np.array(xv, order="C"), vals, invd
         for name in ("r",) + state + scratch:
-            setattr(self, name, _buffer(work, name, xv.shape))
+            setattr(self, name, np.empty(xv.shape))
         ax = getattr(self, scratch[0])
-        apply(vals, xv, ax)
+        apply(vals, self.x, ax)
         np.subtract(bv, ax, out=self.r)
         self.measure()
         self._r0 = self.rk  # rk is replaced, never written in place
@@ -487,8 +481,7 @@ class _Lanes:
         xv, iters, finals, reasons = self._out
         rows = mask if stopping < self.held else slice(None)
         gone = rows if self._ids is None else self._ids[rows]
-        if self.x is not xv:
-            xv[gone] = self.x[rows]
+        xv[gone] = self.x[rows]
         finals[gone], iters[gone], reasons[gone] = self.rk[rows], k, reason
         self.count -= stopping
         if not self.count:
@@ -497,9 +490,6 @@ class _Lanes:
             self.live = ~mask
         else:
             self.live[mask] = False
-        if self.x is xv:  # the dead rows' arithmetic must not reach the results
-            self.x = _buffer(self._work, "x_lanes", xv.shape)
-            np.copyto(self.x, xv)
 
     def check(self, k) -> None:
         """Show iteration ``k`` to the monitor, stop lanes by the criteria, and
@@ -546,12 +536,11 @@ def _quiet(block):
 
 
 @_quiet
-def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None):
+def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
     """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane, with
     :class:`_Lanes`' arguments.  Returns every lane's initial residual norm and
     the first breakdown's message (or None)."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, work, ("p",), ("q",),
-                   monitor)
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, ("p",), ("q",), monitor)
     z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
     np.copyto(lanes.p, z)
     lanes.rho = lanes.rr if invd is None else _rowdot(lanes.r, z)
@@ -584,12 +573,12 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=
 
 
 @_quiet
-def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None):
+def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
     """Preconditioned BiCGStab (van der Vorst) on every lane, like :func:`_cg_block`.
     A lane that meets its criteria on ||s|| takes the half update only, which
     saves work and avoids dividing by a vanishing t.t."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, work,
-                   ("rhat", "p", "v"), ("s", "t", "phat", "shat"), monitor)
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, ("rhat", "p", "v"),
+                   ("s", "t", "phat", "shat"), monitor)
     np.copyto(lanes.rhat, lanes.r)
     lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.held) for _ in range(3))
     k = 0
@@ -654,7 +643,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, work, mo
 
 
 @_quiet
-def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None,
+def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None,
                  restart=DEFAULT_RESTART, lu=None):
     """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
     by ``invd`` (Jacobi), the ``lu`` factors or nothing.
@@ -666,13 +655,12 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monit
     calls.  A lane's x takes the update M^-1 V y when it stops and at every
     restart, where its true residual replaces the estimate.  One iteration is
     one Krylov vector, counted across restarts."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, work, (), ("w", "z"),
-                   monitor)
-    (m, n), held = xv.shape, lanes.held
+    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, (), ("w", "z"), monitor)
+    held, n = lanes.x.shape
     lanes.b = bv if lanes._ids is None else bv[lanes._ids]
-    lanes.basis = _buffer(work, "basis", (m, restart + 1, n))[:held]
-    lanes.rot = _buffer(work, "rot", (m, restart + 1, restart + 1))[:held]
-    lanes.hess = _buffer(work, "hess", (m, restart, restart))[:held]
+    lanes.basis = np.empty((held, restart + 1, n))
+    lanes.rot = np.empty((held, restart + 1, restart + 1))
+    lanes.hess = np.empty((held, restart, restart))
 
     def precondition(v, rows=slice(None)):
         """M^-1 v in place, ``v`` holding the lanes in ``rows``."""
@@ -745,21 +733,21 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monit
     return lanes._r0, lanes.message
 
 
-def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, work, monitor=None,
-              lu=None):
+def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, lu=None):
     """Dense LU on every lane at once, with :func:`_cg_block`'s arguments (the
     factors in ``lu``; criteria, preconditioner and monitor play no part)."""
-    r = _buffer(work, "r", xv.shape)
+    r = np.empty(xv.shape)
 
-    def residual_norms():
-        apply(vals, xv, r)
+    def residual_norms(x):
+        apply(vals, x, r)
         np.subtract(bv, r, out=r)
         return np.sqrt(_rowdot(r, r))
 
-    r0 = residual_norms()
-    xv[...] = lu_solve_dense(*lu, bv.T).T
+    r0 = residual_norms(np.array(xv, order="C"))
+    x = lu_solve_dense(*lu, bv.T).T
     iterations, finals, reasons = out
     iterations.fill(0)
-    finals[...] = residual_norms()
+    finals[...] = residual_norms(x)
+    xv[...] = x
     reasons.fill(STOP_DIRECT)
     return r0, None

@@ -495,16 +495,15 @@ class TestSpmvBlock:
                 assert spy.calls == 3
 
     def test_mismatched_calls_fall_back_with_the_same_bits(self, ref, rng, monkeypatch):
-        """Calls that do not fit the block's lanes or layout take the numpy body
-        and give its bits; none of them reaches the compiled loop.  Operands
-        of the wrong shape are refused."""
+        """Calls that do not fit the block's layout take the numpy body and give
+        its bits; none of them reaches the compiled loop.  Operands of the
+        wrong shape, or more lanes than the block has, are refused."""
         spy = use_spmv_body(monkeypatch, "compiled")
         a, xb = self._batch(ref, rng, 9)
         n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
         pattern = kernels.block_pattern(a.row_ptrs, col_idxs, n, 4)
         vals = a.values
         cases = {
-            "more lanes than the block": (vals, xb, np.empty((9, n))),
             "strided x": (vals[:3], np.repeat(xb[:3], 2, axis=1)[:, ::2], np.empty((3, n))),
             "Fortran-ordered x": (vals[:3], np.asfortranarray(xb[:3]), np.empty((3, n))),
             "Fortran-ordered values": (np.asfortranarray(vals[:3]), xb[:3], np.empty((3, n))),
@@ -512,6 +511,7 @@ class TestSpmvBlock:
             "Fortran-ordered out": (vals[:3], xb[:3], np.empty((3, n), order="F")),
         }
         short = {
+            "more lanes than the block": (vals, xb, np.empty((9, n))),
             "a row too short": (vals[:3], xb[:3, :-1], np.empty((3, n))),
             "values too short": (vals[:3, :-1], xb[:3], np.empty((3, n))),
             "an out row too short": (vals[:3], xb[:3], np.empty((3, n - 1))),
@@ -527,10 +527,10 @@ class TestSpmvBlock:
                 kernels.block_spmv(pattern, v, x, out)
         assert spy.calls == 0
 
-    def test_non_contiguous_solution_takes_the_numpy_body(self, ref, rng, monkeypatch):
+    def test_non_contiguous_solution_is_copied_before_any_spmv(self, ref, rng, monkeypatch):
         """With the compiled body in use, a solve whose ``x`` is not C-contiguous
-        multiplies it by the numpy body, and writes the contiguous solve's bits
-        into the caller's array."""
+        iterates on a contiguous copy, so every SpMV runs compiled, and writes
+        the contiguous solve's bits into the caller's array."""
         spy = use_spmv_body(monkeypatch, "compiled")
         seen, real = [], spy.csr_matvec
 
@@ -538,7 +538,11 @@ class TestSpmvBlock:
             seen.append(args[-2])
             real(*args)
 
+        def numpy_body(*args):
+            raise AssertionError("the numpy body ran")
+
         monkeypatch.setattr(spy, "csr_matvec", recording)
+        monkeypatch.setattr(kernels, "_spmv_numpy", numpy_body)
         stack, bv = mixed_exit_batch(rng)
         x0 = rng.normal(size=bv.shape)
         for algorithm in ("cg", "bicgstab"):

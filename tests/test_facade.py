@@ -10,7 +10,12 @@ import pytest
 
 import linopkit.facade
 from linopkit.container import copy_stats, reset_copy_stats
-from linopkit.errors import ConfigurationError, InvalidArgumentError
+from linopkit.errors import (
+    ConfigurationError,
+    InvalidArgumentError,
+    SingularMatrixError,
+    SingularPreconditionerError,
+)
 from linopkit.facade import (
     AbstractSolver,
     AppMatrix,
@@ -276,6 +281,28 @@ class TestMatrixUpdate:
         solver.update_matrix_values([100.0, 1.0])
         report = solver.solve(AppVector.from_values([1.0, 1.0]), AppVector(2))
         assert report.iterations == 1
+
+    @pytest.mark.parametrize("options, rejected, error", [
+        (SolverOptions("cg", preconditioner="jacobi"), [0.0, 1.0, 1.0, 3.0],
+         SingularPreconditionerError),
+        (SolverOptions("lu"), [1.0, 1.0, 1.0, 1.0], SingularMatrixError),
+    ], ids=["zero jacobi diagonal", "singular lu"])
+    def test_rejected_update_changes_nothing(self, ref, options, rejected, error):
+        solver = create_solver(ref, app_matrix_from_dense(np.array([[4.0, 1.0], [2.0, 3.0]])),
+                               options)
+        b = AppVector.from_values([1.0, 2.0])
+
+        def solve():
+            x = AppVector(2)
+            report = solver.solve(b, x)
+            return report, x.data().view(np.uint64).copy()
+
+        before = solve()
+        with pytest.raises(error):
+            solver.update_matrix_values(rejected)
+        assert list(solver._matrix.get_values(const=True).numpy()) == [4.0, 1.0, 2.0, 3.0]
+        report, bits = solve()
+        assert report == before[0] and np.array_equal(bits, before[1])
 
     def test_wrap_in_gmres_is_observable(self, ref, rng):
         dense = random_spd_dense(rng, 5)

@@ -414,6 +414,47 @@ class TestMultiColumn:
                 assert report.final_residual_norm == math.hypot(
                     *(r.final_residual_norm for r in reports)), context
 
+    @pytest.mark.parametrize("override", [False, True], ids=["Csr", "apply override"])
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres", "lu"])
+    def test_padded_solution_gets_each_columns_bits_and_keeps_its_padding(self, ref, rng,
+                                                                          algorithm, override):
+        """Lanes write into the caller's strided x; the padding stays as it was.
+        One solver then takes 1, 3 and 1 columns, each into a padded x.  A Csr
+        subclass's apply, which takes (n, 1) Dense columns, gives the same bits."""
+        # column j's b and guess lie in the span of sizes[j] eigenvectors, so
+        # the Krylov solvers stop it after about that many iterations
+        n, sizes = 20, [3, 0, 6, 10, 20]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = (q * np.linspace(1.0, 4.0, n)) @ q.T
+        bmat, guess = np.zeros((n, 5)), np.zeros((n, 5))
+        for j, m in enumerate(sizes):
+            bmat[:, j] = q[:, :m] @ rng.normal(size=m)
+            guess[:, j] = q[:, :m] @ rng.normal(size=m) * 0.1
+        bmat[:, 2] *= 1e-8
+        guess[:, 2] *= 1e-8
+        factory = SolverFactory(algorithm, (Iteration(200), ResidualNorm(1e-10)), restart=6)
+        solver = factory.generate((_ApplyCounter if override else Csr).from_data(
+            ref, data_from_numpy(a)))
+
+        def fresh(j):
+            x = dense_from_numpy(ref, guess[:, j])
+            report = make_solver(ref, a, algorithm=algorithm, reduction=1e-10,
+                                 restart=6).solve(dense_from_numpy(ref, bmat[:, j]), x)
+            return x.view2d()[:, 0].view(np.uint64), report.iterations
+
+        want = [fresh(j) for j in range(5)]
+        if algorithm != "lu":
+            assert len({it for _, it in want}) > 2  # columns stop at different iterations
+        for cols in ([0, 1, 2, 3, 4], [3], [0, 2, 4], [1]):
+            x = Dense.create(ref, (n, len(cols)), stride=7)
+            storage = x.values.numpy()
+            storage[...] = -np.inf
+            x.view2d()[...] = guess[:, cols]
+            solver.solve(dense_from_numpy(ref, bmat[:, cols]), x)
+            for k, j in enumerate(cols):
+                assert np.array_equal(x.view2d()[:, k].view(np.uint64), want[j][0]), (cols, j)
+            assert (storage.reshape(n, 7)[:, len(cols):] == -np.inf).all(), cols
+
     @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
     def test_callback_sees_all_columns_and_ends_at_the_report(self, ref, rng, algorithm):
         a = random_dd_dense(rng, 8) if algorithm == "bicgstab" else random_spd_dense(rng, 8)
@@ -534,7 +575,7 @@ def test_matrix_free_operator_solves_two_columns(ref, rng, algorithm):
     n = 20
     op = _Laplacian1D(ref, n)
     factory = SolverFactory(algorithm, criteria=(Iteration(200), ResidualNorm(1e-12)))
-    solver = Solver(factory, op, factory.criteria)
+    solver = Solver(factory, op)
     bmat = rng.normal(size=(n, 2))
     x = Dense.create(ref, (n, 2))
     report = solver.solve(dense_from_numpy(ref, bmat), x)
@@ -607,6 +648,22 @@ class TestFactoryValidation:
             SolverFactory("cg", criteria=(Iteration(1),), preconditioner="ilu").generate(
                 csr_from_numpy(ref, np.eye(2))
             )
+
+
+@pytest.mark.parametrize("factory, op_size, match", [
+    (SolverFactory("qr", criteria=(Iteration(1),)), 2, "unknown algorithm 'qr'"),
+    (SolverFactory("cg"), 2, "criterion"),
+    (SolverFactory("cg", criteria=("soon",)), 2, "unknown stopping criterion"),
+    (SolverFactory("cg", criteria=(Iteration(1),), preconditioner="ilu"), 2, "ilu"),
+    (SolverFactory("gmres", criteria=(Iteration(1),), restart=0), 2, "restart"),
+    (SolverFactory("cg", criteria=(Iteration(1),)), (2, 3), "square"),
+], ids=["algorithm", "no criteria", "criterion type", "preconditioner", "restart", "square"])
+def test_direct_construction_checks_the_configuration(ref, factory, op_size, match):
+    """``Solver(factory, op)`` for a matrix-free operator checks what
+    ``generate`` would have."""
+    op = _Laplacian1D(ref, op_size) if op_size == 2 else Dense.create(ref, op_size)
+    with pytest.raises(InvalidArgumentError, match=match):
+        Solver(factory, op)
 
 
 def test_parallel_backend_produces_the_same_history(par, ref, rng):
@@ -685,6 +742,17 @@ def test_krylov_loops_skip_the_vector_checks(ref, rng, monkeypatch, algorithm):
     with pytest.raises(InvalidArgumentError, match="alias"):
         v = Dense.create(ref, (12, 1))
         solver.system_matrix.apply(v, v)
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_plain_csr_lanes_go_straight_to_the_spmv_kernel(ref, rng, monkeypatch, algorithm):
+    """No Dense is built per lane apply for a plain Csr."""
+    solver = make_solver(ref, random_spd_dense(rng, 12), algorithm=algorithm)
+    b, x = dense_from_numpy(ref, rng.normal(size=12)), Dense.create(ref, (12, 1))
+    built, real = [], Dense.__init__
+    monkeypatch.setattr(Dense, "__init__", lambda *args: built.append(1) or real(*args))
+    report = solver.solve(b, x)
+    assert report.converged and report.iterations > 3 and not built
 
 
 @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
