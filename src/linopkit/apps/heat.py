@@ -42,19 +42,20 @@ class HeatReport:
 def assemble_poisson(n: int) -> AppMatrix:
     """5-point stencil for the n x n interior grid, scaled by 1/h^2.
 
-    Row ``i * n + j`` holds, in this order, the diagonal and the neighbours
-    above, below, left and right that lie inside the grid; the whole stencil
-    is built with numpy and stored with one ``add_entries`` call.
+    Row ``i * n + j`` holds, in column order, the neighbours above, left,
+    itself, right and below that lie inside the grid, so the conversion needs
+    no sort; the whole stencil is built with numpy and borrowed by one
+    ``add_entries`` call.
     """
     h = 1.0 / (n + 1)
     diag = 4.0 / (h * h)
     off = -1.0 / (h * h)
     row = np.arange(n * n, dtype=np.int64)
     i, j = np.divmod(row, n)
-    # one column per stencil slot: self, up, down, left, right
-    cols = row[:, None] + np.array([0, -n, n, -1, 1])
-    inside = np.stack([np.ones(n * n, dtype=bool), i > 0, i < n - 1, j > 0, j < n - 1], axis=1)
-    vals = np.array([diag, off, off, off, off])
+    # one column per stencil slot: up, left, self, right, down
+    cols = row[:, None] + np.array([-n, -1, 0, 1, n])
+    inside = np.stack([i > 0, j > 0, np.ones(n * n, dtype=bool), j < n - 1, i < n - 1], axis=1)
+    vals = np.array([off, off, diag, off, off])
     matrix = AppMatrix(n * n, n * n)
     matrix.add_entries(
         np.broadcast_to(row[:, None], cols.shape)[inside],

@@ -161,15 +161,24 @@ def memory_copy(src: Array, dst_exec: Executor) -> Array:
     return dst
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class MatrixData:
     """Assembly buffer of (row, col, value) triplets.
 
     Entries live in three arrays (int64 rows, int64 columns, float64 values)
     in insertion order; capacity doubles as they fill, so :meth:`add` stays
     cheap per entry and :meth:`add_entries` stores a whole batch with one
-    copy per array.  Duplicates are allowed and are summed when the buffer is
-    converted to a concrete format.  Iterating yields ``(int, int, float)``
-    tuples.
+    copy per array, except that the first one into an empty buffer borrows
+    1-D, C-contiguous int64/int64/float64 arrays as read-only views: a write
+    to them shows in a later conversion (pass copies to decouple), the library
+    never writes them, and the next append copies them.  Duplicates are
+    allowed and are summed when the buffer is converted to a concrete format.
+    Iterating yields ``(int, int, float)`` tuples.
     """
 
     def __init__(self, size, nonzeros=None):
@@ -211,23 +220,22 @@ class MatrixData:
         The three sequences must be 1-D and of equal length.  Everything is
         checked before anything is stored, so a rejected call adds nothing.
         """
-        rows, cols, values = self._checked(rows, cols, values)
-        k = values.shape[0]
-        self._reserve(k)
-        n = self._count
-        self._rows[n : n + k] = rows
-        self._cols[n : n + k] = cols
-        self._values[n : n + k] = values
-        self._count = n + k
+        checked = self._checked(rows, cols, values)
+        k = checked[2].shape[0]
+        if not self._count and all(
+            a is b and a.flags.c_contiguous for a, b in zip(checked, (rows, cols, values))
+        ):  # exactly full, so the next append copies in _reserve
+            self._rows, self._cols, self._values = (_read_only(a) for a in checked)
+            self._count = k
+        elif k:
+            self._reserve(k)
+            n = self._count
+            self._rows[n : n + k], self._cols[n : n + k], self._values[n : n + k] = checked
+            self._count = n + k
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (rows, cols, values) views of the stored entries."""
-        out = []
-        for arr in (self._rows, self._cols, self._values):
-            view = arr[: self._count]
-            view.flags.writeable = False
-            out.append(view)
-        return tuple(out)
+        return tuple(_read_only(a[: self._count]) for a in (self._rows, self._cols, self._values))
 
     def _checked(self, rows, cols, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``add_entries``' arguments as int64/int64/float64 arrays, or raise."""

@@ -113,7 +113,9 @@ class AppMatrix:
         self._data.add(row, col, value)
 
     def add_entries(self, rows, cols, values) -> None:
-        """Append ``(rows[k], cols[k], values[k])`` for every k, in order."""
+        """Append ``(rows[k], cols[k], values[k])`` for every k, in order.
+
+        Borrows the arrays on the first call, as :class:`MatrixData` does."""
         self._data.add_entries(rows, cols, values)
 
     def __iter__(self):

@@ -280,28 +280,34 @@ class Csr(LinOp):
     def from_data(cls, executor: Executor, data: MatrixData) -> "Csr":
         """Convert an assembly buffer to CSR normal form.
 
-        Sorts entries by (row, col) with one stable sort on the row-major key
-        ``row * cols + col`` (a two-key sort only when that key could
-        overflow int64), sums duplicates in insertion order, and keeps
-        explicit entries even when the sum is zero.  Duplicate-free input,
-        the common case, skips the summation: its values are gathered and
-        ``+ 0.0`` turns -0.0 into +0.0 as the sum would.  Counted as one
-        matrix conversion.
+        Input whose row-major key ``row * cols + col`` strictly increases is
+        already in normal form and is not sorted: its columns are copied and
+        ``+ 0.0`` turns -0.0 into +0.0 as a sum would.  Other input is sorted
+        by (row, col) with one stable sort on that key (a two-key sort only
+        when the key could overflow int64), and duplicates are summed in
+        insertion order; explicit entries stay even when the sum is zero.
+        The buffer may hold arrays the caller can still write, so every index
+        is checked again here.  Counted as one matrix conversion.
         """
         rows, cols = data.size
         r, c, v = data.arrays()
         nnz = len(v)
         if nnz:
+            order = same = None  # both stay None for input already in normal form
             if rows * cols < 2**63:
-                key = r * cols + c
-                order = np.argsort(key, kind="stable")  # duplicates keep insertion order
-                key = key[order]
-                same = key[1:] == key[:-1]
+                key = r * cols
+                key += c
+                if not (key[1:] > key[:-1]).all():
+                    order = np.argsort(key, kind="stable")  # duplicates keep insertion order
+                    key = key[order]
+                    same = key[1:] == key[:-1]
             else:
                 order = np.lexsort((c, r))
                 rs, cs = r[order], c[order]
                 same = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
-            if same.any():  # sum each run of equal keys, in insertion order
+            if order is None:  # the key is spent, and its buffer takes the values
+                vals = np.add(v, 0.0, out=key.view(np.float64))
+            elif same.any():  # sum each run of equal keys, in insertion order
                 first = np.ones(nnz, dtype=bool)
                 first[1:] = ~same
                 vals = np.bincount(np.cumsum(first) - 1, weights=v[order])
@@ -310,7 +316,11 @@ class Csr(LinOp):
             else:
                 vals = v[order]
                 vals += 0.0
-            col_idxs = c[order]
+            col_idxs = c.copy() if order is None else c[order]
+            # viewed as unsigned, a negative index compares above every dimension
+            if r.view(np.uint64).max() >= rows or col_idxs.view(np.uint64).max() >= cols:
+                raise InvalidArgumentError(f"an entry lies outside the {rows}x{cols} matrix: "
+                                           "its arrays were written after they were added")
             counts = np.bincount(r, minlength=rows)
         else:
             vals = np.zeros(0)
@@ -386,9 +396,9 @@ class Csr(LinOp):
         self._values.numpy()[:] = arr
 
     def write_data(self) -> MatrixData:
-        """The stored entries as an assembly buffer (row-major, sorted columns)."""
+        """A snapshot of the stored entries as an assembly buffer (row-major, sorted columns)."""
         out = MatrixData(self._size)
-        out.add_entries(self._row_ids(), self._col_idxs.numpy(), self._values.numpy())
+        out.add_entries(self._row_ids(), self._col_idxs.numpy(), self._values.numpy().copy())
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -258,6 +258,10 @@ class Solver(LinOp):
         criteria = _checked_options(factory.criteria, factory.preconditioner)
         if factory.restart < 1:
             raise InvalidArgumentError(f"restart must be >= 1, got {factory.restart}")
+        stored = factory.algorithm in ("lu", "gmres_lu") or factory.preconditioner == "jacobi"
+        if stored and not isinstance(a, Csr):  # factorizing or reading a diagonal needs entries
+            raise InvalidArgumentError(f"{factory.algorithm} with preconditioner "
+                                       f"{factory.preconditioner} needs a Csr, got {type(a).__name__}")
         super().__init__(a.executor, a.size)
         self._factory = factory
         self._a = a

@@ -413,28 +413,29 @@ class TestHeatDemo:
         assert all(v == pytest.approx(4.0 * (n + 1) ** 2) for v in diag)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 200])
-    def test_assembly_keeps_the_per_entry_triplet_order(self, n):
-        def per_entry(n):  # the stencil one add_entry at a time
+    def test_assembly_keeps_the_per_entry_triplet_order(self, ref, n):
+        def per_entry(n, offsets):  # the stencil one add_entry at a time
             h = 1.0 / (n + 1)
             diag, off = 4.0 / (h * h), -1.0 / (h * h)
             out = []
             for i in range(n):
                 for j in range(n):
                     row = i * n + j
-                    out.append((row, row, diag))
-                    if i > 0:
-                        out.append((row, row - n, off))
-                    if i < n - 1:
-                        out.append((row, row + n, off))
-                    if j > 0:
-                        out.append((row, row - 1, off))
-                    if j < n - 1:
-                        out.append((row, row + 1, off))
+                    inside = {-n: i > 0, n: i < n - 1, -1: j > 0, 1: j < n - 1, 0: True}
+                    out += [(row, row + d, diag if d == 0 else off) for d in offsets if inside[d]]
             return out
 
         triplets = list(assemble_poisson(n))
-        assert triplets == per_entry(n)
+        assert triplets == per_entry(n, (-n, -1, 0, 1, n))  # up, left, self, right, down
         assert all(type(r) is int and type(c) is int and type(v) is float for r, c, v in triplets)
+        # the converted matrix has the bits of the earlier self-first order,
+        # which needed a sort: self, up, down, left, right
+        old = Csr.from_data(ref, MatrixData((n * n, n * n), per_entry(n, (0, -n, n, -1, 1))))
+        new = Csr.from_data(ref, assemble_poisson(n)._data)
+        for a, b in ((old.get_row_ptrs(), new.get_row_ptrs()),
+                     (old.get_col_idxs(), new.get_col_idxs()),
+                     (old.get_values(const=True), new.get_values(const=True))):
+            assert a.numpy().tobytes() == b.numpy().tobytes()
 
     def test_manufactured_solution_peaks_at_the_center(self):
         vals = manufactured_solution(5)

@@ -1,9 +1,16 @@
 """Storage ownership, view transparency, and the copy counters."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import linopkit
 from linopkit.container import (
     Dim,
     MatrixData,
@@ -168,12 +175,91 @@ class TestMatrixData:
             data.add_entries([k], [0], [float(k)])
         assert list(data) == [(k, 0, float(k)) for k in range(100)]
 
-    def test_bulk_add_copies_its_inputs(self):
-        rows, values = np.array([0, 1]), np.array([1.0, 2.0])
+    def test_first_bulk_add_borrows_the_callers_arrays(self, ref):
+        rows, cols, values = np.array([0, 1, 1]), np.array([1, 0, 1]), np.array([1.0, 2.0, 3.0])
         data = MatrixData((2, 2))
-        data.add_entries(rows, rows, values)
-        rows[0], values[0] = 1, 9.0
-        assert list(data) == [(0, 0, 1.0), (1, 1, 2.0)]
+        data.add_entries(rows, cols, values)
+        stored = data.arrays()
+        for mine, theirs in zip(stored, (rows, cols, values)):
+            assert np.shares_memory(mine, theirs) and not mine.flags.writeable
+        assert rows.flags.writeable and values.flags.writeable  # the caller's stay writable
+        values[0] = 9.0  # a write before the conversion shows in it
+        m = Csr.from_data(ref, data)
+        assert list(m.get_values(const=True).numpy()) == [9.0, 2.0, 3.0]
+        assert not np.shares_memory(m.get_col_idxs().numpy(), cols)
+
+    @pytest.mark.parametrize("case", ["second append", "add", "int32", "list", "strided"])
+    def test_bulk_add_copies_what_it_cannot_borrow(self, case):
+        rows, cols = np.array([0, 1, 1, 0]), np.array([1, 0, 1, 0])
+        values = np.array([1.0, -0.0, 3.0, 4.0])
+        data = MatrixData((2, 2))
+        if case == "second append":
+            first = (rows[:2].copy(), cols[:2].copy(), values[:2].copy())
+            data.add_entries(*first)  # borrowed, then copied by the second append
+            data.add_entries(rows[2:], cols[2:], values[2:])
+            inputs = first + (rows, cols, values)
+        elif case == "add":
+            inputs = (rows[:3].copy(), cols[:3].copy(), values[:3].copy())
+            data.add_entries(*inputs)
+            data.add(0, 0, 4.0)
+        elif case == "int32":
+            inputs = (rows.astype(np.int32), cols, values)
+            data.add_entries(*inputs)
+        elif case == "list":
+            inputs = (rows.tolist(), cols.tolist(), values.tolist())
+            data.add_entries(*inputs)
+        else:
+            inputs = tuple(np.repeat(a, 2)[::2] for a in (rows, cols, values))
+            data.add_entries(*inputs)
+        stored = data.arrays()
+        assert list(data) == [(0, 1, 1.0), (1, 0, -0.0), (1, 1, 3.0), (0, 0, 4.0)]
+        assert np.signbit(stored[2][1])
+        assert not any(
+            np.shares_memory(mine, theirs)
+            for mine in stored
+            for theirs in inputs
+            if isinstance(theirs, np.ndarray)
+        )
+
+    @pytest.mark.parametrize("cols", [[0, 2], [0]], ids=["out of range", "lengths"])
+    def test_rejected_bulk_add_adopts_nothing(self, cols):
+        rows, cols, values = np.array([0, 1]), np.array(cols), np.array([1.0, 2.0])
+        data = MatrixData((2, 2))
+        with pytest.raises(InvalidArgumentError):
+            data.add_entries(rows, cols, values)
+        assert len(data) == 0
+        data.add(1, 1, 5.0)
+        assert list(data) == [(1, 1, 5.0)]
+        assert not any(np.shares_memory(a, rows) for a in data.arrays())
+
+    @pytest.mark.parametrize("target, bad", [("c", 10**9), ("c", -1), ("r", 3)])
+    def test_write_into_a_borrowed_index_is_caught_before_spmv(self, target, bad):
+        # in a child process, so that an unchecked index could only crash the child
+        code = textwrap.dedent(f"""
+            import numpy as np
+            from linopkit import Csr, Dense, executor_from_name
+            from linopkit.container import MatrixData
+            from linopkit.errors import InvalidArgumentError
+            ex = executor_from_name("reference")
+            for order in ([0, 1, 2], [2, 1, 0]):  # taken without and with a sort
+                r = np.array(order)
+                c = r.copy()
+                data = MatrixData((3, 3))
+                data.add_entries(r, c, np.ones(3))
+                {target}[1] = {bad}
+                try:
+                    m = Csr.from_data(ex, data)
+                except InvalidArgumentError as err:
+                    print("refused:", err)
+                else:
+                    m.apply(Dense.create(ex, (3, 1)), Dense.create(ex, (3, 1)))
+        """)
+        src = str(Path(linopkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("refused: an entry lies outside the 3x3 matrix") == 2
 
     @pytest.mark.parametrize(
         "rows, cols, values",

@@ -107,7 +107,7 @@ class TestArrayConversion:
         assert not np.any(np.signbit(stored[stored == 0.0]))
 
     @pytest.mark.parametrize("duplicates", [False, True])
-    def test_already_sorted_input(self, ref, rng, duplicates):
+    def test_already_sorted_input(self, ref, rng, monkeypatch, duplicates):
         dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.5)
         r, c = np.nonzero(dense)  # row-major order
         v = dense[r, c]
@@ -115,9 +115,25 @@ class TestArrayConversion:
             r, c, v = np.repeat(r, 2), np.repeat(c, 2), np.repeat(v, 2) * 0.5
         data = MatrixData((7, 5))
         data.add_entries(r, c, v)
+        calls = []
+        real = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or real(*a, **k))
         m = Csr.from_data(ref, data)
+        assert calls == ([1] if duplicates else [])  # a strictly increasing key skips the sort
         assert_csr_bits(m, fromiter_conversion((7, 5), list(data)))
         assert np.array_equal(m.to_dense(), dense)
+
+    def test_sorted_input_keeps_its_value_bits_but_the_sign_of_zero(self, ref):
+        r, c = np.array([0, 0, 1, 3, 3, 3]), np.array([0, 4, 2, 0, 1, 4])
+        v = np.array([-0.0, np.nan, -np.inf, 1e-300, -0.0, 0.0])
+        data = MatrixData((5, 5))
+        data.add_entries(r, c, v)
+        m = Csr.from_data(ref, data)
+        assert_csr_bits(m, fromiter_conversion((5, 5), list(data)))
+        stored = m.get_values(const=True).numpy()
+        assert not np.any(np.signbit(stored[stored == 0.0]))
+        assert list(m.get_row_ptrs().numpy()) == [0, 2, 3, 3, 6, 6]
+        assert not np.shares_memory(m.get_col_idxs().numpy(), c)
 
     def test_empty_rows(self, ref):
         # rows 0, 2, 3 and 6 hold nothing, among them the first and the last
@@ -160,6 +176,15 @@ class TestArrayConversion:
         rp, ci, v = (a.numpy() for a in (m.get_row_ptrs(), m.get_col_idxs(), m.get_values()))
         expected = [(i, int(ci[p]), float(v[p])) for i in range(9) for p in range(rp[i], rp[i + 1])]
         assert list(m.write_data()) == expected
+
+    def test_write_data_is_a_snapshot(self, ref, rng):
+        data, _ = random_sparse_dense(rng, 9, 6)
+        m = Csr.from_data(ref, data)
+        out = m.write_data()
+        before = list(out)
+        m.update_values(np.arange(m.num_stored_elements) + 5.0)
+        assert list(out) == before
+        assert not np.shares_memory(out.arrays()[2], m.get_values().numpy())
 
 
 class TestCsrNormalForm:

@@ -666,6 +666,18 @@ def test_direct_construction_checks_the_configuration(ref, factory, op_size, mat
         Solver(factory, op)
 
 
+@pytest.mark.parametrize("algorithm, preconditioner", [
+    ("cg", "jacobi"), ("gmres", "jacobi"), ("lu", None), ("gmres_lu", None)])
+def test_operator_without_stored_entries_is_refused_what_needs_them(ref, algorithm,
+                                                                     preconditioner):
+    """Jacobi reads the stored diagonal and LU factorizes the stored entries,
+    so a matrix-free operator or a Dense one is refused with a named error."""
+    factory = SolverFactory(algorithm, criteria=(Iteration(1),), preconditioner=preconditioner)
+    for op in (_Laplacian1D(ref, 4), Dense.create(ref, (4, 4))):
+        with pytest.raises(InvalidArgumentError, match="needs a Csr"):
+            Solver(factory, op)
+
+
 def test_parallel_backend_produces_the_same_history(par, ref, rng):
     a = random_spd_dense(rng, 16)
     b = rng.normal(size=16)
