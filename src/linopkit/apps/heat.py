@@ -44,24 +44,35 @@ def assemble_poisson(n: int) -> AppMatrix:
 
     Row ``i * n + j`` holds, in column order, the neighbours above, left,
     itself, right and below that lie inside the grid, so the conversion needs
-    no sort; the whole stencil is built with numpy and borrowed by one
-    ``add_entries`` call.
+    no sort.  Each slot is written straight into the three arrays one
+    ``add_entries`` call borrows; all else allocated is as long as the grid.
     """
     h = 1.0 / (n + 1)
-    diag = 4.0 / (h * h)
-    off = -1.0 / (h * h)
     row = np.arange(n * n, dtype=np.int64)
-    i, j = np.divmod(row, n)
-    # one column per stencil slot: up, left, self, right, down
-    cols = row[:, None] + np.array([-n, -1, 0, 1, n])
-    inside = np.stack([i > 0, j > 0, np.ones(n * n, dtype=bool), j < n - 1, i < n - 1], axis=1)
-    vals = np.array([off, off, diag, off, off])
+    counts = np.full((n, n), 5, dtype=np.int64)  # less the neighbours outside the grid
+    for edge in (counts[:1], counts[-1:], counts[:, :1], counts[:, -1:]):
+        edge -= 1
+    counts = counts.ravel()
+    rows = np.repeat(row, counts)
+    cols = np.empty_like(rows)
+    vals = np.full(rows.shape, -1.0 / (h * h))
+    # Each row is filled from both ends towards its diagonal.  A neighbour
+    # outside the grid does not move that end on, so the next slot inward
+    # overwrites what was written for it, and the diagonal is written last.
+    last = np.cumsum(counts)
+    first = np.subtract(last, counts, out=counts)
+    last -= 1
+    cols[first] = row - n
+    first[n:] += 1  # past the upper neighbour, below the top edge
+    cols[first] = row - 1
+    first.reshape(n, n)[:, 1:] += 1  # past the left one, right of the left edge
+    cols[last] = row + n
+    last[: n * n - n] -= 1  # before the lower one, above the bottom edge
+    cols[last] = row + 1
+    cols[first] = row
+    vals[first] = 4.0 / (h * h)
     matrix = AppMatrix(n * n, n * n)
-    matrix.add_entries(
-        np.broadcast_to(row[:, None], cols.shape)[inside],
-        cols[inside],
-        np.broadcast_to(vals, cols.shape)[inside],
-    )
+    matrix.add_entries(rows, cols, vals)
     return matrix
 
 

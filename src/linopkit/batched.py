@@ -304,7 +304,9 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
 def _jacobi(vals, diag_pos):
     """Every system's inverse diagonal (0 where the diagonal is 0), and the
     systems with a zero or structurally missing diagonal entry."""
-    dvals = np.where(diag_pos >= 0, vals[:, diag_pos], 0.0)
+    if (diag_pos < 0).any():  # every system is singular, and may store no entry at all
+        return np.zeros((len(vals), len(diag_pos))), np.ones(len(vals), dtype=bool)
+    dvals = vals[:, diag_pos]
     invd = np.zeros(dvals.shape)
     np.divide(1.0, dvals, out=invd, where=dvals != 0.0)
     return invd, (dvals == 0.0).any(axis=1)

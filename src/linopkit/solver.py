@@ -111,11 +111,15 @@ def extract_diagonal(a: Csr) -> np.ndarray:
     SingularPreconditionerError
         If some diagonal entry is absent from the sparsity pattern or zero.
     """
-    pos = _diagonal_positions(a._row_ids(), a.get_col_idxs().numpy(), a.size.rows)
+    return _stored_diagonal(a, _diagonal_positions(a._row_ids(), a._col_idxs.numpy(), a.size.rows))
+
+
+def _stored_diagonal(a: Csr, pos: np.ndarray) -> np.ndarray:
+    """``a``'s values at the diagonal positions ``pos``; raises as :func:`extract_diagonal`."""
     if (pos < 0).any():
         missing = int(np.flatnonzero(pos < 0)[0])
         raise SingularPreconditionerError(f"row {missing} has no stored diagonal entry")
-    diag = a.get_values(const=True).numpy()[pos]
+    diag = a._values.numpy().take(pos)
     if np.any(diag == 0.0):
         zero = int(np.flatnonzero(diag == 0.0)[0])
         raise SingularPreconditionerError(f"zero diagonal entry at row {zero}")
@@ -124,9 +128,9 @@ def extract_diagonal(a: Csr) -> np.ndarray:
 
 def _diagonal_positions(row_ids: np.ndarray, col_idxs: np.ndarray, rows: int) -> np.ndarray:
     """Where each row's diagonal entry sits in a CSR pattern in normal form, or -1."""
-    on_diag = col_idxs == row_ids
+    on_diag = np.flatnonzero(col_idxs == row_ids)
     pos = np.full(rows, -1, dtype=np.int64)
-    pos[row_ids[on_diag]] = np.flatnonzero(on_diag)
+    pos[row_ids.take(on_diag)] = on_diag
     return pos
 
 
@@ -267,6 +271,8 @@ class Solver(LinOp):
         self._a = a
         self._criteria = criteria
         self._lanes_apply = _lane_apply(a)
+        self._diag_pos = (_diagonal_positions(a._row_ids(), a._col_idxs.numpy(), a.size.rows)
+                          if factory.preconditioner == "jacobi" else None)
         self._setup()
 
     def _setup(self) -> None:
@@ -275,7 +281,7 @@ class Solver(LinOp):
         if factory.algorithm in ("lu", "gmres_lu"):
             lu = lu_factorize(self._a)
         elif factory.preconditioner == "jacobi":
-            invd = 1.0 / extract_diagonal(self._a)
+            invd = 1.0 / _stored_diagonal(self._a, self._diag_pos)
         if factory.algorithm == "lu":
             block = functools.partial(_lu_block, lu=lu)
         elif factory.algorithm in ("gmres", "gmres_lu"):
@@ -299,9 +305,9 @@ class Solver(LinOp):
     def refresh(self) -> None:
         """Rebuild value-derived state after the matrix values changed.
 
-        Refactorizes LU-based solvers and re-extracts the Jacobi diagonal;
-        plain unpreconditioned iterations have nothing to rebuild.  If that
-        raises, the solver keeps the state it had.
+        Refactorizes LU-based solvers and re-reads the Jacobi diagonal where
+        the frozen pattern keeps it; plain unpreconditioned iterations have
+        nothing to rebuild.  If that raises, the solver keeps its old state.
         """
         self._setup()
 
@@ -483,7 +489,7 @@ class _Lanes:
             return
         self.message = self.message or message
         xv, iters, finals, reasons = self._out
-        rows = mask if stopping < self.held else slice(None)
+        rows = np.flatnonzero(mask) if stopping < self.held else slice(None)
         gone = rows if self._ids is None else self._ids[rows]
         xv[gone] = self.x[rows]
         finals[gone], iters[gone], reasons[gone] = self.rk[rows], k, reason
@@ -618,9 +624,10 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
         s_norm = np.sqrt(_rowdot(s, s))
         half = lanes.live_only(s_norm <= lanes.target)
         if np.count_nonzero(half):
-            lanes.x[half] += lanes.alpha[half, None] * phat[half]
+            at = np.flatnonzero(half)
+            lanes.x[at] += lanes.alpha[at, None] * phat[at]
             lanes.rk = np.where(half, s_norm, lanes.rk)
-            if monitor and np.count_nonzero(half) == lanes.count:
+            if monitor and at.size == lanes.count:
                 monitor(k, lanes)
             lanes.stop(half, k, STOP_RESIDUAL)
             if not lanes.count:

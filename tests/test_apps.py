@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +437,33 @@ class TestHeatDemo:
                      (old.get_col_idxs(), new.get_col_idxs()),
                      (old.get_values(const=True), new.get_values(const=True))):
             assert a.numpy().tobytes() == b.numpy().tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 200])
+    def test_assembly_has_the_bytes_of_the_slot_table_construction(self, n):
+        def slot_table(n):  # one (N, 5) table of up, left, self, right, down, masked
+            h = 1.0 / (n + 1)
+            row = np.arange(n * n, dtype=np.int64)
+            i, j = np.divmod(row, n)
+            cols = row[:, None] + np.array([-n, -1, 0, 1, n])
+            inside = np.stack([i > 0, j > 0, np.ones(n * n, dtype=bool), j < n - 1, i < n - 1],
+                              axis=1)
+            vals = np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) / (h * h)
+            return (np.broadcast_to(row[:, None], cols.shape)[inside], cols[inside],
+                    np.broadcast_to(vals, cols.shape)[inside])
+
+        for got, want in zip(assemble_poisson(n)._data.arrays(), slot_table(n)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_assembly_allocates_little_besides_what_it_keeps(self):
+        assemble_poisson(200)  # first-call costs stay out of the count
+        tracemalloc.start()
+        try:
+            matrix = assemble_poisson(200)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= 3 * 8 * len(matrix)  # the three arrays, 199,200 entries each
+        assert peak - kept <= 2_000_000  # a few arrays as long as the grid (40,000 points)
 
     def test_manufactured_solution_peaks_at_the_center(self):
         vals = manufactured_solution(5)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from linopkit import solver as solver_module
 from linopkit.apps.heat import assemble_poisson
+from linopkit.batched import BatchCsr, BatchDense, batch_solve
 from linopkit.container import MatrixData
 from linopkit.errors import (
     BreakdownError,
@@ -202,6 +203,58 @@ class TestJacobiPreconditioner:
     def test_extract_diagonal_values(self, ref):
         m = csr_from_numpy(ref, [[3.0, 1.0], [0.0, 5.0]])
         assert list(extract_diagonal(m)) == [3.0, 5.0]
+
+    def test_refresh_reads_the_positions_found_at_construction(self, ref, monkeypatch):
+        m = csr_from_numpy(ref, [[2.0, 1.0], [1.0, 4.0]])
+        solver = self._generate(m)
+        monkeypatch.setattr(solver_module, "_diagonal_positions", None)  # no second search
+        m.update_values([5.0, 1.0, 1.0, 8.0])
+        solver.refresh()
+        assert list(solver._invd) == [0.2, 0.125]
+        m.update_values([5.0, 1.0, 1.0, 0.0])
+        with pytest.raises(SingularPreconditionerError, match="zero diagonal entry at row 1"):
+            solver.refresh()
+        assert list(solver._invd) == [0.2, 0.125]  # a failed refresh keeps the old state
+
+    @given(data=st.data())
+    def test_diagonal_search_matches_a_per_row_scan(self, ref, data):
+        n = data.draw(st.integers(0, 6), label="n")
+        ptrs, cols, vals = [0], [], []
+        for r in range(n):
+            row = data.draw(st.one_of(st.just(set()), st.just(set(range(n))),
+                                      st.sets(st.integers(0, n - 1))), label=f"row {r}")
+            diag = data.draw(st.sampled_from(["as drawn", "absent", "zero"]), label=f"diag {r}")
+            row = sorted(row - {r} if diag == "absent" else row)
+            cols += row
+            vals += [0.0 if c == r and diag == "zero" else float(c - 2 * r + 7) for c in row]
+            ptrs.append(len(cols))
+        m = Csr.from_arrays(ref, (n, n), ptrs, cols, vals)
+
+        want = [-1] * n  # the reference: scan each row for its diagonal entry
+        for r in range(n):
+            for k in range(ptrs[r], ptrs[r + 1]):
+                if cols[k] == r:
+                    want[r] = k
+        pos = solver_module._diagonal_positions(m._row_ids(), m.get_col_idxs().numpy(), n)
+        assert pos.tolist() == want
+        missing = [r for r in range(n) if want[r] < 0]
+        zero = [r for r in range(n) if want[r] >= 0 and vals[want[r]] == 0.0]
+        if missing or zero:
+            message = f"row {missing[0]} has no" if missing else f"zero diagonal entry at row {zero[0]}"
+            with pytest.raises(SingularPreconditionerError, match=message):
+                extract_diagonal(m)
+        else:
+            assert extract_diagonal(m).tolist() == [vals[k] for k in want]
+
+        # a batch of the matrix and of a copy whose stored diagonal is all ones
+        fixed = np.array(vals)
+        fixed[[k for k in want if k >= 0]] = 1.0
+        batch = BatchCsr(ref, 2, (n, n), ptrs, cols, np.stack([vals, fixed]))
+        b = BatchDense.from_values(ref, np.ones((2, n, 1)))
+        report = batch_solve("cg", batch, b, BatchDense.zeros(ref, 2, (n, 1)), (Iteration(3),),
+                             preconditioner="jacobi")
+        singular = [r == "singular_preconditioner" for r in report.stop_reasons]
+        assert singular == [bool(missing or zero), bool(missing)]
 
 
 class TestBicgstab:
