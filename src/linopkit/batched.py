@@ -21,9 +21,10 @@ submissions, so neither the partitioning nor the grouping can change any
 result.
 
 A group's held systems form one block-diagonal CSR matrix, whose pattern
-:func:`~linopkit.kernels.block_pattern` builds once per solve, and every
-SpMV of the solve is one :func:`~linopkit.kernels.block_spmv` call on it.
-That kernel picks the compiled loop or the numpy body, with the same bits.
+:func:`~linopkit.kernels.block_pattern` expands once per solve from the
+batch's checked pattern, and every SpMV of the solve is one
+:func:`~linopkit.kernels.block_spmv` call on it, the function every SpMV of
+the library goes through.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class BatchCsr:
     """A batch of CSR matrices sharing row_ptrs and col_idxs.
 
     The constructor copies the shared pattern, checks it by Csr's rules and
-    makes it read-only; :meth:`from_template` keeps the pattern its
-    conversion built and checked.  Either way the matrices
-    :meth:`extract_system` hands out, and batched solves, may take SpMV's
-    compiled body, as the kernels decide.
+    freezes it as a checked one-lane ``BlockPattern``; :meth:`from_template`
+    keeps the one its conversion built.  Batched solves expand that pattern,
+    and the matrices :meth:`extract_system` hands out share it, so both may
+    take SpMV's compiled body.
     """
 
     def __init__(self, executor: Executor, num_systems: int, size, row_ptrs, col_idxs, values):
@@ -70,28 +71,21 @@ class BatchCsr:
         row_ptrs = np.array(row_ptrs, dtype=np.int64)
         col_idxs = np.array(col_idxs, dtype=np.int64)
         check_pattern(size, row_ptrs, col_idxs)
-        freeze_checked_pattern(row_ptrs, col_idxs, size.cols)
-        self._init(executor, num_systems, size, row_ptrs, col_idxs, values)
+        self._init(executor, num_systems, size, freeze_checked_pattern(row_ptrs, col_idxs, size.cols),
+                   values)
 
-    def _init(self, executor, num_systems, size, row_ptrs, col_idxs, values):
-        """Set up over ``row_ptrs``/``col_idxs``, kept as they are: the caller
-        owns them and has checked and frozen them."""
+    def _init(self, executor, num_systems, size, pattern, values):
+        """Set up over ``pattern``, a checked one-lane pattern the batch keeps."""
         if num_systems < 0:
             raise InvalidArgumentError(f"num_systems must be >= 0, got {num_systems}")
         self._executor = executor
         self._num_systems = int(num_systems)
         self._size = size
-        self._row_ptrs = row_ptrs
-        self._col_idxs = col_idxs
+        self._pattern = pattern
         self._values = np.ascontiguousarray(values, dtype=np.float64)
-        nnz = self._col_idxs.shape[0]
-        if self._values.shape != (self._num_systems, nnz):
-            raise InvalidArgumentError(
-                f"values must have shape ({self._num_systems}, {nnz}), got {self._values.shape}"
-            )
-        self._row_ids = np.repeat(
-            np.arange(self._size.rows, dtype=np.int64), np.diff(self._row_ptrs)
-        )
+        if self._values.shape != (self._num_systems, pattern.nnz):
+            raise InvalidArgumentError(f"values must have shape ({self._num_systems}, "
+                                       f"{pattern.nnz}), got {self._values.shape}")
 
     @classmethod
     def from_template(cls, executor: Executor, num_systems: int, template: MatrixData, per_system_values) -> "BatchCsr":
@@ -117,8 +111,7 @@ class BatchCsr:
             executor,
             num_systems,
             structure.size,
-            structure._row_ptrs.numpy(),
-            structure._col_idxs.numpy(),
+            structure._pattern,
             vals.reshape(num_systems, nnz),
         )
         return batch
@@ -137,32 +130,35 @@ class BatchCsr:
 
     @property
     def num_stored_elements(self) -> int:
-        return self._col_idxs.shape[0]
+        return self._pattern.nnz
 
     @property
     def row_ptrs(self) -> np.ndarray:
-        return self._row_ptrs
+        return self._pattern.row_ptrs
 
     @property
     def col_idxs(self) -> np.ndarray:
-        return self._col_idxs
+        return self._pattern.col_idxs
 
     @property
     def values(self) -> np.ndarray:
         return self._values
 
     def extract_system(self, k: int) -> Csr:
-        """System ``k`` as a Csr sharing this batch's storage (no copy)."""
+        """System ``k`` as a Csr sharing this batch's storage and checked
+        pattern (no copy)."""
         if not 0 <= k < self._num_systems:
             raise InvalidArgumentError(f"system {k} out of range for {self._num_systems}")
-        return Csr(
+        csr = Csr(
             self._executor,
             self._size,
-            Array(self._executor, self._row_ptrs, Ownership.BORROWED),
-            Array(self._executor, self._col_idxs, Ownership.BORROWED),
+            Array(self._executor, self.row_ptrs, Ownership.BORROWED),
+            Array(self._executor, self.col_idxs, Ownership.BORROWED),
             Array(self._executor, self._values[k], Ownership.BORROWED),
             validate=False,
         )
+        csr._pattern = self._pattern
+        return csr
 
 
 class BatchDense:
@@ -277,14 +273,13 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     reasons = np.empty(num, dtype=object)
 
     jacobi = preconditioner == "jacobi"
-    diag_pos = _diagonal_positions(a._row_ids, a.col_idxs, n) if jacobi else None
+    diag_pos = _diagonal_positions(a._pattern.row_ids(), a.col_idxs, n) if jacobi else None
     bvals = b.values[:, :, 0]
     xvals = x.values[:, :, 0]
     block = _cg_block if algorithm == "cg" else _bicgstab_block
 
     group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
-    spmv = functools.partial(
-        block_spmv, block_pattern(a.row_ptrs, a.col_idxs, a.size.cols, max(1, min(group, num))))
+    spmv = functools.partial(block_spmv, block_pattern(a._pattern, max(1, min(group, num))))
 
     def body(lo, hi):
         for start in range(lo, hi, group):

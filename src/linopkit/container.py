@@ -248,10 +248,11 @@ class MatrixData:
                 "rows, cols and values must be 1-D and of equal length, got shapes "
                 f"{rows.shape}, {cols.shape} and {values.shape}"
             )
-        # viewed as unsigned, a negative index compares above every dimension
-        bad = (rows.view(np.uint64) >= self.size.rows) | (cols.view(np.uint64) >= self.size.cols)
-        if bad.any():
-            first = int(bad.argmax())
+        # viewed as unsigned, a negative index compares above every dimension; the
+        # mask is built only to name the first bad entry
+        r, c = rows.view(np.uint64), cols.view(np.uint64)
+        if k and (r.max() >= self.size.rows or c.max() >= self.size.cols):
+            first = int(((r >= self.size.rows) | (c >= self.size.cols)).argmax())
             self._check(int(rows[first]), int(cols[first]))  # raises for this entry
         return rows, cols, values
 

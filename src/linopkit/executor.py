@@ -11,7 +11,9 @@ Two kinds exist.  ``reference`` runs every kernel serially and serves as
 ground truth; ``parallel`` owns a shared thread pool of ``worker_count``
 threads.  Every kernel has one body that both kinds run, and only
 ``run_partitioned`` hands work to the pool (see ``kernels.py``), so results
-are bitwise identical across kinds and worker counts.
+are bitwise identical across kinds and worker counts.  The library's own
+SpMVs are not dispatched: they call ``kernels.block_spmv``, which runs the
+same on both kinds.
 """
 
 from __future__ import annotations

@@ -12,47 +12,47 @@ on both kinds.  Threads were measured not to pay for them: SpMV and the
 reductions hold the GIL for most of their time, and the element-wise kernels
 found no vector length at which the pool won reliably on two workers.
 
-Determinism rules, which the tests check bitwise:
-
-* reductions are tiled on a fixed grid of ``REDUCTION_TILE`` rows and the
-  per-tile partial sums are combined in tile order;
-* SpMV accumulates each row's products left to right from +0.0
-  (``np.bincount`` adds its weights sequentially).
-
-Together these make every kernel's result bitwise identical across kinds and
-worker counts.
-
-SpMV has two bodies with the same bits.  The numpy body above is the
-definition and runs everywhere.  When scipy is installed, the compiled row
-loop of its sparsetools extension (``csr_matvec``, ``csr_matvecs``) takes
-over, about four times faster on the 40,000-row heat matrix.  It is optional
-and guarded three ways:
+Every SpMV of the library goes through one function, :func:`block_spmv`:
+``Csr.apply`` calls it once per column, a ``Solver`` once per lane, and a
+batched solve once per group of systems, whose held systems are one
+block-diagonal CSR matrix (:func:`block_pattern`, built once per solve).
+It has two bodies with the same bits.  The numpy body (``np.bincount`` over
+the gathered products) is the definition and runs everywhere.  When scipy is
+installed, the compiled row loop of its sparsetools extension
+(``csr_matvec``) takes over, about four times faster on the 40,000-row heat
+matrix.  It is optional and guarded three ways:
 
 * the extension module is loaded on its own, not through ``scipy.sparse``;
 * at import it must reproduce the numpy body's bits on a probe that
   includes a row a fused multiply-add would round differently, -0.0, inf
   and NaN, or it is not used;
-* it does not bounds-check, so it runs only on index arrays that a ``Csr``
-  or ``BatchCsr`` validated and made read-only.  Every other call, raw
-  arrays included, takes the numpy body and its checks.
-
-Batched solves multiply through :func:`block_spmv` alone, which makes the
-same choice: the held systems of a group, laid down the diagonal of one CSR
-matrix (:func:`block_pattern`, built once per solve), are one ``csr_matvec``
-call or one pass of the numpy body, bit for bit the per-system numpy body.
+* it does not bounds-check, so it runs only on a :class:`BlockPattern` that
+  a ``Csr`` or ``BatchCsr`` checked and froze, or one expanded from it,
+  while its index arrays stay read-only.  A matrix over borrowed arrays
+  takes the numpy body, which checks its indices on every call, and so does
+  a raw ``spmv`` kernel call, which the library does not make.
 
 Like the numpy body it holds the GIL, so it gains nothing from threads.
 
-``aypx``, ``waxpby`` and ``diag_scale`` have no caller in the library; they
-stay registered for the benchmark's kernel probes, which dispatch them by
-name.  The advanced apply ``x = alpha op(b) + beta x`` has no kernel of its
-own: :meth:`~linopkit.linop.LinOp.advanced_apply` combines ``apply``'s result
-with one numpy expression for every operator.
+Solves run by these determinism rules, which the tests check bitwise:
 
-The tile width also keeps every ``np.dot`` call at or below 8,192 elements,
-under the 10,000 above which OpenBLAS splits ``ddot`` across its own
-threads.  An untiled dot on a long vector pays that thread wake-up, which
-was seen to stall single calls for milliseconds.
+* SpMV adds each row's products left to right from +0.0, on either body;
+* the recurrences reduce with one einsum row dot per lane, which sums a row
+  of up to 8,192 entries in one pass whatever the other rows;
+* no lane's arithmetic reads another lane, so a column of a multi-column
+  solve, or a system of a batch, gets the bits of its own solve;
+* ``run_partitioned`` hands each worker a slice of slots that it alone
+  writes, so the worker count cannot change a result.
+
+Together these make a solve's result bitwise identical across kinds and
+worker counts, for lanes of up to 8,192 rows.
+
+``aypx``, ``waxpby``, ``diag_scale``, ``dot``, ``norm2`` and ``scale`` have
+no caller in the library; they stay registered for the benchmark's kernel
+probes, which dispatch them by name.  The advanced apply
+``x = alpha op(b) + beta x`` has no kernel of its own:
+:meth:`~linopkit.linop.LinOp.advanced_apply` combines ``apply``'s result
+with one numpy expression for every operator.
 """
 
 from __future__ import annotations
@@ -61,15 +61,15 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import weakref
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InvalidArgumentError
 from .executor import register_kernel, split_ranges, worker_pool
 
-#: Fixed reduction tile width. Must not depend on the worker count, and must
-#: stay below the length at which OpenBLAS threads ``ddot`` (see above).
+#: The ``dot`` kernel's fixed reduction tile.  It does not depend on the
+#: worker count, and it keeps each ``np.dot`` call under the 10,000 elements
+#: above which OpenBLAS splits ``ddot`` across its own threads.
 REDUCTION_TILE = 8192
 
 
@@ -160,9 +160,8 @@ def _norm2(exec_, a):
 # --- sparse matrix-vector products -----------------------------------------
 #
 # row_ids holds the row index of every stored entry (the expanded form of
-# row_ptrs); callers cache it once per matrix.  The numpy body below is the
-# definition; the compiled body must match it bit for bit (see the bottom of
-# this section).
+# row_ptrs).  The numpy body below is the definition; the compiled body must
+# match it bit for bit (see the bottom of this section).
 
 
 def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out):
@@ -176,7 +175,7 @@ def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out):
     as ``Csr.get_col_idxs()``) is gathered by 1-D fancy indexing instead,
     which reads it in place.  Every index is bounds-checked, but both accept
     indices in ``[-len(b), 0)`` too, so callers rule out negative columns
-    (:func:`_spmv` searches for them; a :class:`BlockPattern` has none).
+    (:func:`_check_indices`).
     """
     n = len(row_ptrs) - 1
     for j in range(b.shape[1]):
@@ -185,187 +184,126 @@ def _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out):
         out[:, j] = np.bincount(row_ids, weights=prod, minlength=n)
 
 
-def _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out):
-    """The same result as :func:`_spmv_numpy`, from sparsetools' row loop.
-
-    ``csr_matvec`` and ``csr_matvecs`` add ``value * b[col]`` onto ``y`` row
-    by row, left to right, so starting from ``y = +0.0`` gives the bincount
-    sums.  The products are accumulated straight into a C-contiguous ``out``
-    that does not overlap ``b``; any other ``out`` goes through ``y``.
-    """
-    n, k = out.shape
-    if out.flags.c_contiguous and not np.may_share_memory(out, b):
-        y = out
-        y[...] = 0.0
-    else:
-        y = np.zeros((n, k))
-    if k == 1:
-        tools.csr_matvec(n, b.shape[0], row_ptrs, col_idxs, values, b, y)
-    else:
-        tools.csr_matvecs(n, b.shape[0], k, row_ptrs, col_idxs, values, b, y)
-    if y is not out:
-        out[...] = y
+def _check_indices(row_ptrs, col_idxs):
+    """What the numpy body needs of index arrays that nobody checked, or that
+    may have been written since: ``row_ptrs[-1]`` counts the entries, and no
+    column is negative (the gathers bounds-check the rest)."""
+    nnz = col_idxs.shape[0]
+    if row_ptrs[-1] != nnz:
+        raise DimensionError(f"row_ptrs[-1] = {row_ptrs[-1]}, but there are {nnz} column indices")
+    if nnz and col_idxs.min() < 0:
+        raise IndexError(f"column index {col_idxs.min()} is negative")
 
 
 @register_kernel("spmv")
 def _spmv(exec_, row_ptrs, row_ids, col_idxs, values, b, out):
+    """``out = A b`` on raw CSR arrays, by the numpy body and its checks.
+
+    The library multiplies through :func:`block_spmv`; this kernel serves
+    callers that hold raw arrays, such as the benchmark's probes."""
+    _check_indices(row_ptrs, col_idxs)
     nnz = col_idxs.shape[0]
-    if row_ptrs[-1] != nnz or row_ids.shape[0] != nnz or values.shape[0] != nnz:
-        raise DimensionError(
-            f"row_ptrs[-1] = {row_ptrs[-1]}, but there are {row_ids.shape[0]} row ids, "
-            f"{nnz} column indices and {values.shape[0]} values"
-        )
-    tools = _SPARSETOOLS
-    if tools is not None and _compiled_may_run(row_ptrs, col_idxs, values, b, out):
-        _spmv_compiled(tools, row_ptrs, col_idxs, values, b, out)
-    else:
-        if _checked_bound(col_idxs) is None and nnz and col_idxs.min() < 0:
-            raise IndexError(f"column index {col_idxs.min()} is negative")
-        _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out)
+    if row_ids.shape[0] != nnz or values.shape[0] != nnz:
+        raise DimensionError(f"row_ptrs[-1] = {row_ptrs[-1]}, but there are {row_ids.shape[0]} "
+                             f"row ids and {values.shape[0]} values")
+    _spmv_numpy(row_ptrs, row_ids, col_idxs, values, b, out)
 
 
-# --- checked patterns --------------------------------------------------------
-#
-# The compiled loop reads b[col_idxs[jj]] and values[jj] for jj in
-# [row_ptrs[i], row_ptrs[i+1]) without a bounds check, and a per-call check
-# would cost half of what it saves.  So it runs only on index arrays that a
-# Csr or BatchCsr validated, froze and recorded here, while they stay frozen;
-# the few O(1) checks left per call tie them to the other operands.
-
-_F64 = np.dtype(np.float64)
-_I64 = np.dtype(np.int64)
-#: column bound recorded for a row_ptrs array (col_idxs record cols >= 0)
-_ROW_PTRS = -1
-#: id(owner) -> (weak reference to owner, _ROW_PTRS or the column bound)
-_CHECKED: dict[int, tuple] = {}
-
-
-def freeze_checked_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int) -> None:
-    """Make a validated CSR pattern read-only and eligible for compiled SpMV.
-
-    The caller vouches that ``row_ptrs`` starts at 0 and never decreases,
-    that ``col_idxs`` has ``row_ptrs[-1]`` entries in ``[0, cols)``, and that
-    both are int64 arrays it owns, of which no writable view was handed out.
-    """
-    for arr, bound in ((row_ptrs, _ROW_PTRS), (col_idxs, int(cols))):
-        arr.flags.writeable = False
-        key = id(arr)
-
-        def forget(ref, key=key):
-            if _CHECKED.get(key, (None,))[0] is ref:
-                del _CHECKED[key]
-
-        _CHECKED[key] = (weakref.ref(arr, forget), bound)
-
-
-def _checked_bound(a):
-    """The bound recorded for ``a``'s still frozen owner, or None.
-
-    ``a`` must be an aligned int64 vector, so each of its entries is one of
-    the owner's: a view that reinterprets the owner's bytes could hold any
-    index.
-    """
-    if a.dtype is not _I64 or a.ndim != 1:
-        return None
-    flags = a.flags
-    if flags.writeable or not flags.aligned:
-        return None
-    owner = a if a.base is None else a.base
-    entry = _CHECKED.get(id(owner))
-    if entry is None or entry[0]() is not owner or owner.flags.writeable:
-        return None
-    return entry[1]
-
-
-def _compiled_may_run(row_ptrs, col_idxs, values, b, out) -> bool:
-    """True when every index the compiled loop reads is known to be in range.
-
-    The caller has checked that ``row_ptrs[-1]`` equals the length of
-    ``col_idxs`` and ``values``; slices of a checked ``row_ptrs`` still never
-    decrease from >= 0, so that last entry bounds them all.  Anything else
-    keeps the numpy body, which checks every index and raises as before.
-    """
-    cols = _checked_bound(col_idxs)
-    if cols is None or cols == _ROW_PTRS or _checked_bound(row_ptrs) != _ROW_PTRS:
-        return False
-    return (
-        values.dtype is _F64
-        and b.dtype is _F64
-        and out.dtype is _F64
-        and values.ndim == 1
-        and b.ndim == 2
-        and out.ndim == 2
-        and out.shape[0] == row_ptrs.shape[0] - 1
-        and b.shape[1] == out.shape[1]
-        and b.shape[0] >= cols
-    )
-
-
-# --- block-diagonal SpMV for batched solves ------------------------------------
+# --- CSR patterns and the one SpMV entry point ---------------------------------
 #
 # k systems that share one pattern are one CSR matrix with k copies of that
 # pattern down its diagonal: block row l * rows + i holds row i's entries in
 # the same order, columns offset by l * cols.  One csr_matvec call, or one
 # pass of the numpy body, then multiplies all k lanes, and every row sum is
-# the solo row's, bit for bit.
+# the solo row's, bit for bit.  A plain CSR pattern is the one-lane case.
+#
+# The compiled loop reads b[col_idxs[jj]] and values[jj] for jj in
+# [row_ptrs[i], row_ptrs[i+1]) without a bounds check, so it runs only on a
+# pattern that was checked, while its index arrays stay read-only.
+
+_F64 = np.dtype(np.float64)
 
 
 class BlockPattern:
-    """``lanes`` copies of a CSR pattern down the diagonal of one matrix.
+    """``lanes`` copies of a ``rows`` x ``cols`` CSR pattern down the diagonal of one matrix.
 
-    Built only by :func:`block_pattern`.  Its index arrays are its own,
-    read-only and never handed out, and every index in them is in range for
-    ``lanes * cols`` columns.  Any prefix of the lanes is itself a block
-    pattern, which serves smaller and compacted lane sets.  ``checked`` is
-    True when it was expanded from a pattern a ``Csr`` or ``BatchCsr``
-    checked and froze, which admits the compiled body.
+    A one-lane pattern is a plain CSR pattern; every ``Csr`` and ``BatchCsr``
+    holds one.  ``checked`` is True for a pattern
+    :func:`freeze_checked_pattern` returned and for the expansions
+    :func:`block_pattern` builds from one, whose arrays are their own and
+    never handed out; only those admit the compiled body.  Other patterns
+    have one lane, whose x the numpy body's gathers bound.  Any prefix of the
+    lanes is itself a block pattern, which serves smaller and compacted lane
+    sets.
     """
 
-    __slots__ = ("lanes", "rows", "cols", "nnz", "checked", "_row_ptrs", "_col_idxs", "_row_ids")
+    __slots__ = ("row_ptrs", "col_idxs", "cols", "lanes", "rows", "nnz", "checked", "_row_ids")
+
+    def __init__(self, row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int, lanes: int = 1,
+                 checked: bool = False):
+        self.row_ptrs, self.col_idxs, self.cols, self.lanes = row_ptrs, col_idxs, cols, lanes
+        self.rows = (row_ptrs.shape[0] - 1) // lanes
+        self.nnz = col_idxs.shape[0] // lanes
+        self.checked = checked
+        self._row_ids = None
+
+    def frozen(self) -> bool:
+        """True while the compiled loop may read this pattern: it was checked,
+        and its index arrays are still read-only (an owner can be made
+        writable again, and then changed)."""
+        return self.checked and not (self.row_ptrs.flags.writeable or self.col_idxs.flags.writeable)
+
+    def row_ids(self) -> np.ndarray:
+        """The block row of every stored entry, built on first use (workers
+        that race here build equal arrays)."""
+        if self._row_ids is None:
+            self._row_ids = np.repeat(np.arange(self.lanes * self.rows, dtype=np.int64),
+                                      np.diff(self.row_ptrs))
+        return self._row_ids
 
 
-def block_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int, lanes: int) -> BlockPattern:
-    """The block-diagonal expansion of a ``cols``-column pattern for up to ``lanes`` lanes.
+def freeze_checked_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int) -> BlockPattern:
+    """Make a validated CSR pattern read-only and return it as a checked one-lane pattern.
 
-    Lanes are offset by the caller's column count ``cols``, never by the
-    largest stored index, which an empty last column makes smaller.  A
-    pattern that was not checked and frozen for ``cols`` columns has its
-    column indices checked here.
+    The caller vouches that ``row_ptrs`` starts at 0 and never decreases,
+    that ``col_idxs`` has ``row_ptrs[-1]`` entries in ``[0, cols)``, and that
+    both are int64 arrays it owns, of which no writable view was handed out.
     """
-    nnz, rows = col_idxs.shape[0], row_ptrs.shape[0] - 1
-    checked = _checked_bound(col_idxs) == cols and _checked_bound(row_ptrs) == _ROW_PTRS
-    if row_ptrs[-1] != nnz or (not checked and nnz
-                               and not 0 <= col_idxs.min() <= col_idxs.max() < cols):
-        raise DimensionError(f"not a pattern of {nnz} entries in {cols} columns")
+    row_ptrs.flags.writeable = col_idxs.flags.writeable = False
+    return BlockPattern(row_ptrs, col_idxs, int(cols), checked=True)
+
+
+def block_pattern(pattern: BlockPattern, lanes: int) -> BlockPattern:
+    """The block-diagonal expansion of a checked one-lane ``pattern`` for up to ``lanes`` lanes.
+
+    Lanes are offset by the pattern's column count, never by the largest
+    stored index, which an empty last column makes smaller.
+    """
+    if pattern.lanes != 1 or not pattern.frozen():
+        raise InvalidArgumentError("only a checked, read-only one-lane pattern expands to a block")
+    rows, cols, nnz = pattern.rows, pattern.cols, pattern.nnz
     lane = np.arange(lanes, dtype=np.int64)[:, None]
     block_ptrs = np.empty(lanes * rows + 1, dtype=np.int64)
-    np.add(row_ptrs[:-1], lane * nnz, out=block_ptrs[:-1].reshape(lanes, rows))
+    np.add(pattern.row_ptrs[:-1], lane * nnz, out=block_ptrs[:-1].reshape(lanes, rows))
     block_ptrs[-1] = lanes * nnz
     block_cols = np.empty(lanes * nnz, dtype=np.int64)
-    np.add(col_idxs, lane * cols, out=block_cols.reshape(lanes, nnz))
+    np.add(pattern.col_idxs, lane * cols, out=block_cols.reshape(lanes, nnz))
     block_ptrs.flags.writeable = block_cols.flags.writeable = False
-    block = BlockPattern()
-    block.lanes, block.rows, block.cols, block.nnz, block.checked = lanes, rows, cols, nnz, checked
-    block._row_ptrs, block._col_idxs, block._row_ids = block_ptrs, block_cols, None
-    return block
-
-
-def _block_may_run(block: BlockPattern, vals, xb, out) -> bool:
-    """True when the compiled loop may run operands of fitting shapes on ``block``:
-    its own arrays bound every index the loop reads, so only the operands'
-    dtype and layout are checked, in O(1)."""
-    return (block.checked
-            and vals.dtype is xb.dtype is out.dtype is _F64
-            and vals.flags.c_contiguous and xb.flags.c_contiguous and out.flags.c_contiguous)
+    return BlockPattern(block_ptrs, block_cols, cols, lanes, checked=True)
 
 
 def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``; returns ``out``.
 
+    The library's one SpMV entry point: ``Csr.apply`` calls it once per
+    column, a Solver once per lane, and a batched solve once per group.
     ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``;
-    ``out`` must not overlap ``xb``, and there may be at most ``block.lanes``
-    lanes.  The compiled loop runs when :func:`_block_may_run` allows it, the
-    numpy body otherwise; both give the numpy body's bits.
+    ``out`` must not overlap ``xb``, and there may be at most
+    ``block.lanes`` lanes.  The compiled loop runs when the pattern is
+    :meth:`~BlockPattern.frozen` and every operand is float64, on contiguous
+    copies of strided operands.  Otherwise the numpy body runs, after
+    :func:`_check_indices` on a pattern that is not frozen.  Both give the
+    numpy body's bits.
     """
     k, rows, nnz = xb.shape[0], block.rows, block.nnz
     if (k > block.lanes or vals.shape != (k, nnz) or xb.shape != (k, block.cols)
@@ -373,18 +311,22 @@ def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.nd
         raise DimensionError(f"values {vals.shape}, x {xb.shape} and out {out.shape} do not "
                              f"fit up to {block.lanes} {rows} x {block.cols} systems of "
                              f"{nnz} entries")
-    tools = _SPARSETOOLS
-    if tools is not None and _block_may_run(block, vals, xb, out):
-        out.fill(0.0)
+    tools, frozen = _SPARSETOOLS, block.frozen()
+    if tools is not None and frozen and vals.dtype is xb.dtype is out.dtype is _F64:
+        y = out if out.flags.c_contiguous else np.empty(out.shape)
+        y.fill(0.0)
         # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads.
-        tools.csr_matvec(k * rows, k * block.cols, block._row_ptrs[: k * rows + 1],
-                         block._col_idxs[: k * nnz], vals, xb, out)
+        tools.csr_matvec(k * rows, k * block.cols, block.row_ptrs[: k * rows + 1],
+                         block.col_idxs[: k * nnz], np.ascontiguousarray(vals),
+                         np.ascontiguousarray(xb), y)
+        if y is not out:
+            out[...] = y
         return out
-    if block._row_ids is None:  # workers that race here build equal arrays
-        block._row_ids = np.repeat(np.arange(block.lanes * rows), np.diff(block._row_ptrs))
-    y = out.reshape(-1, 1)  # a view of out when it is C-contiguous
-    _spmv_numpy(block._row_ptrs[: k * rows + 1], block._row_ids[: k * nnz],
-                block._col_idxs[: k * nnz], vals.reshape(-1), xb.reshape(-1, 1), y)
+    if not frozen:
+        _check_indices(block.row_ptrs, block.col_idxs)
+    y = out.reshape(-1, 1)  # a view of out unless its layout forbids one
+    _spmv_numpy(block.row_ptrs[: k * rows + 1], block.row_ids()[: k * nnz],
+                block.col_idxs[: k * nnz], vals.reshape(-1), xb.reshape(-1, 1), y)
     if not np.may_share_memory(y, out):
         out[...] = y.reshape(k, rows)
     return out
@@ -418,7 +360,7 @@ def _load_sparsetools():
             return None
         loader = importlib.machinery.ExtensionFileLoader(name, path)
         module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-        module.csr_matvec, module.csr_matvecs  # noqa: B018  (both must exist)
+        module.csr_matvec  # noqa: B018  (it must exist)
     except (ImportError, OSError, ValueError, AttributeError):
         return None  # a broken or blocked scipy, or an incompatible build
     finally:
@@ -432,23 +374,23 @@ def _agrees_with_numpy(tools) -> bool:
     Row 0 is ``-(1 + 2e) * 1 + (1 + e) * (1 + e)`` with ``e = 2**-30``: the
     exact product ``1 + 2e + e**2`` rounds to ``1 + 2e``, so the sum is 0.0
     when each product is rounded and ``e**2`` under a fused multiply-add.
-    Further rows sum -0.0 products, meet inf and NaN, or are empty.  Both
-    columns of ``b`` start with that row, so the multi-vector loop meets it
-    too.
+    Further rows sum -0.0 products, meet inf and NaN, or are empty.  The loop
+    runs once per column of ``b``, as :func:`block_spmv` calls it, into a
+    ``y`` of +0.0, and both columns start with that row.
     """
     e = 2.0**-30
     row_ptrs = np.array([0, 2, 4, 6, 8, 8], dtype=np.int64)
     col_idxs = np.array([0, 1, 2, 3, 1, 4, 4, 5], dtype=np.int64)
     values = np.array([-(1 + 2 * e), 1 + e, 1.0, -1.0, 1.0, 2.0, -1.0, 1.0])
-    b = np.array([[1.0, 1.0], [1 + e, 1 + e], [-0.0, 3.0], [0.0, -0.0], [np.inf, -2.0], [np.nan, 0.5]])
+    b = np.array([[1.0, 1 + e, -0.0, 0.0, np.inf, np.nan], [1.0, 1 + e, 3.0, -0.0, -2.0, 0.5]])
     row_ids = np.repeat(np.arange(5, dtype=np.int64), np.diff(row_ptrs))
     try:
-        for bk in (b[:, :1].copy(), b):
-            want = np.empty((5, bk.shape[1]))
-            _spmv_numpy(row_ptrs, row_ids, col_idxs, values, bk, want)
-            got = np.full_like(want, -0.0)
-            _spmv_compiled(tools, row_ptrs, col_idxs, values, bk, got)
-            if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+        for column in b:
+            want = np.empty((5, 1))
+            _spmv_numpy(row_ptrs, row_ids, col_idxs, values, column[:, None], want)
+            got = np.zeros(5)
+            tools.csr_matvec(5, 6, row_ptrs, col_idxs, values, column, got)
+            if not np.array_equal(got.view(np.uint64), want[:, 0].view(np.uint64)):
                 return False
     except (TypeError, ValueError):  # a body that cannot run the probe is not used either
         return False

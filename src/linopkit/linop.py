@@ -27,7 +27,7 @@ from .container import (
 )
 from .errors import DimensionError, InvalidArgumentError
 from .executor import Executor, dispatch
-from .kernels import freeze_checked_pattern
+from .kernels import BlockPattern, block_spmv, freeze_checked_pattern
 
 
 class LinOp(abc.ABC):
@@ -182,23 +182,10 @@ class Dense(LinOp):
     def fill(self, value: float) -> None:
         dispatch(self._executor, "fill")(self.view2d(), value)
 
-    def scale(self, alpha) -> None:
-        """self *= alpha (alpha scalar, or one factor per column)."""
-        dispatch(self._executor, "scale")(self.view2d(), alpha)
-
     def add_scaled(self, alpha, other: "Dense") -> None:
         """self += alpha * other."""
         self._check_same_shape(other)
         dispatch(self._executor, "axpy")(self.view2d(), alpha, other.view2d())
-
-    def dot(self, other: "Dense") -> np.ndarray:
-        """Columnwise inner products, shape (cols,)."""
-        self._check_same_shape(other)
-        return dispatch(self._executor, "dot")(self.view2d(), other.view2d())
-
-    def norm2(self) -> np.ndarray:
-        """Columnwise Euclidean norms, shape (cols,)."""
-        return dispatch(self._executor, "norm2")(self.view2d())
 
     def copy(self) -> "Dense":
         """Compact owning copy (stride == cols). Counted."""
@@ -251,10 +238,13 @@ class Csr(LinOp):
     duplicate-free; :meth:`from_data` establishes that normal form by sorting
     and summing duplicates.  Indices are int64, values float64.
 
-    :meth:`from_data` and :meth:`from_arrays` build index arrays of their
-    own, check them and make them read-only, which lets SpMV use its
-    compiled body (see ``kernels.py``).  A matrix over borrowed or writable
-    index arrays uses the numpy body, which bounds-checks every index.
+    Every apply multiplies through ``kernels.block_spmv`` on the matrix's
+    one-lane pattern.  :meth:`from_data` and :meth:`from_arrays` build index
+    arrays of their own, check them and make them read-only, and their
+    pattern admits SpMV's compiled body (see ``kernels.py``); so does the
+    pattern ``BatchCsr.extract_system`` shares with its batch.  A matrix
+    built directly over index arrays gets an unchecked pattern and the numpy
+    body, which checks its indices on every call.
     """
 
     def __init__(
@@ -270,9 +260,9 @@ class Csr(LinOp):
         self._row_ptrs = row_ptrs
         self._col_idxs = col_idxs
         self._values = values
-        self._row_ids_cache: np.ndarray | None = None
         if validate:
             self._validate()
+        self._pattern = BlockPattern(row_ptrs.numpy(), col_idxs.numpy(), self._size.cols)
 
     # -- construction --------------------------------------------------------
 
@@ -328,9 +318,8 @@ class Csr(LinOp):
             counts = np.zeros(rows, dtype=np.int64)
         row_ptrs = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptrs[1:])
-        freeze_checked_pattern(row_ptrs, col_idxs, cols)
         _count_conversion()
-        return cls(
+        csr = cls(
             executor,
             data.size,
             Array(executor, row_ptrs, Ownership.OWNING),
@@ -338,6 +327,8 @@ class Csr(LinOp):
             Array(executor, vals, Ownership.OWNING),
             validate=False,
         )
+        csr._pattern = freeze_checked_pattern(row_ptrs, col_idxs, cols)
+        return csr
 
     @classmethod
     def from_arrays(cls, executor: Executor, size, row_ptrs, col_idxs, values) -> "Csr":
@@ -351,7 +342,7 @@ class Csr(LinOp):
             Array(executor, ci, Ownership.OWNING),
             Array(executor, np.array(values, dtype=np.float64), Ownership.OWNING),
         )
-        freeze_checked_pattern(rp, ci, csr.size.cols)
+        csr._pattern = freeze_checked_pattern(rp, ci, csr.size.cols)
         return csr
 
     def _validate(self) -> None:
@@ -398,31 +389,18 @@ class Csr(LinOp):
     def write_data(self) -> MatrixData:
         """A snapshot of the stored entries as an assembly buffer (row-major, sorted columns)."""
         out = MatrixData(self._size)
-        out.add_entries(self._row_ids(), self._col_idxs.numpy(), self._values.numpy().copy())
+        out.add_entries(self._pattern.row_ids(), self._col_idxs.numpy(), self._values.numpy().copy())
         return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self._size)
-        dense[self._row_ids(), self._col_idxs.numpy()] = self._values.numpy()
+        dense[self._pattern.row_ids(), self._col_idxs.numpy()] = self._values.numpy()
         return dense
-
-    def _row_ids(self) -> np.ndarray:
-        if self._row_ids_cache is None:
-            rp = self._row_ptrs.numpy()
-            self._row_ids_cache = np.repeat(
-                np.arange(self._size.rows, dtype=np.int64), np.diff(rp)
-            )
-        return self._row_ids_cache
 
     # -- application ----------------------------------------------------------
 
     def _apply(self, b: "Dense", x: "Dense") -> None:
-        dispatch(self._executor, "spmv")(
-            self._row_ptrs.numpy(),
-            self._row_ids(),
-            self._col_idxs.numpy(),
-            self._values.numpy(),
-            b.view2d(),
-            x.view2d(),
-        )
+        vals, bv, xv = self._values.numpy()[None], b.view2d(), x.view2d()
+        for j in range(bv.shape[1]):
+            block_spmv(self._pattern, vals, bv[None, :, j], xv[None, :, j])
 

@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrixError,
     SingularPreconditionerError,
 )
-from .executor import dispatch
+from .kernels import block_spmv
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
@@ -111,7 +111,8 @@ def extract_diagonal(a: Csr) -> np.ndarray:
     SingularPreconditionerError
         If some diagonal entry is absent from the sparsity pattern or zero.
     """
-    return _stored_diagonal(a, _diagonal_positions(a._row_ids(), a._col_idxs.numpy(), a.size.rows))
+    return _stored_diagonal(a, _diagonal_positions(a._pattern.row_ids(), a._col_idxs.numpy(),
+                                                   a.size.rows))
 
 
 def _stored_diagonal(a: Csr, pos: np.ndarray) -> np.ndarray:
@@ -262,8 +263,9 @@ class Solver(LinOp):
         criteria = _checked_options(factory.criteria, factory.preconditioner)
         if factory.restart < 1:
             raise InvalidArgumentError(f"restart must be >= 1, got {factory.restart}")
-        stored = factory.algorithm in ("lu", "gmres_lu") or factory.preconditioner == "jacobi"
-        if stored and not isinstance(a, Csr):  # factorizing or reading a diagonal needs entries
+        factorized = factory.algorithm in ("lu", "gmres_lu")  # these ignore the preconditioner
+        jacobi = factory.preconditioner == "jacobi" and not factorized
+        if (factorized or jacobi) and not isinstance(a, Csr):  # both read stored entries
             raise InvalidArgumentError(f"{factory.algorithm} with preconditioner "
                                        f"{factory.preconditioner} needs a Csr, got {type(a).__name__}")
         super().__init__(a.executor, a.size)
@@ -271,8 +273,8 @@ class Solver(LinOp):
         self._a = a
         self._criteria = criteria
         self._lanes_apply = _lane_apply(a)
-        self._diag_pos = (_diagonal_positions(a._row_ids(), a._col_idxs.numpy(), a.size.rows)
-                          if factory.preconditioner == "jacobi" else None)
+        self._diag_pos = (_diagonal_positions(a._pattern.row_ids(), a._col_idxs.numpy(), a.size.rows)
+                          if jacobi else None)
         self._setup()
 
     def _setup(self) -> None:
@@ -280,7 +282,7 @@ class Solver(LinOp):
         factory, lu, invd = self._factory, None, None
         if factory.algorithm in ("lu", "gmres_lu"):
             lu = lu_factorize(self._a)
-        elif factory.preconditioner == "jacobi":
+        elif self._diag_pos is not None:
             invd = 1.0 / _stored_diagonal(self._a, self._diag_pos)
         if factory.algorithm == "lu":
             block = functools.partial(_lu_block, lu=lu)
@@ -382,20 +384,21 @@ _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 
 
 def _lane_apply(a: LinOp):
-    """A Solver's block apply: ``a`` times each lane, as an (n, 1) column.
+    """A Solver's block apply: ``a`` times each lane.
 
-    A plain ``Csr`` runs its SpMV kernel, bound once, on each lane's row; the
-    rows are C-contiguous, so the compiled body may run.  Any other operator
-    gets each lane wrapped in a ``Dense`` per call and its ``_apply``, or its
-    ``apply`` if a subclass overrides that (to trace it, say).  The lanes are
-    vectors the block owns, so the public method's checks are skipped."""
+    A plain ``Csr`` multiplies each lane's row through ``block_spmv`` on its
+    own pattern, as ``Csr.apply`` does each column; the rows are
+    C-contiguous, so the compiled body runs on a checked pattern.  Any other
+    operator gets each lane wrapped in an (n, 1) ``Dense`` per call and its
+    ``_apply``, or its ``apply`` if a subclass overrides that (to trace it,
+    say).  The lanes are vectors the block owns, so the public method's
+    checks are skipped."""
     if type(a) is Csr:
-        spmv = functools.partial(dispatch(a.executor, "spmv"), a._row_ptrs.numpy(),
-                                 a._row_ids(), a._col_idxs.numpy(), a._values.numpy())
+        spmv = functools.partial(block_spmv, a._pattern, a._values.numpy()[None])
 
         def apply(vals, src, dst):
             for s, d in zip(src, dst):
-                spmv(s[:, None], d[:, None])
+                spmv(s[None], d[None])
 
         return apply
     op = a._apply if type(a).apply is LinOp.apply else a.apply

@@ -101,10 +101,6 @@ class CountingSparsetools:
         self.calls += 1
         self._tools.csr_matvec(*args)
 
-    def csr_matvecs(self, *args):
-        self.calls += 1
-        self._tools.csr_matvecs(*args)
-
 
 def use_spmv_body(monkeypatch, body):
     """Select the ``"compiled"`` or ``"numpy"`` SpMV body until the test ends.

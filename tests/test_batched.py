@@ -7,10 +7,10 @@ import ctypes
 
 from linopkit import batched, kernels, solver
 from linopkit.batched import BatchCsr, BatchDense, batch_solve
-from linopkit.container import MatrixData, copy_stats, reset_copy_stats
+from linopkit.container import MatrixData, array_view, copy_stats, reset_copy_stats
 from linopkit.errors import BreakdownError, DimensionError, InvalidArgumentError
 from linopkit.executor import executor_from_name
-from linopkit.linop import Dense
+from linopkit.linop import Csr, Dense
 from linopkit.solver import Iteration, ResidualNorm, SolverFactory
 
 from helpers import COMPILED_SPMV, dense_from_numpy, random_dd_dense, random_spd_dense, use_spmv_body
@@ -401,8 +401,8 @@ class TestSharedStorage:
         converted = BatchCsr.from_template(ref, 1, template, np.ones(3))
         for a in (public, converted):
             assert list(a.row_ptrs) == [0, 1, 3] and list(a.col_idxs) == [0, 0, 1]
-            assert kernels._checked_bound(a.row_ptrs) == kernels._ROW_PTRS
-            assert kernels._checked_bound(a.col_idxs) == 2
+            assert a._pattern.frozen() and (a._pattern.lanes, a._pattern.cols) == (1, 2)
+            assert a.extract_system(0)._pattern is a._pattern
 
 
 class TestParallelPartitioning:
@@ -477,9 +477,9 @@ class TestSpmvBlock:
     def test_bitwise_equal_to_bincount_formula(self, ref, rng, monkeypatch):
         num = 9
         a, xb = self._batch(ref, rng, num)
-        n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
-        pattern = kernels.block_pattern(a.row_ptrs, col_idxs, n, num)
-        assert pattern.checked
+        n, row_ids, col_idxs = a.size.rows, a._pattern.row_ids(), a.col_idxs
+        pattern = kernels.block_pattern(a._pattern, num)
+        assert pattern.frozen()
         for spy in spmv_bodies(monkeypatch):
             with np.errstate(invalid="ignore"):
                 # every lane, a prefix, and a scattered set as compaction leaves it
@@ -494,14 +494,16 @@ class TestSpmvBlock:
             if spy is not None:
                 assert spy.calls == 3
 
-    def test_mismatched_calls_fall_back_with_the_same_bits(self, ref, rng, monkeypatch):
-        """Calls that do not fit the block's layout take the numpy body and give
-        its bits; none of them reaches the compiled loop.  Operands of the
-        wrong shape, or more lanes than the block has, are refused."""
+    def test_strided_operands_run_compiled_on_contiguous_copies(self, ref, rng, monkeypatch):
+        """Operands that are not C-contiguous are copied before the compiled loop
+        reads them, and an ``out`` that is not goes through a contiguous
+        temporary; every such call gives the numpy body's bits.  Operands of
+        the wrong shape, or more lanes than the block has, are refused before
+        the loop runs."""
         spy = use_spmv_body(monkeypatch, "compiled")
         a, xb = self._batch(ref, rng, 9)
-        n, row_ids, col_idxs = a.size.rows, a._row_ids, a.col_idxs
-        pattern = kernels.block_pattern(a.row_ptrs, col_idxs, n, 4)
+        n, row_ids, col_idxs = a.size.rows, a._pattern.row_ids(), a.col_idxs
+        pattern = kernels.block_pattern(a._pattern, 4)
         vals = a.values
         cases = {
             "strided x": (vals[:3], np.repeat(xb[:3], 2, axis=1)[:, ::2], np.empty((3, n))),
@@ -522,10 +524,11 @@ class TestSpmvBlock:
                 expected = self._old_formula(v, row_ids, col_idxs, n, x)
                 assert kernels.block_spmv(pattern, v, x, out) is out, case
                 assert np.array_equal(expected.view(np.uint64), out.view(np.uint64)), case
+        assert spy.calls == len(cases)
         for case, (v, x, out) in short.items():
             with pytest.raises(DimensionError):
                 kernels.block_spmv(pattern, v, x, out)
-        assert spy.calls == 0
+        assert spy.calls == len(cases)
 
     def test_non_contiguous_solution_is_copied_before_any_spmv(self, ref, rng, monkeypatch):
         """With the compiled body in use, a solve whose ``x`` is not C-contiguous
@@ -578,9 +581,9 @@ def _writable_alias(arr):
 
 
 class TestBlockPatternSafety:
-    """A batch pattern that is not the checked, frozen one never reaches the
-    compiled loop, which does not bounds-check; the solve takes the numpy
-    body and gives its bits."""
+    """A pattern that is not the checked, frozen one never reaches the compiled
+    loop, which does not bounds-check: a batched solve refuses it, and a Csr
+    over its arrays takes the numpy body, with the checked pattern's bits."""
 
     FORGERIES = {
         "raw writable copies": lambda a: (a.row_ptrs.copy(), a.col_idxs.copy()),
@@ -600,52 +603,70 @@ class TestBlockPatternSafety:
     def test_unchecked_pattern_takes_the_numpy_body(self, ref, rng, monkeypatch, forgery):
         spy = use_spmv_body(monkeypatch, "compiled")
         stack, bv = mixed_exit_batch(rng)
-        expected = self._solve(build_batch(ref, stack), bv)
-        assert spy.calls > 0
         a = build_batch(ref, stack)
+        x, iterations, reasons = self._solve(a, bv)
+        assert spy.calls > 0
         rp, ci = self.FORGERIES[forgery](a)
-        assert not kernels.block_pattern(rp, ci, a.size.cols, a.num_systems).checked
-        monkeypatch.setattr(a, "_row_ptrs", rp)
-        monkeypatch.setattr(a, "_col_idxs", ci)
+        forged = kernels.BlockPattern(rp, ci, a.size.cols)
+        assert not forged.frozen()
+        with pytest.raises(InvalidArgumentError, match="checked"):
+            kernels.block_pattern(forged, a.num_systems)
+        monkeypatch.setattr(a, "_pattern", forged)
+        with pytest.raises(InvalidArgumentError, match="checked"):
+            self._solve(a, bv)
+        # each system over the forged arrays, solved alone, gets the batch's bits
         spy.calls = 0
-        got = self._solve(a, bv)
+        for k in np.flatnonzero(np.isin(reasons, ["residual_norm", "iteration"])):
+            csr = Csr(ref, a.size, *(array_view(ref, len(v), v) for v in (rp, ci, a.values[k])))
+            xk, rk = solo_solve(ref, csr, bv[k, :, 0], "bicgstab", MIXED_CRITERIA, "jacobi")
+            assert np.array_equal(xk.view(np.uint64), x[k, :, 0].view(np.uint64)), (forgery, k)
+            assert (rk.iterations, rk.stop_reason) == (iterations[k], reasons[k]), (forgery, k)
         assert spy.calls == 0
-        for want, have in zip(expected, got):
-            assert np.array_equal(want, have), forgery
 
-    def test_unfrozen_owner_takes_the_numpy_body(self, ref, rng, monkeypatch):
+    def test_unfrozen_owner_never_runs_compiled(self, ref, rng, monkeypatch):
+        """An owner made writable again, and then changed, is refused by batched
+        solves and raises in the applies of the systems extracted from it."""
         spy = use_spmv_body(monkeypatch, "compiled")
         stack, bv = mixed_exit_batch(rng)
         a = build_batch(ref, stack)
+        system = a.extract_system(0)
+        b, x = dense_from_numpy(ref, bv[0]), Dense.create(ref, (a.size.rows, 1))
         a.col_idxs.flags.writeable = True  # the owner can be unfrozen, and then changed
-        assert not kernels.block_pattern(a.row_ptrs, a.col_idxs, a.size.cols, a.num_systems).checked
-        self._solve(a, bv)
+        assert not a._pattern.frozen()
+        system.apply(b, x)
+        assert np.allclose(x.view2d(), stack[0] @ bv[0], rtol=1e-14, atol=0)
+        a.col_idxs[1] = 10**9
+        with pytest.raises(InvalidArgumentError, match="checked"):
+            self._solve(a, bv)
+        with pytest.raises(IndexError):
+            system.apply(b, x)
         assert spy.calls == 0
 
     @pytest.mark.parametrize("forgery", sorted(FORGERIES))
     def test_lanes_are_offset_by_the_column_count(self, ref, rng, monkeypatch, forgery):
         """No entry is stored in the last column, so the largest index is not
         the column count; each lane reads its own x only when the block
-        offsets lanes by the latter."""
+        offsets lanes by the latter.  A forged pattern, lane by lane, gives
+        the same bits."""
         num, n = 12, 6
         stack = np.stack([random_dd_dense(rng, n) for _ in range(num)])[:, :, :-1]
         template = MatrixData((n, n), [(i, j, 1.0) for i in range(n) for j in range(n - 1)])
         a = BatchCsr.from_template(ref, num, template, stack.reshape(num, -1))
-        bv = rng.normal(size=(num, n, 1))
-        expected = self._solve(a, bv, None)
-        rp, ci = self.FORGERIES[forgery](a)
-        assert ci.max() == n - 2
+        forged = kernels.BlockPattern(*self.FORGERIES[forgery](a), n)
+        assert forged.col_idxs.max() == n - 2
         xb = rng.normal(size=(num, n))
-        want = TestSpmvBlock._old_formula(a.values, a._row_ids, a.col_idxs, n, xb)
-        for pattern in ((a.row_ptrs, a.col_idxs), (rp, ci)):
-            out = kernels.block_spmv(kernels.block_pattern(*pattern, n, num), a.values, xb,
+        want = TestSpmvBlock._old_formula(a.values, a._pattern.row_ids(), a.col_idxs, n, xb)
+        for spy in spmv_bodies(monkeypatch):
+            out = kernels.block_spmv(kernels.block_pattern(a._pattern, num), a.values, xb,
                                      np.empty((num, n)))
             assert np.array_equal(want.view(np.uint64), out.view(np.uint64)), forgery
-        monkeypatch.setattr(a, "_row_ptrs", rp)
-        monkeypatch.setattr(a, "_col_idxs", ci)
-        got = self._solve(a, bv, None)
-        for checked, forged in zip(expected, got):
-            assert np.array_equal(checked, forged), forgery
+            out.fill(np.nan)
+            for lane in range(num):
+                kernels.block_spmv(forged, a.values[lane:lane + 1], xb[lane:lane + 1],
+                                   out[lane:lane + 1])
+            assert np.array_equal(want.view(np.uint64), out.view(np.uint64)), forgery
+            if spy is not None:
+                assert spy.calls == 1
 
 
 class TestValidation:

@@ -1,9 +1,11 @@
 """Storage ownership, view transparency, and the copy counters."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,33 @@ class TestMatrixData:
     def test_negative_dimensions_rejected(self):
         with pytest.raises(InvalidArgumentError):
             MatrixData((-1, 2))
+
+    @pytest.mark.parametrize("rows, cols, first", [
+        ([0, 2, 1, 5], [0, 1, 7, 0], "(2, 1)"),
+        ([1, 0, 0], [0, -1, 9], "(0, -1)"),
+        ([0, 1, 1], [2, 2, 3], "(1, 3)"),
+    ])
+    def test_rejected_bulk_add_names_the_first_bad_entry_and_stores_nothing(self, rows, cols,
+                                                                          first):
+        data = MatrixData((2, 3), [(1, 1, 5.0)])
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"entry {first} outside 2x3")):
+            data.add_entries(np.array(rows), np.array(cols), np.ones(len(rows)))
+        assert list(data) == [(1, 1, 5.0)]
+
+    def test_bounds_check_of_a_bulk_add_allocates_no_mask(self):
+        """An in-range append is checked by two reductions, not by masks as long
+        as the entries (300 kB for these 100,000)."""
+        k = 100_000
+        rows, cols, values = np.arange(k) % 300, np.arange(k) % 200, np.ones(k)
+        MatrixData((300, 200)).add_entries(rows, cols, values)  # warm-up
+        tracemalloc.start()
+        try:
+            data = MatrixData((300, 200))
+            data.add_entries(rows, cols, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == k and peak < 100_000
 
     def test_bulk_and_single_adds_interleave_in_order(self):
         data = MatrixData((3, 3))

@@ -326,12 +326,14 @@ def _same_bits(x, y):
 
 
 class TestSpmvKernel:
-    """``spmv``, and ``Csr.advanced_apply`` through it, equal the bincount
-    formula bit for bit on both SpMV bodies, both kinds and every worker
-    count, including empty rows next to where a row split would fall.
+    """``spmv`` and ``Csr.advanced_apply`` equal the bincount formula bit
+    for bit on both SpMV bodies, both kinds and every worker count, including
+    empty rows next to where a row split would fall.
 
-    The compiled body runs only on a pattern a Csr checked and froze; raw
-    index arrays, writable or not, take the numpy body under either choice.
+    The compiled body runs only in a Csr's applies, on a pattern that Csr
+    checked and froze itself; a Csr over raw index arrays, writable, read-only
+    or another Csr's, and the raw ``spmv`` kernel take the numpy body under
+    either choice.
     """
 
     ROWS = 1357
@@ -411,10 +413,16 @@ class TestSpmvKernel:
                 out = self._out(k, strided, np.nan)
                 dispatch(exec_, "spmv")(rp, row_ids, cols, values, b, out.view2d())
                 assert _same_bits(out.view2d(), s), where
-                # a Csr over these very arrays: only the checked ones run compiled
-                matrix = Csr(exec_, (self.ROWS, self.COLS),
-                             *(array_view(exec_, len(v), v) for v in (rp, cols, values)))
-                for alpha, beta in ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25)):
+                # a Csr over these very arrays has an unchecked pattern; only a
+                # Csr that checked its own copies runs compiled, once per column
+                matrices = [Csr(exec_, (self.ROWS, self.COLS),
+                                *(array_view(exec_, len(v), v) for v in (rp, cols, values)))]
+                if pattern == "checked":
+                    matrices.append(Csr.from_arrays(exec_, (self.ROWS, self.COLS), row_ptrs,
+                                                    col_idxs, values))
+                for matrix, (alpha, beta) in itertools.product(
+                    matrices, ((1.0, 0.0), (-0.75, 0.0), (2.5, -1.25))
+                ):
                     if beta == 0.0:
                         out = self._out(k, strided, np.nan)
                         expected = alpha * s
@@ -424,15 +432,16 @@ class TestSpmvKernel:
                     matrix.advanced_apply(alpha, bd, beta, out)
                     assert _same_bits(out.view2d(), expected), (*where, alpha, beta)
                     assert np.isnan(out.values.numpy().reshape(self.ROWS, -1)[:, k:]).all()
-                checked_calls += 4 if pattern == "checked" else 0
+                checked_calls += 3 * k if pattern == "checked" else 0
             if spy is not None:
                 assert spy.calls == checked_calls
 
     def test_out_may_overlap_b(self, rng, spmv_body):
-        """``out`` sharing ``b``'s storage gets ``A`` times the old ``b``."""
+        """``out`` sharing ``b``'s storage gets ``A`` times the old ``b``; the
+        raw kernel runs the numpy body under either choice."""
         dense = random_spd_dense(rng, 40)
         m = csr_from_numpy(executor_from_name("reference"), dense)
-        args = (m.get_row_ptrs().numpy(), m._row_ids(), m.get_col_idxs().numpy(),
+        args = (m.get_row_ptrs().numpy(), m._pattern.row_ids(), m.get_col_idxs().numpy(),
                 m.get_values(const=True).numpy())
         b0 = rng.normal(size=(40, 2))
         for exec_ in (executor_from_name("reference"), executor_from_name("parallel", 2)):
@@ -440,11 +449,11 @@ class TestSpmvKernel:
             dispatch(exec_, "spmv")(*args, v, v)
             assert _same_bits(v, _bincount_spmv(*args, b0))
         if spmv_body is not None:
-            assert spmv_body.calls == 2
+            assert spmv_body.calls == 0
 
 
 class _RowLoop:
-    """``csr_matvec(s)`` in Python, adding ``value * b[col]`` onto ``y`` in row order.
+    """``csr_matvec`` in Python, adding ``value * x[col]`` onto ``y`` in row order.
 
     With ``fused`` each step rounds once, as a fused multiply-add does.
     """
@@ -458,15 +467,9 @@ class _RowLoop:
         return y + a * x
 
     def csr_matvec(self, n_row, n_col, row_ptrs, col_idxs, values, x, y):
-        self.csr_matvecs(n_row, n_col, 1, row_ptrs, col_idxs, values, x, y)
-
-    def csr_matvecs(self, n_row, n_col, k, row_ptrs, col_idxs, values, x, y):
-        x = np.ascontiguousarray(x).reshape(-1, k)
-        y = y.reshape(-1, k)  # the kernel hands over a contiguous y
         for i in range(n_row):
             for jj in range(row_ptrs[i], row_ptrs[i + 1]):
-                for c in range(k):
-                    y[i, c] = self._madd(values[jj], x[col_idxs[jj], c], y[i, c])
+                y[i] = self._madd(values[jj], x[col_idxs[jj]], y[i])
 
 
 class TestCompiledSpmvSelection:
@@ -485,8 +488,6 @@ class TestCompiledSpmvSelection:
         class Broken:
             def csr_matvec(self, *args):
                 raise TypeError("wrong signature")
-
-            csr_matvecs = csr_matvec
 
         assert not kernels._agrees_with_numpy(Broken())
         monkeypatch.setattr(kernels, "_load_sparsetools", lambda: None)

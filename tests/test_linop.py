@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linopkit import kernels
 from linopkit.container import Dim, MatrixData, Ownership, array_view
 from linopkit.errors import DimensionError, InvalidArgumentError
-from linopkit.batched import BatchCsr
+from linopkit.batched import BatchCsr, BatchDense, batch_solve
 from linopkit.executor import dispatch, executor_from_name
 from linopkit.linop import Csr, Dense
+from linopkit.solver import Iteration, SolverFactory
 
 from helpers import (
     csr_from_numpy,
@@ -16,6 +18,8 @@ from helpers import (
     dense_from_numpy,
     matmul_oracle,
     random_sparse_dense,
+    random_spd_dense,
+    use_spmv_body,
 )
 
 
@@ -386,12 +390,13 @@ class TestPatternSafety:
         with pytest.raises(IndexError):
             dispatch(ref, "spmv")(four.get_row_ptrs().numpy(), np.array([0, 1, 2, 2]),
                                   four.get_row_ptrs().numpy(), np.ones(4), np.ones((3, 1)), out)
+        # once b is long enough the checked pattern gives A b, by the numpy body:
+        # a raw kernel call never runs the compiled loop
+        dispatch(ref, "spmv")(*checked_pattern[:1], row_ids, checked_pattern[1], vals,
+                              np.ones((8, 1)), out)
+        assert list(out[:, 0]) == [1.0, 1.0, 1.0]
         if spmv_body is not None:
             assert spmv_body.calls == 0
-            # the checked pattern does run compiled once b is long enough
-            dispatch(ref, "spmv")(*checked_pattern[:1], row_ids, checked_pattern[1], vals,
-                                  np.ones((8, 1)), out)
-            assert spmv_body.calls == 1 and list(out[:, 0]) == [1.0, 1.0, 1.0]
 
     def test_borrowed_pattern_changed_after_construction(self, ref, spmv_body):
         rp = np.array([0, 1, 2, 3], dtype=np.int64)
@@ -425,7 +430,7 @@ class TestPatternSafety:
         small = csr_from_numpy(ref, np.eye(3))
         with pytest.raises(DimensionError, match="row_ptrs"):
             dispatch(ref, "spmv")(
-                big.get_row_ptrs().numpy(), small._row_ids(), small.get_col_idxs().numpy(),
+                big.get_row_ptrs().numpy(), small._pattern.row_ids(), small.get_col_idxs().numpy(),
                 small.get_values(const=True).numpy(), np.ones((3, 1)), np.zeros((3, 1)),
             )
         if spmv_body is not None:
@@ -450,7 +455,7 @@ class TestPatternSafety:
         with pytest.raises(IndexError):
             m.apply(b, x)
         with pytest.raises(IndexError):
-            dispatch(ref, "spmv")(rp, m._row_ids(), ci, np.ones(3), np.ones((3, 1)), np.zeros((3, 1)))
+            dispatch(ref, "spmv")(rp, m._pattern.row_ids(), ci, np.ones(3), np.ones((3, 1)), np.zeros((3, 1)))
         if spmv_body is not None:
             assert compiled_calls == 1 and spmv_body.calls == 1
 
@@ -459,10 +464,106 @@ class TestPatternSafety:
         shifted = np.ndarray((2,), dtype=np.int64, buffer=owner, offset=4)  # straddles entries
         two = Csr.from_arrays(ref, (3, 3), [0, 1, 2, 2], [0, 1], np.ones(2))
         with pytest.raises(IndexError):
-            dispatch(ref, "spmv")(two.get_row_ptrs().numpy(), two._row_ids(), shifted,
+            dispatch(ref, "spmv")(two.get_row_ptrs().numpy(), two._pattern.row_ids(), shifted,
                                   np.ones(2), np.ones((3, 1)), np.zeros((3, 1)))
         if spmv_body is not None:
             assert spmv_body.calls == 0
+
+
+class TestSpmvEntryPoint:
+    """Every SpMV of the library goes through ``kernels.block_spmv``.  It runs
+    the compiled loop on a checked pattern whose index arrays are still
+    read-only, with the numpy body's bits, and the numpy body, which checks
+    the indices, everywhere else."""
+
+    N, COLS = 12, 3
+
+    def _padded(self, ref, arr, stride):
+        buf = np.full(arr.shape[0] * stride, np.nan)
+        d = Dense.from_array(ref, arr.shape, array_view(ref, buf.size, buf), stride=stride)
+        d.view2d()[...] = arr
+        return d
+
+    def test_which_spmvs_run_compiled(self, ref, rng, monkeypatch):
+        spy = use_spmv_body(monkeypatch, "compiled")
+        numpy_runs, numpy_body = [], kernels._spmv_numpy
+        monkeypatch.setattr(kernels, "_spmv_numpy",
+                            lambda *args: numpy_runs.append(1) or numpy_body(*args))
+
+        def runs(call):
+            """(compiled calls, numpy-body calls) ``call`` makes."""
+            compiled, numpy = spy.calls, len(numpy_runs)
+            call()
+            return spy.calls - compiled, len(numpy_runs) - numpy
+
+        n, k = self.N, self.COLS
+        dense = random_spd_dense(rng, n)
+        dense[np.abs(dense) < 0.3] = 0.0
+        m = csr_from_numpy(ref, dense)
+        rp, ci, vals = (a.numpy() for a in (m.get_row_ptrs(), m.get_col_idxs(), m.get_values()))
+        row_ids = np.repeat(np.arange(n), np.diff(rp))
+        bmat, x0 = rng.normal(size=(n, k)), rng.normal(size=(n, k))
+        bmat[3, 0] = -0.0
+        s = np.stack([np.bincount(row_ids, weights=vals * bmat[ci, j], minlength=n)
+                      for j in range(k)], axis=1)
+        same = lambda d, want: np.array_equal(d.view2d().view(np.uint64), want.view(np.uint64))
+
+        # compiled: a Csr's applies on compact and padded b, one call per column
+        for layout in ("compact", "padded"):
+            b = dense_from_numpy(ref, bmat) if layout == "compact" else self._padded(ref, bmat, 5)
+            x = Dense.create(ref, (n, k)) if layout == "compact" else self._padded(ref, x0, 4)
+            assert runs(lambda: m.apply(b, x)) == (k, 0) and same(x, s), layout
+            x.view2d()[...] = x0
+            assert runs(lambda: m.advanced_apply(2.5, b, -1.25, x)) == (k, 0), layout
+            assert same(x, 2.5 * s - 1.25 * x0), layout
+
+        # compiled: a Solver's lanes (CG, an initial residual and 3 iterations, k
+        # lanes), with the bits of the same solve on the numpy body
+        factory = SolverFactory("cg", (Iteration(3),))
+        x = Dense.create(ref, (n, k))
+        assert runs(lambda: factory.generate(m).solve(dense_from_numpy(ref, bmat), x)) == (4 * k, 0)
+        borrowed = Csr(ref, (n, n), *(array_view(ref, len(a), a.copy()) for a in (rp, ci, vals)))
+        y = Dense.create(ref, (n, k))
+        assert runs(lambda: factory.generate(borrowed).solve(dense_from_numpy(ref, bmat), y)) == (
+            0, 4 * k)
+        assert same(y, x.view2d())
+
+        # compiled: a batched solve, and a system extracted from its batch
+        batch = BatchCsr.from_template(ref, 2, data_from_numpy(dense), np.stack([vals, vals]))
+        bb = BatchDense.from_values(ref, np.stack([bmat[:, :1]] * 2))
+        xb = BatchDense.zeros(ref, 2, (n, 1))
+        assert runs(lambda: batch_solve("cg", batch, bb, xb, (Iteration(3),))) == (4, 0)
+        assert np.array_equal(xb.values[1].view(np.uint64), x.view2d()[:, :1].view(np.uint64))
+        x1 = Dense.create(ref, (n, 1))
+        assert runs(lambda: batch.extract_system(1).apply(dense_from_numpy(ref, bmat[:, 0]), x1)) == (1, 0)
+        assert same(x1, s[:, :1])
+
+        # numpy body: a Csr over borrowed arrays, or over another Csr's frozen
+        # arrays; an owner made writable again; a raw kernel call
+        b = dense_from_numpy(ref, bmat)
+        frozen = Csr(ref, (n, n), m.get_row_ptrs(), m.get_col_idxs(), m.get_values(const=True))
+        unfrozen = csr_from_numpy(ref, dense)
+        unfrozen._col_idxs.numpy().flags.writeable = True
+        for name, matrix in (("borrowed", borrowed), ("frozen", frozen), ("unfrozen", unfrozen)):
+            x = Dense.create(ref, (n, k))
+            assert runs(lambda: matrix.apply(b, x)) == (0, k) and same(x, s), name
+        out = np.empty((n, k))
+        raw = dispatch(ref, "spmv")
+        assert runs(lambda: raw(rp, row_ids, ci, vals, bmat, out)) == (0, 1)
+        assert np.array_equal(out.view(np.uint64), s.view(np.uint64))
+
+        # an out-of-range write raises: in the index, or in the write itself
+        with pytest.raises(ValueError):
+            m.get_col_idxs().numpy()[0] = n  # the frozen arrays refuse it
+        for matrix in (borrowed, unfrozen):
+            cols = matrix._col_idxs.numpy()
+            for bad in (n, -1):
+                cols[0] = bad
+                with pytest.raises(IndexError):
+                    matrix.apply(b, Dense.create(ref, (n, k)))
+                with pytest.raises(IndexError):
+                    raw(rp, row_ids, cols, vals, bmat, out)
+        assert runs(lambda: None) == (0, 0)
 
 
 class TestDense:
@@ -479,10 +580,9 @@ class TestDense:
         buf = np.full(6, 100.0)
         d = Dense.from_array(ref, (2, 2), array_view(ref, 6, buf), stride=3)
         d.view2d()[...] = [[1.0, 2.0], [3.0, 4.0]]
-        d.scale(2.0)
+        d.add_scaled(1.0, dense_from_numpy(ref, [[1.0, 2.0], [3.0, 4.0]]))
         assert buf[2] == 100.0 and buf[5] == 100.0
-        assert float(d.norm2()[0]) == pytest.approx(np.hypot(2.0, 6.0))
-        assert float(d.dot(d)[1]) == pytest.approx(16.0 + 64.0)
+        assert d.view2d().tolist() == [[2.0, 4.0], [6.0, 8.0]]
 
     def test_column_is_a_shared_view(self, ref):
         d = dense_from_numpy(ref, [[1.0, 2.0], [3.0, 4.0]])

@@ -204,6 +204,25 @@ class TestJacobiPreconditioner:
         m = csr_from_numpy(ref, [[3.0, 1.0], [0.0, 5.0]])
         assert list(extract_diagonal(m)) == [3.0, 5.0]
 
+    @pytest.mark.parametrize("algorithm", ["lu", "gmres_lu"])
+    def test_factorizing_solvers_ignore_jacobi(self, ref, rng, algorithm):
+        """LU-based solvers find no diagonal positions and solve as they do
+        without the preconditioner, even where no diagonal is stored."""
+        dense = random_dd_dense(rng, 8)
+        b = rng.normal(size=(8, 2))
+        outcomes = []
+        for preconditioner in (None, "jacobi"):
+            solver = make_solver(ref, dense, algorithm=algorithm, preconditioner=preconditioner)
+            assert solver._diag_pos is None and solver._invd is None
+            x = Dense.create(ref, (8, 2))
+            report = solver.solve(dense_from_numpy(ref, b), x)
+            outcomes.append((report, x.view2d().view(np.uint64).copy()))
+        assert outcomes[0][0] == outcomes[1][0]
+        assert np.array_equal(outcomes[0][1], outcomes[1][1])
+        antidiagonal = csr_from_numpy(ref, [[0.0, 1.0], [1.0, 0.0]])
+        factory = SolverFactory(algorithm, criteria=(Iteration(5),), preconditioner="jacobi")
+        assert factory.generate(antidiagonal)._diag_pos is None
+
     def test_refresh_reads_the_positions_found_at_construction(self, ref, monkeypatch):
         m = csr_from_numpy(ref, [[2.0, 1.0], [1.0, 4.0]])
         solver = self._generate(m)
@@ -235,7 +254,7 @@ class TestJacobiPreconditioner:
             for k in range(ptrs[r], ptrs[r + 1]):
                 if cols[k] == r:
                     want[r] = k
-        pos = solver_module._diagonal_positions(m._row_ids(), m.get_col_idxs().numpy(), n)
+        pos = solver_module._diagonal_positions(m._pattern.row_ids(), m.get_col_idxs().numpy(), n)
         assert pos.tolist() == want
         missing = [r for r in range(n) if want[r] < 0]
         zero = [r for r in range(n) if want[r] >= 0 and vals[want[r]] == 0.0]
