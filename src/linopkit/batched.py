@@ -37,8 +37,8 @@ import numpy as np
 from .container import Array, Dim, MatrixData, Ownership
 from .errors import InvalidArgumentError
 from .executor import Executor, dispatch
-from .kernels import block_pattern, block_spmv, freeze_checked_pattern
-from .linop import Csr, check_pattern
+from .kernels import block_pattern, block_spmv
+from .linop import Csr, checked_pattern
 from .solver import (
     STOP_RESIDUAL,
     _bicgstab_block,
@@ -57,22 +57,18 @@ GROUP_ENTRIES = 1 << 17
 
 
 class BatchCsr:
-    """A batch of CSR matrices sharing row_ptrs and col_idxs.
+    """A batch of CSR matrices sharing row_ptrs and col_idxs: one pattern plus a value block.
 
     The constructor copies the shared pattern, checks it by Csr's rules and
-    freezes it as a checked one-lane ``BlockPattern``; :meth:`from_template`
-    keeps the one its conversion built.  Batched solves expand that pattern,
-    and the matrices :meth:`extract_system` hands out share it, so both may
-    take SpMV's compiled body.
+    freezes it as a checked one-lane ``BlockPattern``, as ``Csr.from_arrays``
+    does; :meth:`from_template` keeps the one its conversion built.  Batched
+    solves expand that pattern, and the matrices :meth:`extract_system`
+    hands out share it, so both may take SpMV's compiled body.
     """
 
     def __init__(self, executor: Executor, num_systems: int, size, row_ptrs, col_idxs, values):
         size = Dim(int(size[0]), int(size[1]))
-        row_ptrs = np.array(row_ptrs, dtype=np.int64)
-        col_idxs = np.array(col_idxs, dtype=np.int64)
-        check_pattern(size, row_ptrs, col_idxs)
-        self._init(executor, num_systems, size, freeze_checked_pattern(row_ptrs, col_idxs, size.cols),
-                   values)
+        self._init(executor, num_systems, size, checked_pattern(size, row_ptrs, col_idxs), values)
 
     def _init(self, executor, num_systems, size, pattern, values):
         """Set up over ``pattern``, a checked one-lane pattern the batch keeps."""
@@ -149,16 +145,8 @@ class BatchCsr:
         pattern (no copy)."""
         if not 0 <= k < self._num_systems:
             raise InvalidArgumentError(f"system {k} out of range for {self._num_systems}")
-        csr = Csr(
-            self._executor,
-            self._size,
-            Array(self._executor, self.row_ptrs, Ownership.BORROWED),
-            Array(self._executor, self.col_idxs, Ownership.BORROWED),
-            Array(self._executor, self._values[k], Ownership.BORROWED),
-            validate=False,
-        )
-        csr._pattern = self._pattern
-        return csr
+        return Csr._over(self._executor, self._size, self._pattern,
+                         Array(self._executor, self._values[k], Ownership.BORROWED))
 
 
 class BatchDense:

@@ -12,10 +12,10 @@ on both kinds.  Threads were measured not to pay for them: SpMV and the
 reductions hold the GIL for most of their time, and the element-wise kernels
 found no vector length at which the pool won reliably on two workers.
 
-Every SpMV of the library goes through one function, :func:`block_spmv`:
-``Csr.apply`` calls it once per column, a ``Solver`` once per lane, and a
-batched solve once per group of systems, whose held systems are one
-block-diagonal CSR matrix (:func:`block_pattern`, built once per solve).
+Every SpMV of the library goes through one function, :func:`block_spmv`,
+once per apply: ``Csr.apply`` for all its columns, a ``Solver`` for all its
+lanes, and a batched solve for each group of systems, whose held systems are
+one block-diagonal CSR matrix (:func:`block_pattern`, built once per solve).
 It has two bodies with the same bits.  The numpy body (``np.bincount`` over
 the gathered products) is the definition and runs everywhere.  When scipy is
 installed, the compiled row loop of its sparsetools extension
@@ -47,7 +47,7 @@ Solves run by these determinism rules, which the tests check bitwise:
 Together these make a solve's result bitwise identical across kinds and
 worker counts, for lanes of up to 8,192 rows.
 
-``aypx``, ``waxpby``, ``diag_scale``, ``dot``, ``norm2`` and ``scale`` have
+``aypx``, ``waxpby``, ``diag_scale``, ``dot`` and ``norm2`` have
 no caller in the library; they stay registered for the benchmark's kernel
 probes, which dispatch them by name.  The advanced apply
 ``x = alpha op(b) + beta x`` has no kernel of its own:
@@ -102,11 +102,6 @@ def _fill(exec_, dst, value):
 @register_kernel("copy")
 def _copy(exec_, dst, src):
     dst[...] = src
-
-
-@register_kernel("scale")
-def _scale(exec_, x, alpha):
-    x *= alpha
 
 
 @register_kernel("axpy")
@@ -254,11 +249,16 @@ class BlockPattern:
         return self.checked and not (self.row_ptrs.flags.writeable or self.col_idxs.flags.writeable)
 
     def row_ids(self) -> np.ndarray:
-        """The block row of every stored entry, built on first use (workers
-        that race here build equal arrays)."""
-        if self._row_ids is None:
-            self._row_ids = np.repeat(np.arange(self.lanes * self.rows, dtype=np.int64),
-                                      np.diff(self.row_ptrs))
+        """The block row of every stored entry.  It is kept, from first use,
+        only while the pattern is :meth:`frozen` (workers that race here
+        build equal arrays); arrays that may still change are expanded on
+        every call, so a moved row boundary shows at once."""
+        if self._row_ids is None or not self.frozen():
+            ids = np.repeat(np.arange(self.lanes * self.rows, dtype=np.int64),
+                            np.diff(self.row_ptrs))
+            if not self.frozen():
+                return ids
+            self._row_ids = ids
         return self._row_ids
 
 
@@ -295,19 +295,21 @@ def block_pattern(pattern: BlockPattern, lanes: int) -> BlockPattern:
 def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[l] = A_l xb[l]`` for every lane ``l`` of ``xb``; returns ``out``.
 
-    The library's one SpMV entry point: ``Csr.apply`` calls it once per
-    column, a Solver once per lane, and a batched solve once per group.
-    ``vals`` holds lane ``l``'s values in the pattern's order as row ``l``;
-    ``out`` must not overlap ``xb``, and there may be at most
-    ``block.lanes`` lanes.  The compiled loop runs when the pattern is
+    The library's one SpMV entry point: ``Csr.apply``, a Solver's lanes and
+    a batched group each multiply with one call.  ``vals`` holds lane ``l``'s
+    values in the pattern's order as row ``l``, with at most ``block.lanes``
+    lanes; on a one-lane pattern it may instead be one row that any number
+    of lanes share.  ``out`` must not overlap ``xb``.  The guards run once
+    per call.  The compiled loop runs when the pattern is
     :meth:`~BlockPattern.frozen` and every operand is float64, on contiguous
-    copies of strided operands.  Otherwise the numpy body runs, after
-    :func:`_check_indices` on a pattern that is not frozen.  Both give the
-    numpy body's bits.
+    copies of strided operands, once per lane for shared values.  Otherwise
+    the numpy body runs, after :func:`_check_indices` on a pattern that is
+    not frozen.  Both give the numpy body's bits.
     """
     k, rows, nnz = xb.shape[0], block.rows, block.nnz
-    if (k > block.lanes or vals.shape != (k, nnz) or xb.shape != (k, block.cols)
-            or out.shape != (k, rows)):
+    shared = block.lanes == 1 and vals.shape[:1] == (1,)
+    if ((k > block.lanes and not shared) or vals.shape != ((1 if shared else k), nnz)
+            or xb.shape != (k, block.cols) or out.shape != (k, rows)):
         raise DimensionError(f"values {vals.shape}, x {xb.shape} and out {out.shape} do not "
                              f"fit up to {block.lanes} {rows} x {block.cols} systems of "
                              f"{nnz} entries")
@@ -315,15 +317,22 @@ def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.nd
     if tools is not None and frozen and vals.dtype is xb.dtype is out.dtype is _F64:
         y = out if out.flags.c_contiguous else np.empty(out.shape)
         y.fill(0.0)
-        # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads.
-        tools.csr_matvec(k * rows, k * block.cols, block.row_ptrs[: k * rows + 1],
-                         block.col_idxs[: k * nnz], np.ascontiguousarray(vals),
-                         np.ascontiguousarray(xb), y)
+        v, xc = np.ascontiguousarray(vals), np.ascontiguousarray(xb)
+        if shared:
+            for lane in range(k):
+                tools.csr_matvec(rows, block.cols, block.row_ptrs, block.col_idxs, v, xc[lane],
+                                 y[lane])
+        else:  # C-contiguous 2-D blocks are the flat lane-major vectors the loop reads
+            tools.csr_matvec(k * rows, k * block.cols, block.row_ptrs[: k * rows + 1],
+                             block.col_idxs[: k * nnz], v, xc, y)
         if y is not out:
             out[...] = y
         return out
     if not frozen:
         _check_indices(block.row_ptrs, block.col_idxs)
+    if shared:  # the numpy body multiplies the lanes as columns
+        _spmv_numpy(block.row_ptrs, block.row_ids(), block.col_idxs, vals[0], xb.T, out.T)
+        return out
     y = out.reshape(-1, 1)  # a view of out unless its layout forbids one
     _spmv_numpy(block.row_ptrs[: k * rows + 1], block.row_ids()[: k * nnz],
                 block.col_idxs[: k * nnz], vals.reshape(-1), xb.reshape(-1, 1), y)
@@ -375,8 +384,9 @@ def _agrees_with_numpy(tools) -> bool:
     exact product ``1 + 2e + e**2`` rounds to ``1 + 2e``, so the sum is 0.0
     when each product is rounded and ``e**2`` under a fused multiply-add.
     Further rows sum -0.0 products, meet inf and NaN, or are empty.  The loop
-    runs once per column of ``b``, as :func:`block_spmv` calls it, into a
-    ``y`` of +0.0, and both columns start with that row.
+    runs once per column of ``b`` into a ``y`` of +0.0, as :func:`block_spmv`
+    runs it on each lane of shared values, and both columns start with that
+    row.
     """
     e = 2.0**-30
     row_ptrs = np.array([0, 2, 4, 6, 8, 8], dtype=np.int64)

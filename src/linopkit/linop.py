@@ -166,19 +166,6 @@ class Dense(LinOp):
     def set_at(self, i: int, j: int, value: float) -> None:
         self.view2d()[i, j] = value
 
-    def column(self, j: int) -> "Dense":
-        """Column ``j`` as a (rows, 1) view sharing this storage."""
-        rows, cols = self._size
-        if not 0 <= j < cols:
-            raise InvalidArgumentError(f"column {j} out of range for {cols} columns")
-        flat = self._values.numpy()[j:]
-        owner = (
-            Ownership.BORROWED_CONST
-            if self._values.ownership is Ownership.BORROWED_CONST
-            else Ownership.BORROWED
-        )
-        return Dense(self._executor, Dim(rows, 1), Array(self._executor, flat, owner), stride=self._stride)
-
     def fill(self, value: float) -> None:
         dispatch(self._executor, "fill")(self.view2d(), value)
 
@@ -205,11 +192,12 @@ class Dense(LinOp):
         dispatch(self._executor, "dense_apply")(self.view2d(), b.view2d(), x.view2d())
 
 
-def check_pattern(size, rp: np.ndarray, ci: np.ndarray) -> None:
+def check_pattern(size, rp: np.ndarray, ci: np.ndarray, nvals: int | None = None) -> None:
     """Raise unless ``rp``/``ci`` form a CSR pattern in normal form for ``size``.
 
     ``rp`` has rows + 1 entries, starts at 0 and never decreases; ``ci`` has
-    ``rp[-1]`` entries in ``[0, cols)``, strictly increasing within each row.
+    ``rp[-1]`` entries in ``[0, cols)``, strictly increasing within each row,
+    and so does a value array of ``nvals`` entries when that is given.
     """
     rows, cols = size
     if rp.shape != (rows + 1,) or rp[0] != 0:
@@ -217,7 +205,7 @@ def check_pattern(size, rp: np.ndarray, ci: np.ndarray) -> None:
     if np.any(np.diff(rp) < 0):
         raise InvalidArgumentError("row_ptrs must be non-decreasing")
     nnz = int(rp[-1])
-    if ci.shape != (nnz,):
+    if ci.shape != (nnz,) or nvals not in (None, nnz):
         raise InvalidArgumentError(
             f"col_idxs/values length must match row_ptrs[-1] == {nnz}"
         )
@@ -231,38 +219,48 @@ def check_pattern(size, rp: np.ndarray, ci: np.ndarray) -> None:
             raise InvalidArgumentError("column indices must increase within each row")
 
 
+def checked_pattern(size, row_ptrs, col_idxs, nvals: int | None = None) -> BlockPattern:
+    """int64 copies of ``row_ptrs``/``col_idxs``, checked by :func:`check_pattern`
+    and frozen as a checked one-lane pattern."""
+    rp = np.array(row_ptrs, dtype=np.int64)
+    ci = np.array(col_idxs, dtype=np.int64)
+    check_pattern(size, rp, ci, nvals)
+    return freeze_checked_pattern(rp, ci, size[1])
+
+
 class Csr(LinOp):
-    """Compressed-sparse-row matrix.
+    """Compressed-sparse-row matrix: a one-lane ``kernels.BlockPattern`` plus its values.
 
     Within each row the stored column indices are strictly increasing and
     duplicate-free; :meth:`from_data` establishes that normal form by sorting
     and summing duplicates.  Indices are int64, values float64.
 
-    Every apply multiplies through ``kernels.block_spmv`` on the matrix's
-    one-lane pattern.  :meth:`from_data` and :meth:`from_arrays` build index
+    Every apply is one ``kernels.block_spmv`` call on the pattern, all
+    columns at once.  :meth:`from_data` and :meth:`from_arrays` build index
     arrays of their own, check them and make them read-only, and their
     pattern admits SpMV's compiled body (see ``kernels.py``); so does the
-    pattern ``BatchCsr.extract_system`` shares with its batch.  A matrix
-    built directly over index arrays gets an unchecked pattern and the numpy
-    body, which checks its indices on every call.
+    pattern ``BatchCsr.extract_system`` shares with its batch.  The public
+    constructor checks the caller's index arrays once and keeps them
+    uncopied; as the caller may still write them, their pattern is not
+    marked checked, and takes the numpy body, which checks its indices on
+    every call.
     """
 
-    def __init__(
-        self,
-        executor: Executor,
-        size,
-        row_ptrs: Array,
-        col_idxs: Array,
-        values: Array,
-        validate: bool = True,
-    ):
+    def __init__(self, executor: Executor, size, row_ptrs: Array, col_idxs: Array, values: Array):
         super().__init__(executor, size)
-        self._row_ptrs = row_ptrs
-        self._col_idxs = col_idxs
+        rp, ci = row_ptrs.numpy(), col_idxs.numpy()
+        check_pattern(self._size, rp, ci, values.size)
+        self._pattern = BlockPattern(rp, ci, self._size.cols)
         self._values = values
-        if validate:
-            self._validate()
-        self._pattern = BlockPattern(row_ptrs.numpy(), col_idxs.numpy(), self._size.cols)
+
+    @classmethod
+    def _over(cls, executor: Executor, size, pattern: BlockPattern, values: Array) -> "Csr":
+        """A matrix over ``pattern``, a one-lane pattern that fits ``size`` and
+        ``values``, both kept uncopied and unchecked."""
+        csr = cls.__new__(cls)
+        LinOp.__init__(csr, executor, size)
+        csr._pattern, csr._values = pattern, values
+        return csr
 
     # -- construction --------------------------------------------------------
 
@@ -319,39 +317,15 @@ class Csr(LinOp):
         row_ptrs = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(counts, out=row_ptrs[1:])
         _count_conversion()
-        csr = cls(
-            executor,
-            data.size,
-            Array(executor, row_ptrs, Ownership.OWNING),
-            Array(executor, col_idxs, Ownership.OWNING),
-            Array(executor, vals, Ownership.OWNING),
-            validate=False,
-        )
-        csr._pattern = freeze_checked_pattern(row_ptrs, col_idxs, cols)
-        return csr
+        return cls._over(executor, data.size, freeze_checked_pattern(row_ptrs, col_idxs, cols),
+                         Array(executor, vals, Ownership.OWNING))
 
     @classmethod
     def from_arrays(cls, executor: Executor, size, row_ptrs, col_idxs, values) -> "Csr":
         """Build from raw CSR arrays (copied and validated)."""
-        rp = np.array(row_ptrs, dtype=np.int64)
-        ci = np.array(col_idxs, dtype=np.int64)
-        csr = cls(
-            executor,
-            size,
-            Array(executor, rp, Ownership.OWNING),
-            Array(executor, ci, Ownership.OWNING),
-            Array(executor, np.array(values, dtype=np.float64), Ownership.OWNING),
-        )
-        csr._pattern = freeze_checked_pattern(rp, ci, csr.size.cols)
-        return csr
-
-    def _validate(self) -> None:
-        check_pattern(self._size, self._row_ptrs.numpy(), self._col_idxs.numpy())
-        nnz = self._col_idxs.size
-        if self._values.size != nnz:
-            raise InvalidArgumentError(
-                f"col_idxs/values length must match row_ptrs[-1] == {nnz}"
-            )
+        vals = np.array(values, dtype=np.float64)
+        pattern = checked_pattern(size, row_ptrs, col_idxs, vals.shape[0])
+        return cls._over(executor, size, pattern, Array(executor, vals, Ownership.OWNING))
 
     # -- raw access -----------------------------------------------------------
 
@@ -364,14 +338,12 @@ class Csr(LinOp):
         return array_view(self._executor, self._values.size, self._values.numpy(), const=const)
 
     def get_row_ptrs(self) -> Array:
-        return array_view(
-            self._executor, self._row_ptrs.size, self._row_ptrs.numpy(), const=True
-        )
+        rp = self._pattern.row_ptrs
+        return array_view(self._executor, rp.shape[0], rp, const=True)
 
     def get_col_idxs(self) -> Array:
-        return array_view(
-            self._executor, self._col_idxs.size, self._col_idxs.numpy(), const=True
-        )
+        ci = self._pattern.col_idxs
+        return array_view(self._executor, ci.shape[0], ci, const=True)
 
     def update_values(self, new_values) -> None:
         """Replace the stored values, keeping the sparsity pattern.
@@ -389,18 +361,17 @@ class Csr(LinOp):
     def write_data(self) -> MatrixData:
         """A snapshot of the stored entries as an assembly buffer (row-major, sorted columns)."""
         out = MatrixData(self._size)
-        out.add_entries(self._pattern.row_ids(), self._col_idxs.numpy(), self._values.numpy().copy())
+        pattern = self._pattern
+        out.add_entries(pattern.row_ids(), pattern.col_idxs, self._values.numpy().copy())
         return out
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self._size)
-        dense[self._pattern.row_ids(), self._col_idxs.numpy()] = self._values.numpy()
+        dense[self._pattern.row_ids(), self._pattern.col_idxs] = self._values.numpy()
         return dense
 
     # -- application ----------------------------------------------------------
 
     def _apply(self, b: "Dense", x: "Dense") -> None:
-        vals, bv, xv = self._values.numpy()[None], b.view2d(), x.view2d()
-        for j in range(bv.shape[1]):
-            block_spmv(self._pattern, vals, bv[None, :, j], xv[None, :, j])
+        block_spmv(self._pattern, self._values.numpy()[None], b.view2d().T, x.view2d().T)
 

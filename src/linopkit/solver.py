@@ -111,7 +111,7 @@ def extract_diagonal(a: Csr) -> np.ndarray:
     SingularPreconditionerError
         If some diagonal entry is absent from the sparsity pattern or zero.
     """
-    return _stored_diagonal(a, _diagonal_positions(a._pattern.row_ids(), a._col_idxs.numpy(),
+    return _stored_diagonal(a, _diagonal_positions(a._pattern.row_ids(), a._pattern.col_idxs,
                                                    a.size.rows))
 
 
@@ -273,7 +273,7 @@ class Solver(LinOp):
         self._a = a
         self._criteria = criteria
         self._lanes_apply = _lane_apply(a)
-        self._diag_pos = (_diagonal_positions(a._pattern.row_ids(), a._col_idxs.numpy(), a.size.rows)
+        self._diag_pos = (_diagonal_positions(a._pattern.row_ids(), a._pattern.col_idxs, a.size.rows)
                           if jacobi else None)
         self._setup()
 
@@ -386,21 +386,17 @@ _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 def _lane_apply(a: LinOp):
     """A Solver's block apply: ``a`` times each lane.
 
-    A plain ``Csr`` multiplies each lane's row through ``block_spmv`` on its
-    own pattern, as ``Csr.apply`` does each column; the rows are
-    C-contiguous, so the compiled body runs on a checked pattern.  Any other
-    operator gets each lane wrapped in an (n, 1) ``Dense`` per call and its
-    ``_apply``, or its ``apply`` if a subclass overrides that (to trace it,
-    say).  The lanes are vectors the block owns, so the public method's
-    checks are skipped."""
+    A plain ``Csr`` multiplies all lanes with one ``block_spmv`` call on its
+    own pattern, every lane sharing its values, as ``Csr.apply`` does its
+    columns; the rows are C-contiguous, so the compiled body runs on a
+    checked pattern without copies.  Any other operator gets each lane
+    wrapped in an (n, 1) ``Dense`` per call (a lane-major block is no
+    row-major ``Dense``) and its ``_apply``, or its ``apply`` if a subclass
+    overrides that (to trace it, say).  The lanes are vectors the block owns,
+    so the public method's checks are skipped."""
     if type(a) is Csr:
-        spmv = functools.partial(block_spmv, a._pattern, a._values.numpy()[None])
-
-        def apply(vals, src, dst):
-            for s, d in zip(src, dst):
-                spmv(s[None], d[None])
-
-        return apply
+        pattern, values = a._pattern, a._values.numpy()[None]
+        return lambda vals, src, dst: block_spmv(pattern, values, src, dst)
     op = a._apply if type(a).apply is LinOp.apply else a.apply
     exec_, n = a.executor, a.size.rows
 

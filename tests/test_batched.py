@@ -319,7 +319,8 @@ class TestSharedStorage:
         sys2 = a.extract_system(2)
         stats = copy_stats()
         assert stats.element_copies == 0 and stats.matrix_conversions == 0
-        assert np.shares_memory(sys2.get_values(const=True).numpy(), a.values)
+        assert np.shares_memory(sys2.get_values(const=True).numpy(), a.values[2])
+        assert sys2._pattern is a._pattern
 
     def test_batch_value_writes_show_through_extracted_systems(self, ref, rng):
         stack = np.stack([random_spd_dense(rng, 3) for _ in range(2)])
@@ -493,6 +494,33 @@ class TestSpmvBlock:
             assert np.isnan(expected).any() and np.isinf(out).any() and (out[:, 1] == 0.0).all()
             if spy is not None:
                 assert spy.calls == 3
+
+    def test_shared_values_give_the_bits_of_per_lane_calls(self, ref, rng, monkeypatch):
+        """On a one-lane pattern one row of values serves every lane, as a Csr's
+        columns and a Solver's lanes use it: one call gives the bits of one
+        call per lane, on compact and strided operands alike.  A multi-lane
+        block refuses shared values."""
+        num = 9
+        a, xb = self._batch(ref, rng, num)
+        n, pattern, vals = a.size.rows, a._pattern, a.values[4:5]
+        with np.errstate(invalid="ignore"):
+            formula = self._old_formula(np.repeat(vals, num, axis=0), pattern.row_ids(),
+                                        pattern.col_idxs, n, xb)
+        for spy in spmv_bodies(monkeypatch):
+            with np.errstate(invalid="ignore"):
+                want = np.full((num, n), np.nan)
+                for lane in range(num):
+                    kernels.block_spmv(pattern, vals, xb[lane:lane + 1], want[lane:lane + 1])
+                assert np.array_equal(want.view(np.uint64), formula.view(np.uint64)), spy
+                for x, out in ((xb, np.empty((num, n))),
+                               (np.asfortranarray(xb), np.empty((n, num)).T)):
+                    assert kernels.block_spmv(pattern, vals, x, out) is out
+                    assert np.array_equal(want.view(np.uint64), out.view(np.uint64)), spy
+            if spy is not None:
+                assert spy.calls == 3 * num
+        block = kernels.block_pattern(a._pattern, 4)
+        with pytest.raises(DimensionError):
+            kernels.block_spmv(block, vals, xb[:3], np.empty((3, n)))
 
     def test_strided_operands_run_compiled_on_contiguous_copies(self, ref, rng, monkeypatch):
         """Operands that are not C-contiguous are copied before the compiled loop

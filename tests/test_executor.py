@@ -44,7 +44,7 @@ from helpers import (
 )
 
 ALL_KERNELS = (
-    "fill", "copy", "scale", "axpy", "aypx", "waxpby", "diag_scale",
+    "fill", "copy", "axpy", "aypx", "waxpby", "diag_scale",
     "dot", "norm2", "spmv", "dense_apply", "run_partitioned",
 )
 
@@ -173,7 +173,6 @@ class TestBackendEquivalence:
         return y, {
             "fill": lambda e, out: dispatch(e, "fill")(out, 3.25),
             "copy": lambda e, out: dispatch(e, "copy")(out, x),
-            "scale": lambda e, out: dispatch(e, "scale")(out, 1.7),
             "axpy": lambda e, out: dispatch(e, "axpy")(out, -0.3, x),
             "aypx": lambda e, out: dispatch(e, "aypx")(out, 2.1, x),
             "waxpby": lambda e, out: dispatch(e, "waxpby")(out, 1.2, x, -0.7, y),

@@ -259,20 +259,29 @@ class TestCsrValidation:
         m = Csr.from_arrays(ref, (2, 2), [0, 2, 4], [0, 1, 0, 1], [4.0, 1.0, 1.0, 3.0])
         assert m.num_stored_elements == 4
 
-    @pytest.mark.parametrize(
-        "row_ptrs, col_idxs, values, message",
-        [
-            ([1, 2, 4], [0, 1, 0, 1], [1.0] * 4, "starting at 0"),
-            ([0, 3, 2], [0, 1, 0], [1.0] * 3, "non-decreasing"),
-            ([0, 2, 4], [0, 1, 0], [1.0] * 3, "length"),
-            ([0, 2, 4], [0, 2, 0, 1], [1.0] * 4, "outside"),
-            ([0, 2, 4], [1, 0, 0, 1], [1.0] * 4, "increase"),
-            ([0, 2, 4], [0, 0, 0, 1], [1.0] * 4, "increase"),
-        ],
-    )
+    MALFORMED = [
+        ([1, 2, 4], [0, 1, 0, 1], [1.0] * 4, "starting at 0"),
+        ([0, 3, 2], [0, 1, 0], [1.0] * 3, "non-decreasing"),
+        ([0, 2, 4], [0, 1, 0], [1.0] * 3, "length"),
+        ([0, 2, 4], [0, 1, 0, 1], [1.0] * 3, "length"),
+        ([0, 2, 4], [0, 1, 0, 1], [1.0] * 5, "length"),
+        ([0, 2, 4], [0, 2, 0, 1], [1.0] * 4, "outside"),
+        ([0, 2, 4], [1, 0, 0, 1], [1.0] * 4, "increase"),
+        ([0, 2, 4], [0, 0, 0, 1], [1.0] * 4, "increase"),
+    ]
+
+    @pytest.mark.parametrize("row_ptrs, col_idxs, values, message", MALFORMED)
     def test_malformed_inputs_rejected(self, ref, row_ptrs, col_idxs, values, message):
         with pytest.raises(InvalidArgumentError, match=message):
             Csr.from_arrays(ref, (2, 2), row_ptrs, col_idxs, values)
+
+    @pytest.mark.parametrize("row_ptrs, col_idxs, values, message", MALFORMED)
+    def test_public_constructor_checks_the_callers_arrays(self, ref, row_ptrs, col_idxs, values,
+                                                          message):
+        arrays = (np.array(row_ptrs, dtype=np.int64), np.array(col_idxs, dtype=np.int64),
+                  np.array(values))
+        with pytest.raises(InvalidArgumentError, match=message):
+            Csr(ref, (2, 2), *(array_view(ref, len(a), a) for a in arrays))
 
     def test_row_boundary_allows_column_reset(self, ref):
         # descending across a row boundary is fine: [., 1 | 0, .]
@@ -420,6 +429,28 @@ class TestPatternSafety:
         if spmv_body is not None:
             assert spmv_body.calls == 0
 
+    def test_moved_row_boundary_shows_at_once(self, ref, spmv_body):
+        """Row ids are kept only while the index arrays are frozen: a boundary
+        moved in a borrowed ``row_ptrs``, or in an owner made writable again,
+        changes the next apply and ``to_dense``, as a fresh matrix has them."""
+        rp = np.array([0, 1, 2, 3], dtype=np.int64)
+        borrowed = Csr(ref, (3, 3), array_view(ref, 4, rp),
+                       array_view(ref, 3, np.arange(3, dtype=np.int64)), array_view(ref, 3, np.ones(3)))
+        owned = Csr.from_arrays(ref, (3, 3), [0, 1, 2, 3], [0, 1, 2], np.ones(3))
+        owner = owned._pattern.row_ptrs
+        for m, row_ptrs in ((borrowed, rp), (owned, owner)):
+            b, x = self._vectors(ref)
+            m.apply(b, x)
+            assert list(x.view2d()[:, 0]) == [1.0, 2.0, 3.0]
+            assert np.array_equal(m.to_dense(), np.eye(3))
+            row_ptrs.flags.writeable = True
+            row_ptrs[1] = 0
+            m.apply(b, x)
+            assert list(x.view2d()[:, 0]) == [0.0, 3.0, 3.0]
+            assert np.array_equal(m.to_dense(), [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        if spmv_body is not None:
+            assert spmv_body.calls == 1  # the owned matrix's first apply, while frozen
+
     def test_row_ptrs_past_nnz(self, ref, spmv_body):
         with pytest.raises(InvalidArgumentError, match="length"):
             Csr.from_arrays(ref, (3, 3), [0, 1, 2, 5], [0, 1, 2], [1.0, 1.0, 1.0])
@@ -449,7 +480,7 @@ class TestPatternSafety:
         m.apply(b, x)
         compiled_calls = spmv_body.calls if spmv_body is not None else 0
         rp, ci = m.get_row_ptrs().numpy(), m.get_col_idxs().numpy()  # read-only views
-        owner = m._col_idxs.numpy()
+        owner = m._pattern.col_idxs
         owner.flags.writeable = True  # the owner can be unfrozen, and then changed
         owner[2] = 7
         with pytest.raises(IndexError):
@@ -508,7 +539,7 @@ class TestSpmvEntryPoint:
                       for j in range(k)], axis=1)
         same = lambda d, want: np.array_equal(d.view2d().view(np.uint64), want.view(np.uint64))
 
-        # compiled: a Csr's applies on compact and padded b, one call per column
+        # compiled: a Csr's applies on compact and padded b, one loop call per column
         for layout in ("compact", "padded"):
             b = dense_from_numpy(ref, bmat) if layout == "compact" else self._padded(ref, bmat, 5)
             x = Dense.create(ref, (n, k)) if layout == "compact" else self._padded(ref, x0, 4)
@@ -518,14 +549,14 @@ class TestSpmvEntryPoint:
             assert same(x, 2.5 * s - 1.25 * x0), layout
 
         # compiled: a Solver's lanes (CG, an initial residual and 3 iterations, k
-        # lanes), with the bits of the same solve on the numpy body
+        # lanes), with the bits of the same solve on the numpy body, which
+        # multiplies all lanes in one call
         factory = SolverFactory("cg", (Iteration(3),))
         x = Dense.create(ref, (n, k))
         assert runs(lambda: factory.generate(m).solve(dense_from_numpy(ref, bmat), x)) == (4 * k, 0)
         borrowed = Csr(ref, (n, n), *(array_view(ref, len(a), a.copy()) for a in (rp, ci, vals)))
         y = Dense.create(ref, (n, k))
-        assert runs(lambda: factory.generate(borrowed).solve(dense_from_numpy(ref, bmat), y)) == (
-            0, 4 * k)
+        assert runs(lambda: factory.generate(borrowed).solve(dense_from_numpy(ref, bmat), y)) == (0, 4)
         assert same(y, x.view2d())
 
         # compiled: a batched solve, and a system extracted from its batch
@@ -538,15 +569,16 @@ class TestSpmvEntryPoint:
         assert runs(lambda: batch.extract_system(1).apply(dense_from_numpy(ref, bmat[:, 0]), x1)) == (1, 0)
         assert same(x1, s[:, :1])
 
-        # numpy body: a Csr over borrowed arrays, or over another Csr's frozen
-        # arrays; an owner made writable again; a raw kernel call
+        # numpy body, one call for all columns: a Csr over borrowed arrays, or
+        # over another Csr's frozen arrays; an owner made writable again; a raw
+        # kernel call
         b = dense_from_numpy(ref, bmat)
         frozen = Csr(ref, (n, n), m.get_row_ptrs(), m.get_col_idxs(), m.get_values(const=True))
         unfrozen = csr_from_numpy(ref, dense)
-        unfrozen._col_idxs.numpy().flags.writeable = True
+        unfrozen._pattern.col_idxs.flags.writeable = True
         for name, matrix in (("borrowed", borrowed), ("frozen", frozen), ("unfrozen", unfrozen)):
             x = Dense.create(ref, (n, k))
-            assert runs(lambda: matrix.apply(b, x)) == (0, k) and same(x, s), name
+            assert runs(lambda: matrix.apply(b, x)) == (0, 1) and same(x, s), name
         out = np.empty((n, k))
         raw = dispatch(ref, "spmv")
         assert runs(lambda: raw(rp, row_ids, ci, vals, bmat, out)) == (0, 1)
@@ -556,7 +588,7 @@ class TestSpmvEntryPoint:
         with pytest.raises(ValueError):
             m.get_col_idxs().numpy()[0] = n  # the frozen arrays refuse it
         for matrix in (borrowed, unfrozen):
-            cols = matrix._col_idxs.numpy()
+            cols = matrix._pattern.col_idxs
             for bad in (n, -1):
                 cols[0] = bad
                 with pytest.raises(IndexError):
@@ -584,26 +616,12 @@ class TestDense:
         assert buf[2] == 100.0 and buf[5] == 100.0
         assert d.view2d().tolist() == [[2.0, 4.0], [6.0, 8.0]]
 
-    def test_column_is_a_shared_view(self, ref):
-        d = dense_from_numpy(ref, [[1.0, 2.0], [3.0, 4.0]])
-        col = d.column(1)
-        assert col.size == (2, 1)
-        assert col.values.ownership is Ownership.BORROWED
-        d.set_at(0, 1, 20.0)
-        assert col.at(0, 0) == 20.0
-        col.set_at(1, 0, 40.0)
-        assert d.at(1, 1) == 40.0
-
-    def test_column_bounds(self, ref):
-        with pytest.raises(InvalidArgumentError, match="column 2"):
-            Dense.create(ref, (3, 2)).column(2)
-
     def test_const_wrap_rejects_writes(self, ref):
         buf = np.arange(4.0)
         d = Dense.create_const(ref, (2, 2), array_view(ref, 4, buf))
         with pytest.raises(ValueError):
             d.set_at(0, 0, 9.0)
-        assert d.column(0).values.ownership is Ownership.BORROWED_CONST
+        assert d.values.ownership is Ownership.BORROWED_CONST
 
     def test_copy_is_compact_and_independent(self, ref):
         buf = np.arange(6.0)
@@ -621,12 +639,6 @@ class TestDense:
             Dense.from_array(ref, (3, 3), array_view(ref, 6, np.zeros(6)))
         with pytest.raises(InvalidArgumentError, match=">= 0"):
             Dense.create(ref, (-1, 2))
-
-    def test_column_of_strided_parent_keeps_addressing(self, ref):
-        buf = np.arange(12.0)
-        d = Dense.from_array(ref, (3, 2), array_view(ref, 12, buf), stride=4)
-        col = d.column(1)
-        assert [col.at(i, 0) for i in range(3)] == [1.0, 5.0, 9.0]
 
     def test_dense_apply_matches_oracle(self, ref, par, rng):
         a = rng.normal(size=(6, 4))
