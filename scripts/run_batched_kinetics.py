@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""One batched backward Euler step for many independent 3-species cells."""
+"""One batched backward Euler step for many independent 3-species cells.
+
+Exits 1 if any cell's solve did not converge.
+"""
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -28,7 +32,8 @@ def main():
     # the rate matrix conserves mass, so concentrations must keep summing to 1
     mass_dev = float(np.max(np.abs(rep.solutions.sum(axis=1) - 1.0)))
     print(f"max mass-conservation deviation: {mass_dev:.3e}")
+    return 0 if solve.converged.all() else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,9 +4,11 @@
 Runs the facade-coupled demo on a sequence of grids and shows the error
 ratio between consecutive refinements (4.0 expected for a second-order
 stencil), plus a reference/parallel cross-check on the finest grid.
+Exits 1 if any of its solves did not converge.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -20,10 +22,11 @@ def main():
     parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
-    errors = []
+    errors, converged = [], []
     for n in args.grids:
         rep = run_heat_demo(n, backend=args.backend, worker_count=args.workers)
         errors.append(rep.max_error)
+        converged.append(rep.converged)
         print(
             f"n={n:4d}  iterations={rep.iterations:5d}  converged={rep.converged}  "
             f"max_error={rep.max_error:.6e}"
@@ -35,8 +38,10 @@ def main():
     ref = run_heat_demo(finest, backend="reference")
     par = run_heat_demo(finest, backend="parallel", worker_count=args.workers)
     diff = float(np.max(np.abs(ref.solution - par.solution)))
-    print(f"reference vs parallel on n={finest}: max |diff| = {diff:.3e}")
+    print(f"reference vs parallel on n={finest}: max |diff| = {diff:.3e}"
+          f"  converged={ref.converged and par.converged}")
+    return 0 if all(converged) and ref.converged and par.converged else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

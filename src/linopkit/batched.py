@@ -4,10 +4,11 @@ A :class:`BatchCsr` stores one copy of the CSR structure and a (num_systems,
 nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
 :func:`batch_solve` runs the systems in lockstep through the same CG and
 BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
-per system, so each system of up to 8,192 rows gets exactly the bits of its
-single solve (see the solver's algorithm internals).  A
-system leaves the lockstep when its own criteria stop it, or when it breaks
-down, which marks it failed without disturbing its siblings.  Its result is
+per system, set up by the same function (which builds every group's Jacobi
+inverse diagonals too), so each system of up to 8,192 rows gets exactly the
+bits of its single solve (see the solver's algorithm internals).  A system
+leaves the lockstep when its own criteria stop it, or when it breaks down,
+which marks it failed without disturbing its siblings.  Its result is
 written out at its stop; its row stays in the state, its later arithmetic
 discarded, until the systems still iterating fall to half the rows held, and
 only then is the state compacted to them.
@@ -41,12 +42,12 @@ from .kernels import block_pattern, block_spmv
 from .linop import Csr, checked_pattern
 from .solver import (
     STOP_RESIDUAL,
-    _bicgstab_block,
-    _cg_block,
     _checked_options,
     _diagonal_positions,
+    _lane_setup,
 )
 
+#: No GMRES: groups are sized by nnz, and GMRES holds O(restart^2) per lane for any pattern.
 BATCH_ALGORITHMS = ("cg", "bicgstab")
 
 #: Systems are solved in groups of at most this many stored pattern entries,
@@ -198,7 +199,8 @@ class BatchSolveReport:
 
     ``stop_reasons[k]`` is ``"residual_norm"``, ``"iteration"``,
     ``"breakdown"`` or ``"singular_preconditioner"``; the last two mark the
-    system failed while the rest of the batch ran to completion.
+    system failed while the rest of the batch ran to completion (a BiCGStab rho
+    collapse while r is not small restarts the shadow residual: no breakdown).
     """
 
     iterations: np.ndarray
@@ -255,16 +257,13 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     criteria = _checked_options(criteria, preconditioner)
 
     num = a.num_systems
-    n = a.size.rows
     iters = np.zeros(num, dtype=np.int64)
     finals = np.zeros(num)
     reasons = np.empty(num, dtype=object)
 
-    jacobi = preconditioner == "jacobi"
-    diag_pos = _diagonal_positions(a._pattern.row_ids(), a.col_idxs, n) if jacobi else None
+    diag_pos = _diagonal_positions(a._pattern) if preconditioner == "jacobi" else None
     bvals = b.values[:, :, 0]
     xvals = x.values[:, :, 0]
-    block = _cg_block if algorithm == "cg" else _bicgstab_block
 
     group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
     spmv = functools.partial(block_spmv, block_pattern(a._pattern, max(1, min(group, num))))
@@ -273,23 +272,10 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
         for start in range(lo, hi, group):
             g = slice(start, min(start + group, hi))
             vals = a.values[g]
-            invd, singular = _jacobi(vals, diag_pos) if jacobi else (None, None)
+            block, invd, singular = _lane_setup(algorithm, diag_pos, vals)
             block(spmv, vals, bvals[g], xvals[g], criteria, invd, singular,
                   (iters[g], finals[g], reasons[g]))
 
     dispatch(a.executor, "run_partitioned")(num, body)
     return BatchSolveReport(iters, finals, reasons == STOP_RESIDUAL, list(reasons))
 
-
-# --- block internals ----------------------------------------------------------
-
-
-def _jacobi(vals, diag_pos):
-    """Every system's inverse diagonal (0 where the diagonal is 0), and the
-    systems with a zero or structurally missing diagonal entry."""
-    if (diag_pos < 0).any():  # every system is singular, and may store no entry at all
-        return np.zeros((len(vals), len(diag_pos))), np.ones(len(vals), dtype=bool)
-    dvals = vals[:, diag_pos]
-    invd = np.zeros(dvals.shape)
-    np.divide(1.0, dvals, out=invd, where=dvals != 0.0)
-    return invd, (dvals == 0.0).any(axis=1)

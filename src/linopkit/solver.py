@@ -37,7 +37,7 @@ from .kernels import block_spmv
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
-#: A Krylov lane breaks down once |rho| falls below this times ||b||^2.
+#: A lane breaks down once |rho| < this times ||b||^2 (in BiCGStab, once r.r is too).
 TOL_BREAKDOWN = 1e-30
 #: LU rejects a pivot of at most this times its column's largest magnitude.
 TOL_PIVOT = 1e-14
@@ -98,41 +98,6 @@ class SolveReport:
     final_residual_norm: float
     converged: bool
     stop_reason: str
-
-
-# --- preconditioners ---------------------------------------------------------
-
-
-def extract_diagonal(a: Csr) -> np.ndarray:
-    """The diagonal of a square CSR matrix, as stored.
-
-    Raises
-    ------
-    SingularPreconditionerError
-        If some diagonal entry is absent from the sparsity pattern or zero.
-    """
-    return _stored_diagonal(a, _diagonal_positions(a._pattern.row_ids(), a._pattern.col_idxs,
-                                                   a.size.rows))
-
-
-def _stored_diagonal(a: Csr, pos: np.ndarray) -> np.ndarray:
-    """``a``'s values at the diagonal positions ``pos``; raises as :func:`extract_diagonal`."""
-    if (pos < 0).any():
-        missing = int(np.flatnonzero(pos < 0)[0])
-        raise SingularPreconditionerError(f"row {missing} has no stored diagonal entry")
-    diag = a._values.numpy().take(pos)
-    if np.any(diag == 0.0):
-        zero = int(np.flatnonzero(diag == 0.0)[0])
-        raise SingularPreconditionerError(f"zero diagonal entry at row {zero}")
-    return diag
-
-
-def _diagonal_positions(row_ids: np.ndarray, col_idxs: np.ndarray, rows: int) -> np.ndarray:
-    """Where each row's diagonal entry sits in a CSR pattern in normal form, or -1."""
-    on_diag = np.flatnonzero(col_idxs == row_ids)
-    pos = np.full(rows, -1, dtype=np.int64)
-    pos[row_ids.take(on_diag)] = on_diag
-    return pos
 
 
 # --- dense LU ----------------------------------------------------------------
@@ -273,24 +238,24 @@ class Solver(LinOp):
         self._a = a
         self._criteria = criteria
         self._lanes_apply = _lane_apply(a)
-        self._diag_pos = (_diagonal_positions(a._pattern.row_ids(), a._pattern.col_idxs, a.size.rows)
-                          if jacobi else None)
+        self._diag_pos = _diagonal_positions(a._pattern) if jacobi else None
         self._setup()
 
     def _setup(self) -> None:
-        """Pick the lane block and build what the matrix values determine."""
-        factory, lu, invd = self._factory, None, None
-        if factory.algorithm in ("lu", "gmres_lu"):
-            lu = lu_factorize(self._a)
-        elif self._diag_pos is not None:
-            invd = 1.0 / _stored_diagonal(self._a, self._diag_pos)
-        if factory.algorithm == "lu":
-            block = functools.partial(_lu_block, lu=lu)
-        elif factory.algorithm in ("gmres", "gmres_lu"):
-            block = functools.partial(_gmres_block, restart=factory.restart, lu=lu)
-        else:
-            block = _cg_block if factory.algorithm == "cg" else _bicgstab_block
-        self._invd, self._block = invd, block
+        """The lane block and what the matrix values determine; a singular Jacobi
+        diagonal raises, naming a missing entry before a stored zero."""
+        factory, a, pos = self._factory, self._a, self._diag_pos
+        lu = lu_factorize(a) if factory.algorithm in ("lu", "gmres_lu") else None
+        block, invd, singular = _lane_setup(factory.algorithm, pos,
+                                            None if pos is None else a._values.numpy()[None],
+                                            factory.restart, lu)
+        if singular is not None and singular[0]:
+            missing = np.flatnonzero(pos < 0)
+            if missing.size:
+                raise SingularPreconditionerError(f"row {missing[0]} has no stored diagonal entry")
+            zero = np.flatnonzero(a._values.numpy().take(pos) == 0.0)[0]
+            raise SingularPreconditionerError(f"zero diagonal entry at row {zero}")
+        self._invd, self._block = (None if invd is None else invd[0]), block
 
     @property
     def system_matrix(self) -> Csr:
@@ -367,7 +332,8 @@ class Solver(LinOp):
 #
 # Every algorithm is written once, over lanes: (m, n) arrays whose row l is
 # lane l's vector, for the columns of a Solver's solve or the systems of a
-# batched group.  ``apply(vals, src, dst)`` writes every held lane's operator
+# batched group, whose block and Jacobi diagonals :func:`_lane_setup` builds
+# for both.  ``apply(vals, src, dst)`` writes every held lane's operator
 # times ``src`` into ``dst``, both C-contiguous lane arrays of the block's
 # own; ``vals`` holds the lanes' matrix values for a batch, None for a Solver.
 # ``xv`` is the caller's storage, lane-major (a Solver passes its x
@@ -381,6 +347,42 @@ class Solver(LinOp):
 # ``__array_function__`` dispatch, ~1 us a call on plain ndarrays, is skipped).
 
 _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
+
+
+def _diagonal_positions(pattern) -> np.ndarray:
+    """Where each row's diagonal entry sits in a one-lane CSR ``pattern`` in normal form, or -1."""
+    row_ids = pattern.row_ids()
+    on_diag = np.flatnonzero(pattern.col_idxs == row_ids)
+    pos = np.full(pattern.rows, -1, dtype=np.int64)
+    pos[row_ids.take(on_diag)] = on_diag
+    return pos
+
+
+def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART, lu=None):
+    """``(block, invd, singular)``: the block that runs ``algorithm`` and, for
+    Jacobi (``diag_pos`` from :func:`_diagonal_positions`, else None), every
+    lane's 1 / d from its row of ``vals``, 0 where d is 0 or not stored, and
+    the lanes with such a row (a missing entry makes every lane singular)."""
+    if algorithm == "lu":
+        block = functools.partial(_lu_block, lu=lu)
+    elif algorithm in ("gmres", "gmres_lu"):
+        block = functools.partial(_gmres_block, restart=restart, lu=lu)
+    else:
+        block = _cg_block if algorithm == "cg" else _bicgstab_block
+    if diag_pos is None:
+        return block, None, None
+    if (diag_pos < 0).any():  # the lanes may store no entry at all
+        return block, np.zeros((len(vals), len(diag_pos))), np.ones(len(vals), dtype=bool)
+    diag = vals.take(diag_pos, axis=1)
+    zero = diag == 0.0
+    # Not masked, which is slower, nor in place: in place, glibc trimmed the heap
+    # so that every heat set-up page-faulted its arrays afresh.
+    with np.errstate(divide="ignore"):
+        invd = np.divide(1.0, diag)
+    singular = zero.any(axis=1)
+    if singular.any():
+        invd[zero] = 0.0
+    return block, invd, singular
 
 
 def _lane_apply(a: LinOp):
@@ -585,7 +587,9 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
 def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
     """Preconditioned BiCGStab (van der Vorst) on every lane, like :func:`_cg_block`.
     A lane that meets its criteria on ||s|| takes the half update only, which
-    saves work and avoids dividing by a vanishing t.t."""
+    saves work and avoids dividing by a vanishing t.t.  A lane whose rho = rhat.r
+    collapses while r is not small restarts with rhat = p = r (Sleijpen and van
+    der Vorst, 1995); only a vanished r breaks it down."""
     lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, ("rhat", "p", "v"),
                    ("s", "t", "phat", "shat"), monitor)
     np.copyto(lanes.rhat, lanes.r)
@@ -594,7 +598,8 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
     while lanes.count:
         k += 1
         rho = _rowdot(lanes.rhat, lanes.r)
-        lanes.stop(np.abs(rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
+        collapsed = np.abs(rho) < lanes.bd_tol
+        lanes.stop(collapsed & (lanes.rr < lanes.bd_tol), k - 1, STOP_BREAKDOWN,
                    "bicgstab: rho fell below the breakdown tolerance")
         lanes.stop(lanes.omega == 0.0, k - 1, STOP_BREAKDOWN, "bicgstab: omega collapsed to zero")
         if not lanes.count:
@@ -604,11 +609,16 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
         else:
             # p = r + beta (p - omega v), beta = (rho / rho_prev) (alpha / omega);
             # rho_prev is 0 only where b is 0, which the breakdown test misses.
+            # A lane whose rho collapsed restarts: beta = 0, rhat = r, rho = r.r.
             beta = np.zeros(lanes.held)
-            np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
+            np.divide(rho, lanes.rho, out=beta, where=(lanes.rho != 0.0) & ~collapsed)
             beta *= lanes.alpha / lanes.omega
             lanes.p -= np.multiply(lanes.omega[:, None], lanes.v, out=lanes.phat)
             np.add(lanes.r, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)
+            restart = lanes.live_only(collapsed)
+            if np.count_nonzero(restart):
+                np.copyto(lanes.rhat, lanes.r, where=restart[:, None])
+                rho = np.where(restart, lanes.rr, rho)
         lanes.rho = rho
         phat = lanes.p if invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
         apply(lanes.vals, phat, lanes.v)

@@ -706,8 +706,9 @@ class TestValidation:
 
     def test_algorithm_restricted(self, ref):
         a, b, x = self._tiny(ref)
-        with pytest.raises(InvalidArgumentError, match="gmres"):
-            batch_solve("gmres", a, b, x, CRITERIA)
+        for algorithm in ("gmres", "lu", "gmres_lu"):
+            with pytest.raises(InvalidArgumentError, match=f"'{algorithm}'"):
+                batch_solve(algorithm, a, b, x, CRITERIA)
 
     def test_matrix_type_and_shape(self, ref):
         _, b, x = self._tiny(ref)
