@@ -417,7 +417,8 @@ _rowdot = functools.partial(_einsum, "ij,ij->i")
 def _targets(criteria, r0):
     """Each lane's residual target and the iteration cap (or None): ``rk <= target``
     exactly when a residual criterion is met, as rounding is monotone (fmax skips
-    NaN bounds, which meet nothing; a finite factor maps r0 = 0 to +-0)."""
+    NaN bounds), or when rk is 0: no target is below 0, so a lane solved exactly
+    converges whatever the criteria."""
     target, cap = None, None
     for crit in criteria:
         if isinstance(crit, ResidualNorm):
@@ -427,7 +428,7 @@ def _targets(criteria, r0):
             target = bound if target is None else np.fmax(target, bound)
         else:
             cap = crit.max_iters if cap is None else min(cap, crit.max_iters)
-    return (np.full(r0.shape, -np.inf) if target is None else target), cap
+    return (np.zeros(r0.shape) if target is None else np.fmax(target, 0.0)), cap
 
 
 class _Lanes:
@@ -692,9 +693,6 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=Non
 
     k = 0
     while lanes.count:
-        lanes.stop(lanes.rk == 0.0, k, STOP_RESIDUAL)  # solved: no Krylov space to build
-        if not lanes.count:
-            break
         lanes.beta = lanes.rk
         np.divide(lanes.r, lanes.beta[:, None], out=lanes.basis[:, 0])
         lanes.rot.fill(0.0)

@@ -453,6 +453,20 @@ class TestLaneIndependence:
             assert_compiled_ran(spy)
 
 
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+def test_exactly_solved_systems_converge_under_an_iteration_criterion_alone(ref, algorithm):
+    """The identity with b = [1, -2, 3] and with b = 0: every system converges,
+    at the guess or after one iteration, as its single solve does."""
+    a = build_batch(ref, np.stack([np.eye(3)] * 2))
+    bv = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])[:, :, None]
+    x = BatchDense.zeros(ref, 2, (3, 1))
+    report = batch_solve(algorithm, a, BatchDense.from_values(ref, bv.copy()), x,
+                         (Iteration(5),))
+    assert report.stop_reasons == ["residual_norm"] * 2 and report.converged.all()
+    assert report.iterations.tolist() == [1, 0]
+    assert np.array_equal(x.values, bv) and not report.final_residual_norms.any()
+
+
 class TestSpmvBlock:
     @staticmethod
     def _old_formula(vals, row_ids, col_idxs, n, xb):

@@ -106,6 +106,20 @@ def test_residual_target_met_at_the_iteration_cap_counts_as_convergence(ref, rng
     assert report.converged
 
 
+@pytest.mark.parametrize("bvec", [[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_exactly_solved_lane_converges_under_an_iteration_criterion_alone(ref, algorithm, bvec):
+    """rk = 0 meets every residual target, also the one no criterion sets: the
+    identity is solved by the first iteration, and b = 0 by the zero guess."""
+    solver = SolverFactory(algorithm, criteria=(Iteration(5),)).generate(
+        csr_from_numpy(ref, np.eye(3)))
+    x = Dense.create(ref, (3, 1))
+    report = solver.solve(dense_from_numpy(ref, bvec), x)
+    assert (report.stop_reason, report.converged) == ("residual_norm", True)
+    assert (report.iterations, report.final_residual_norm) == (1 if any(bvec) else 0, 0.0)
+    assert np.array_equal(x.view2d()[:, 0], bvec)
+
+
 class TestCg:
     A = np.array([[4.0, 1.0], [1.0, 3.0]])
     B = np.array([1.0, 2.0])
