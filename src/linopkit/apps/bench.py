@@ -91,7 +91,7 @@ def run_benchmark(cfg: RunConfig) -> BenchReport:
         matrix=Path(cfg.matrix).stem,
         rows=rows,
         cols=cols,
-        nnz=len({(row, col) for row, col, _ in data}),
+        nnz=np.unique(np.stack(data.arrays()[:2]), axis=1).shape[1],  # distinct (row, col)
         backend=cfg.backend,
         algorithm=cfg.solver,
         iterations=report.iterations,

@@ -5,8 +5,8 @@ nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
 :func:`batch_solve` runs the systems in lockstep through the same CG and
 BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
 per system, set up by the same function (which builds every group's Jacobi
-inverse diagonals too), so each system of up to 8,192 rows gets exactly the
-bits of its single solve (see the solver's algorithm internals).  A system
+inverse diagonals too), so each system gets exactly the bits of its single
+solve (see the solver's algorithm internals).  A system
 leaves the lockstep when its own criteria stop it, or when it breaks down,
 which marks it failed without disturbing its siblings.  Its result is
 written out at its stop; its row stays in the state, its later arithmetic

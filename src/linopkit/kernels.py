@@ -37,15 +37,15 @@ Like the numpy body it holds the GIL, so it gains nothing from threads.
 Solves run by these determinism rules, which the tests check bitwise:
 
 * SpMV adds each row's products left to right from +0.0, on either body;
-* the recurrences reduce with one einsum row dot per lane, which sums a row
-  of up to 8,192 entries in one pass whatever the other rows;
+* every reduction over a vector's length, in a solve or a kernel, is
+  :func:`rowdot`, whose sums depend on no other lane and no BLAS thread count;
 * no lane's arithmetic reads another lane, so a column of a multi-column
   solve, or a system of a batch, gets the bits of its own solve;
 * ``run_partitioned`` hands each worker a slice of slots that it alone
   writes, so the worker count cannot change a result.
 
 Together these make a solve's result bitwise identical across kinds and
-worker counts, for lanes of up to 8,192 rows.
+worker counts.
 
 ``aypx``, ``waxpby``, ``diag_scale``, ``dot`` and ``norm2`` have
 no caller in the library; they stay registered for the benchmark's kernel
@@ -67,9 +67,9 @@ import numpy as np
 from .errors import DimensionError, InvalidArgumentError
 from .executor import register_kernel, split_ranges, worker_pool
 
-#: The ``dot`` kernel's fixed reduction tile.  It does not depend on the
-#: worker count, and it keeps each ``np.dot`` call under the 10,000 elements
-#: above which OpenBLAS splits ``ddot`` across its own threads.
+#: The fixed tile of every reduction (:func:`rowdot`).  It depends on no
+#: worker or lane count, and it keeps each ``np.vecdot`` call under the 10,000
+#: elements above which OpenBLAS splits ``ddot`` across its own threads.
 REDUCTION_TILE = 8192
 
 
@@ -136,15 +136,21 @@ def _diag_scale(exec_, z, d, r):
 # --- reductions ------------------------------------------------------------
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products over the last axis, leading axes broadcast.  ``np.vecdot``
+    runs on ``REDUCTION_TILE``-entry tiles and the partials are added in tile
+    order, so a row's sum depends neither on the other rows nor on the BLAS
+    thread count."""
+    total = np.vecdot(a[..., :REDUCTION_TILE], b[..., :REDUCTION_TILE])
+    for lo in range(REDUCTION_TILE, a.shape[-1], REDUCTION_TILE):
+        total += np.vecdot(a[..., lo:lo + REDUCTION_TILE], b[..., lo:lo + REDUCTION_TILE])
+    return total
+
+
 @register_kernel("dot")
 def _dot(exec_, a, b):
-    """Columnwise dot, tiled on the fixed grid and combined in tile order."""
-    n, k = a.shape
-    sums = [0.0] * k  # 0.0 + partial, so an all -0.0 column gives +0.0
-    for lo in range(0, n, REDUCTION_TILE):
-        hi = min(lo + REDUCTION_TILE, n)
-        sums = [s + np.dot(a[lo:hi, j], b[lo:hi, j]) for j, s in enumerate(sums)]
-    return np.array(sums)
+    """Columnwise dot by :func:`rowdot`, from +0.0, so an all -0.0 column gives +0.0."""
+    return rowdot(a.T, b.T) + 0.0
 
 
 @register_kernel("norm2")

@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrixError,
     SingularPreconditionerError,
 )
-from .kernels import block_spmv
+from .kernels import block_spmv, rowdot
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
@@ -154,13 +154,12 @@ def lu_solve_dense(perm, lower, upper, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs given lu_factorize output. rhs has shape (n, k).
 
     The sweeps run on the transposed right-hand sides, one row each, so every
-    column gets the bits it would get alone (up to 8,192 rows, see the
-    algorithm internals below)."""
+    column gets the bits it would get alone."""
     y = np.asarray(rhs, dtype=np.float64).T.take(perm, axis=1)
     for i in range(lower.shape[0]):
-        y[:, i] -= _einsum("ij,j->i", y[:, :i], lower[i, :i])
+        y[:, i] -= rowdot(y[:, :i], lower[i, :i])
     for i in reversed(range(lower.shape[0])):
-        y[:, i] -= _einsum("ij,j->i", y[:, i + 1 :], upper[i, i + 1 :])
+        y[:, i] -= rowdot(y[:, i + 1 :], upper[i, i + 1 :])
         y[:, i] /= upper[i, i]
     return y.T
 
@@ -285,11 +284,10 @@ class Solver(LinOp):
         ----------
         b, x : Dense
             Right-hand side and iterate, one system per column, at least one.
-            Columns are solved independently, in lockstep, each (up to 8,192
-            rows) to the bits of its own solve; the report aggregates them
-            (iteration maximum, norms combined in the Frobenius sense, the
-            first unconverged column's stop reason).  A breakdown raises once
-            the other columns are solved.
+            Columns are solved independently, in lockstep, each to the bits of
+            its own solve; the report aggregates them (iteration maximum, norms
+            combined in the Frobenius sense, the first unconverged column's
+            stop reason).  A breakdown raises once the other columns are solved.
         callback : callable, optional
             Invoked as ``callback(iteration, residual_norm)`` after every
             residual evaluation, iteration 0 included; in lockstep the norm
@@ -341,9 +339,8 @@ class Solver(LinOp):
 # when the lane stops.  Updates run in place, in the textbook formulas'
 # operand order, and no lane's arithmetic depends on another's, so a batched
 # system reproduces its single solve bit for bit, and so does a column of a
-# multi-column solve (einsum sums a lone row of over 8,192 entries in chunks,
-# in the dot products and GMRES's basis products alike, so there a column
-# alone and among others may differ in the last bits; its
+# multi-column solve.  Every sum over a vector's length is a ``rowdot``; einsum
+# sums only over GMRES's basis index, at most restart + 1 terms (its
 # ``__array_function__`` dispatch, ~1 us a call on plain ndarrays, is skipped).
 
 _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
@@ -411,14 +408,12 @@ def _lane_apply(a: LinOp):
 
 
 _einsum = np.einsum.__wrapped__  # see the section comment
-_rowdot = functools.partial(_einsum, "ij,ij->i")
 
 
 def _targets(criteria, r0):
     """Each lane's residual target and the iteration cap (or None): ``rk <= target``
     exactly when a residual criterion is met, as rounding is monotone (fmax skips
-    NaN bounds), or when rk is 0: no target is below 0, so a lane solved exactly
-    converges whatever the criteria."""
+    NaN bounds), or rk = 0: an exactly solved lane converges whatever the criteria."""
     target, cap = None, None
     for crit in criteria:
         if isinstance(crit, ResidualNorm):
@@ -466,14 +461,14 @@ class _Lanes:
         self.measure()
         self._r0 = self.rk  # rk is replaced, never written in place
         self.target, self.cap = _targets(criteria, self._r0)
-        self.bd_tol = TOL_BREAKDOWN * _rowdot(bv, bv)
+        self.bd_tol = TOL_BREAKDOWN * rowdot(bv, bv)
         if singular is not None:
             self.stop(singular, 0, STOP_SINGULAR_PRECONDITIONER)
         self.check(0)
 
     def measure(self) -> None:
         """``rr = r . r`` and ``rk = ||r||``; unpreconditioned CG's rho is rr."""
-        self.rr = _rowdot(self.r, self.r)
+        self.rr = rowdot(self.r, self.r)
         self.rk = np.sqrt(self.rr)
 
     def live_only(self, mask):
@@ -555,12 +550,12 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
     lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, ("p",), ("q",), monitor)
     z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
     np.copyto(lanes.p, z)
-    lanes.rho = lanes.rr if invd is None else _rowdot(lanes.r, z)
+    lanes.rho = lanes.rr if invd is None else rowdot(lanes.r, z)
     k = 0
     while lanes.count:
         k += 1
         apply(lanes.vals, lanes.p, lanes.q)
-        pq = _rowdot(lanes.p, lanes.q)
+        pq = rowdot(lanes.p, lanes.q)
         lanes.stop(np.abs(lanes.rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
                    "cg: rho fell below the breakdown tolerance")
         lanes.stop((pq == 0.0) | ~np.isfinite(pq), k - 1, STOP_BREAKDOWN,
@@ -575,7 +570,7 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
         if not lanes.count:
             break
         z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
-        rho_new = lanes.rr if invd is None else _rowdot(lanes.r, z)
+        rho_new = lanes.rr if invd is None else rowdot(lanes.r, z)
         # rho is 0 only where b is 0, which the breakdown test cannot catch.
         beta = np.zeros(lanes.held)
         np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
@@ -598,7 +593,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
     k = 0
     while lanes.count:
         k += 1
-        rho = _rowdot(lanes.rhat, lanes.r)
+        rho = rowdot(lanes.rhat, lanes.r)
         collapsed = np.abs(rho) < lanes.bd_tol
         lanes.stop(collapsed & (lanes.rr < lanes.bd_tol), k - 1, STOP_BREAKDOWN,
                    "bicgstab: rho fell below the breakdown tolerance")
@@ -623,7 +618,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
         lanes.rho = rho
         phat = lanes.p if invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
         apply(lanes.vals, phat, lanes.v)
-        rhat_v = _rowdot(lanes.rhat, lanes.v)
+        rhat_v = rowdot(lanes.rhat, lanes.v)
         lanes.stop((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1, STOP_BREAKDOWN,
                    "bicgstab: rhat . A p degenerate")
         if not lanes.count:
@@ -631,7 +626,7 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
         lanes.alpha = lanes.rho / rhat_v
         s = np.subtract(lanes.r, np.multiply(lanes.alpha[:, None], lanes.v, out=lanes.s),
                         out=lanes.s)  # r - alpha v
-        s_norm = np.sqrt(_rowdot(s, s))
+        s_norm = np.sqrt(rowdot(s, s))
         half = lanes.live_only(s_norm <= lanes.target)
         if np.count_nonzero(half):
             at = np.flatnonzero(half)
@@ -645,13 +640,13 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
         shat = s if invd is None else np.multiply(s, lanes.invd, out=lanes.shat)
         apply(lanes.vals, shat, lanes.t)
         t = lanes.t
-        tt = _rowdot(t, t)
+        tt = rowdot(t, t)
         lanes.stop((tt == 0.0) | ~np.isfinite(tt), k - 1, STOP_BREAKDOWN,
                    "bicgstab: stabilization direction vanished")
         if not lanes.count:
             break
         # x += alpha phat + omega shat, r = s - omega t (t is free once r is; shat may be s)
-        lanes.omega = _rowdot(t, s) / tt
+        lanes.omega = rowdot(t, s) / tt
         omega = lanes.omega[:, None]
         np.subtract(s, np.multiply(omega, t, out=t), out=lanes.r)
         update = np.multiply(lanes.alpha[:, None], phat, out=lanes.phat)
@@ -704,13 +699,13 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=Non
             np.copyto(lanes.z, basis[:, j])
             apply(lanes.vals, precondition(lanes.z), lanes.w)
             w = lanes.w
-            h = _einsum("ijk,ik->ij", basis, w)
+            h = rowdot(basis, w[:, None])
             w -= _einsum("ij,ijk->ik", h, basis)
-            h2 = _einsum("ijk,ik->ij", basis, w)
+            h2 = rowdot(basis, w[:, None])
             w -= _einsum("ij,ijk->ik", h2, basis)
             h += h2
-            h_next = np.sqrt(_rowdot(w, w))
-            col = _einsum("ijk,ik->ij", lanes.rot[:, : j + 1, : j + 1], h)
+            h_next = np.sqrt(rowdot(w, w))
+            col = rowdot(lanes.rot[:, : j + 1, : j + 1], h[:, None])
             denom = np.hypot(col[:, j], h_next)
             lanes.rk = lanes.beta  # x is the cycle's start for every live lane
             lanes.stop((denom == 0.0) | ~np.isfinite(denom), k - 1, STOP_BREAKDOWN,
@@ -759,7 +754,7 @@ def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, 
     def residual_norms(x):
         apply(vals, x, r)
         np.subtract(bv, r, out=r)
-        return np.sqrt(_rowdot(r, r))
+        return np.sqrt(rowdot(r, r))
 
     r0 = residual_norms(np.array(xv, order="C"))
     x = lu_solve_dense(*lu, bv.T).T

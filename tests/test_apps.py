@@ -277,6 +277,21 @@ class TestBenchmark:
         assert report.nnz == 2
         assert report.matrix == "dup"
 
+    def test_nnz_is_the_number_of_distinct_coordinates(self, tmp_path):
+        """A symmetric file whose off-diagonal entry is listed twice, and the
+        checked-in matrices, against a set of the triplets' coordinates."""
+        sym = write(
+            tmp_path,
+            "sym.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "3 3 4\n1 1 4.0\n2 1 -1.0\n2 1 -0.5\n3 3 2.0\n",
+        )
+        for path in (sym, SMALL, LATTICE):
+            report = run_benchmark(RunConfig(matrix=str(path)))
+            expected = len({(row, col) for row, col, _ in read_matrix_market(path)})
+            assert type(report.nnz) is int and report.nnz == expected, path
+        assert run_benchmark(RunConfig(matrix=str(sym))).nnz == 4
+
     def test_rhs_file(self, tmp_path):
         rhs = write(tmp_path, "b.txt", "1.0\n2.0\n")
         report = run_benchmark(RunConfig(matrix=str(SMALL), rhs=str(rhs)))
