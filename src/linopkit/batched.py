@@ -6,12 +6,12 @@ nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
 BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
 per system, set up by the same function (which builds every group's Jacobi
 inverse diagonals too), so each system gets exactly the bits of its single
-solve (see the solver's algorithm internals).  A system
-leaves the lockstep when its own criteria stop it, or when it breaks down,
-which marks it failed without disturbing its siblings.  Its result is
-written out at its stop; its row stays in the state, its later arithmetic
-discarded, until the systems still iterating fall to half the rows held, and
-only then is the state compacted to them.
+solve (see the solver's algorithm internals).  A system leaves the lockstep
+when its own criteria stop it, or when it breaks down, which marks it failed
+without disturbing its siblings.  Its result is written out at its stop; its
+row stays in the state, its later arithmetic discarded, until the systems
+still iterating fall to half the rows held, and only then is the state
+compacted to them.
 
 On parallel executors the batch is split into contiguous system ranges
 through the ``run_partitioned`` kernel, and each range is solved in
