@@ -87,8 +87,9 @@ class SolveReport:
     initial_residual_norm, final_residual_norm : float
         Euclidean norms of b - A x at entry and at exit.
     converged : bool
-        True when the solve stopped because the residual target was met, or
-        for a successful direct solve.
+        True when the solve stopped because the residual target was met (a
+        residual of exactly 0 meets any target, also with no ``ResidualNorm``),
+        or for a successful direct solve.
     stop_reason : str
         One of ``"iteration"``, ``"residual_norm"``, ``"direct"``.
     """
