@@ -437,35 +437,40 @@ class _Lanes:
     but keeps its row, marked dead in ``live`` (None while every row held is
     live), so no array changes shape within an iteration.  Its later
     arithmetic is discarded, and may overflow or divide by zero (see
-    :func:`_quiet`).  Only at the end of :meth:`check`, once the live lanes
-    are down to half the rows held, are they compacted, one ``take`` per
-    array: after a check the rows held are fewer than twice the live ones,
-    and all compactions together copy fewer rows than the block has lanes.
-    Work arrays named in ``scratch`` (the first takes A x at set-up) carry
-    nothing across a check, which truncates them.  ``invd`` is each lane's
+    :func:`_lane_block`).  Only at the end of :meth:`check`, once the live
+    lanes are down to half the rows held, are they compacted, one ``take`` per
+    array (``b`` and ``vals`` too): after a check the rows held are fewer than
+    twice the live ones, and all compactions together copy fewer rows than the
+    block has lanes.  Work arrays named in ``scratch`` (the first takes A x in
+    :meth:`residual`) carry nothing across a check, which truncates them.
+    ``apply(vals, src, dst)`` is the block's operator; ``invd`` is each lane's
     inverse diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
     ``monitor(k, lanes)`` sees every residual."""
 
     def __init__(self, apply, vals, bv, xv, criteria, invd, singular, out, state, scratch,
                  monitor):
-        self._out, self._ids, self._scratch, self._monitor = (xv, *out), None, scratch, monitor
-        self.message = None
+        self._out, self._ids, self._scratch, self.monitor = (xv, *out), None, scratch, monitor
+        self.apply, self.b, self.message = apply, bv, None
         self.count = self.held = xv.shape[0]
         self.live = None
         # order="C": np.array keeps a transposed view's order, and lane rows must be contiguous
         self.x, self.vals, self.invd = np.array(xv, order="C"), vals, invd
         for name in ("r",) + state + scratch:
             setattr(self, name, np.empty(xv.shape))
-        ax = getattr(self, scratch[0])
-        apply(vals, self.x, ax)
-        np.subtract(bv, ax, out=self.r)
-        self.measure()
+        self.residual()
         self._r0 = self.rk  # rk is replaced, never written in place
         self.target, self.cap = _targets(criteria, self._r0)
         self.bd_tol = TOL_BREAKDOWN * rowdot(bv, bv)
         if singular is not None:
             self.stop(singular, 0, STOP_SINGULAR_PRECONDITIONER)
         self.check(0)
+
+    def residual(self) -> None:
+        """``r = b - A x`` on every row held, then :meth:`measure`."""
+        ax = getattr(self, self._scratch[0])
+        self.apply(self.vals, self.x, ax)
+        np.subtract(self.b, ax, out=self.r)
+        self.measure()
 
     def measure(self) -> None:
         """``rr = r . r`` and ``rk = ||r||``; unpreconditioned CG's rho is rr."""
@@ -502,8 +507,8 @@ class _Lanes:
     def check(self, k) -> None:
         """Show iteration ``k`` to the monitor, stop lanes by the criteria, and
         compact the rows held once the live lanes are down to half of them."""
-        if self._monitor:
-            self._monitor(k, self)
+        if self.monitor:
+            self.monitor(k, self)
         self.stop(self.rk <= self.target, k, STOP_RESIDUAL)
         if self.count and self.cap is not None and k >= self.cap:
             self.stop(np.ones(self.held, dtype=bool), k, STOP_ITERATION)
@@ -528,34 +533,38 @@ class _Lanes:
         return norms
 
 
-def _quiet(block):
-    """``block`` run with floating-point errors ignored when it holds two lanes
-    or more: a dead row's discarded arithmetic may overflow or divide by zero
-    (one lane never holds a dead row, and keeps numpy's error state)."""
+def _lane_block(state, scratch):
+    """Makes a recurrence over :class:`_Lanes` with ``state`` and ``scratch`` arrays
+    a block: called with ``_Lanes``' arguments (and the recurrence's keywords), it
+    returns every lane's initial residual norm and the first breakdown's message
+    (or None).  It runs with floating-point errors ignored at every lane count: a
+    dead row's discarded arithmetic may overflow or divide by zero, and so may a
+    live lane's, whose failure comes back as a stop reason."""
 
-    @functools.wraps(block)
-    def run(apply, vals, bv, xv, *args, **kwargs):
-        if xv.shape[0] < 2:
-            return block(apply, vals, bv, xv, *args, **kwargs)
-        with np.errstate(all="ignore"):
-            return block(apply, vals, bv, xv, *args, **kwargs)
+    def wrap(recurrence):
+        @functools.wraps(recurrence)
+        def block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, **kwargs):
+            with np.errstate(all="ignore"):
+                lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, state, scratch,
+                               monitor)
+                recurrence(lanes, **kwargs)
+            return lanes._r0, lanes.message
 
-    return run
+        return block
+
+    return wrap
 
 
-@_quiet
-def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
-    """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane, with
-    :class:`_Lanes`' arguments.  Returns every lane's initial residual norm and
-    the first breakdown's message (or None)."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, ("p",), ("q",), monitor)
-    z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
+@_lane_block(("p",), ("q",))
+def _cg_block(lanes):
+    """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane."""
+    z = lanes.r if lanes.invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
     np.copyto(lanes.p, z)
-    lanes.rho = lanes.rr if invd is None else rowdot(lanes.r, z)
+    lanes.rho = lanes.rr if lanes.invd is None else rowdot(lanes.r, z)
     k = 0
     while lanes.count:
         k += 1
-        apply(lanes.vals, lanes.p, lanes.q)
+        lanes.apply(lanes.vals, lanes.p, lanes.q)
         pq = rowdot(lanes.p, lanes.q)
         lanes.stop(np.abs(lanes.rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
                    "cg: rho fell below the breakdown tolerance")
@@ -570,25 +579,22 @@ def _cg_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
         lanes.check(k)
         if not lanes.count:
             break
-        z = lanes.r if invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
-        rho_new = lanes.rr if invd is None else rowdot(lanes.r, z)
+        z = lanes.r if lanes.invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
+        rho_new = lanes.rr if lanes.invd is None else rowdot(lanes.r, z)
         # rho is 0 only where b is 0, which the breakdown test cannot catch.
         beta = np.zeros(lanes.held)
         np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
         np.add(z, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)  # z + beta p
         lanes.rho = rho_new
-    return lanes._r0, lanes.message
 
 
-@_quiet
-def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None):
+@_lane_block(("rhat", "p", "v"), ("s", "t", "phat", "shat"))
+def _bicgstab_block(lanes):
     """Preconditioned BiCGStab (van der Vorst) on every lane, like :func:`_cg_block`.
     A lane that meets its criteria on ||s|| takes the half update only, which
     saves work and avoids dividing by a vanishing t.t.  A lane whose rho = rhat.r
     collapses while r is not small restarts with rhat = p = r (Sleijpen and van
     der Vorst, 1995); only a vanished r breaks it down."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, ("rhat", "p", "v"),
-                   ("s", "t", "phat", "shat"), monitor)
     np.copyto(lanes.rhat, lanes.r)
     lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.held) for _ in range(3))
     k = 0
@@ -617,8 +623,8 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
                 np.copyto(lanes.rhat, lanes.r, where=restart[:, None])
                 rho = np.where(restart, lanes.rr, rho)
         lanes.rho = rho
-        phat = lanes.p if invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
-        apply(lanes.vals, phat, lanes.v)
+        phat = lanes.p if lanes.invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
+        lanes.apply(lanes.vals, phat, lanes.v)
         rhat_v = rowdot(lanes.rhat, lanes.v)
         lanes.stop((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1, STOP_BREAKDOWN,
                    "bicgstab: rhat . A p degenerate")
@@ -633,13 +639,13 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
             at = np.flatnonzero(half)
             lanes.x[at] += lanes.alpha[at, None] * phat[at]
             lanes.rk = np.where(half, s_norm, lanes.rk)
-            if monitor and at.size == lanes.count:
-                monitor(k, lanes)
+            if lanes.monitor and at.size == lanes.count:
+                lanes.monitor(k, lanes)
             lanes.stop(half, k, STOP_RESIDUAL)
             if not lanes.count:
                 break
-        shat = s if invd is None else np.multiply(s, lanes.invd, out=lanes.shat)
-        apply(lanes.vals, shat, lanes.t)
+        shat = s if lanes.invd is None else np.multiply(s, lanes.invd, out=lanes.shat)
+        lanes.apply(lanes.vals, shat, lanes.t)
         t = lanes.t
         tt = rowdot(t, t)
         lanes.stop((tt == 0.0) | ~np.isfinite(tt), k - 1, STOP_BREAKDOWN,
@@ -656,12 +662,10 @@ def _bicgstab_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=
         del phat, s, shat, t, update  # a compaction in check frees the arrays these held
         lanes.measure()
         lanes.check(k)
-    return lanes._r0, lanes.message
 
 
-@_quiet
-def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None,
-                 restart=DEFAULT_RESTART, lu=None):
+@_lane_block((), ("w", "z"))
+def _gmres_block(lanes, restart=DEFAULT_RESTART, lu=None):
     """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
     by ``invd`` (Jacobi), the ``lu`` factors or nothing.
 
@@ -672,9 +676,7 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=Non
     calls.  A lane's x takes the update M^-1 V y when it stops and at every
     restart, where its true residual replaces the estimate.  One iteration is
     one Krylov vector, counted across restarts."""
-    lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, (), ("w", "z"), monitor)
     held, n = lanes.x.shape
-    lanes.b = bv if lanes._ids is None else bv[lanes._ids]
     lanes.basis = np.empty((held, restart + 1, n))
     lanes.rot = np.empty((held, restart + 1, restart + 1))
     lanes.hess = np.empty((held, restart, restart))
@@ -683,7 +685,7 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=Non
         """M^-1 v in place, ``v`` holding the lanes in ``rows``."""
         if lu is not None:
             v[...] = lu_solve_dense(*lu, v.T).T
-        elif invd is not None:
+        elif lanes.invd is not None:
             v *= lanes.invd[rows]
         return v
 
@@ -698,7 +700,7 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=Non
             k += 1
             basis = lanes.basis[:, : j + 1]
             np.copyto(lanes.z, basis[:, j])
-            apply(lanes.vals, precondition(lanes.z), lanes.w)
+            lanes.apply(lanes.vals, precondition(lanes.z), lanes.w)
             w = lanes.w
             h = rowdot(basis, w[:, None])
             w -= _einsum("ij,ijk->ik", h, basis)
@@ -735,16 +737,13 @@ def _gmres_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=Non
                 step = _einsum("ij,ijk->ik", y, lanes.basis[rows, : j + 1])
                 lanes.x[rows] += precondition(step, rows)
             if restarting:
-                apply(lanes.vals, lanes.x, lanes.w)
-                np.subtract(lanes.b, lanes.w, out=lanes.r)
-                lanes.measure()
+                lanes.residual()
             else:
                 lanes.rk = estimate
             lanes.check(k)
             lanes.stop(lanes.happy, k, STOP_RESIDUAL)
             if not lanes.count:
                 break
-    return lanes._r0, lanes.message
 
 
 def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, lu=None):
