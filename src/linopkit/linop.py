@@ -89,6 +89,8 @@ class LinOp(abc.ABC):
             )
         if np.shares_memory(b.values.numpy(), x.values.numpy()):
             raise InvalidArgumentError("b and x must not alias the same storage")
+        if not x.values.numpy().flags.writeable:
+            raise InvalidArgumentError("x is read-only, but receives the result")
 
     @abc.abstractmethod
     def _apply(self, b: "Dense", x: "Dense") -> None: ...

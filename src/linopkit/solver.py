@@ -343,6 +343,9 @@ class Solver(LinOp):
 # multi-column solve.  Every sum over a vector's length is a ``rowdot``; einsum
 # sums only over GMRES's basis index, at most restart + 1 terms (its
 # ``__array_function__`` dispatch, ~1 us a call on plain ndarrays, is skipped).
+# CG, BiCGStab and GMRES run through :func:`_lane_block`, with numpy
+# floating-point errors ignored at every lane count: a failure comes back as a
+# stop reason (from a Solver as ``BreakdownError``), never as a numpy warning.
 
 _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 
@@ -392,8 +395,10 @@ def _lane_apply(a: LinOp):
     checked pattern without copies.  Any other operator gets each lane
     wrapped in an (n, 1) ``Dense`` per call (a lane-major block is no
     row-major ``Dense``) and its ``_apply``, or its ``apply`` if a subclass
-    overrides that (to trace it, say).  The lanes are vectors the block owns,
-    so the public method's checks are skipped."""
+    overrides that (to trace it, say), into a zeroed ``dst``, as
+    ``LinOp.advanced_apply`` applies into a fresh zero block: a Solver reads
+    its x as the initial guess.  The lanes are vectors the block owns, so the
+    public method's checks are skipped."""
     if type(a) is Csr:
         pattern, values = a._pattern, a._values.numpy()[None]
         return lambda vals, src, dst: block_spmv(pattern, values, src, dst)
@@ -401,6 +406,7 @@ def _lane_apply(a: LinOp):
     exec_, n = a.executor, a.size.rows
 
     def apply(vals, src, dst):
+        dst.fill(0.0)
         for s, d in zip(src, dst):
             op(Dense.from_array(exec_, (n, 1), array_view(exec_, n, s)),
                Dense.from_array(exec_, (n, 1), array_view(exec_, n, d)))
@@ -414,7 +420,9 @@ _einsum = np.einsum.__wrapped__  # see the section comment
 def _targets(criteria, r0):
     """Each lane's residual target and the iteration cap (or None): ``rk <= target``
     exactly when a residual criterion is met, as rounding is monotone (fmax skips
-    NaN bounds), or rk = 0: an exactly solved lane converges whatever the criteria."""
+    NaN bounds), or rk = 0: an exactly solved lane converges whatever the criteria.
+    A lane whose r0 is not finite (its b, or ||b||^2, overflowed) has target 0:
+    no reduction of it is measured, so it never converges."""
     target, cap = None, None
     for crit in criteria:
         if isinstance(crit, ResidualNorm):
@@ -424,7 +432,11 @@ def _targets(criteria, r0):
             target = bound if target is None else np.fmax(target, bound)
         else:
             cap = crit.max_iters if cap is None else min(cap, crit.max_iters)
-    return (np.zeros(r0.shape) if target is None else np.fmax(target, 0.0)), cap
+    if target is None:
+        return np.zeros(r0.shape), cap
+    target = np.fmax(target, 0.0)
+    target[np.isinf(r0)] = 0.0  # NaN r0 gives NaN bounds, which fmax already made 0
+    return target, cap
 
 
 class _Lanes:

@@ -15,9 +15,9 @@ from linopkit.solver import Iteration, ResidualNorm, SolverFactory
 
 from helpers import COMPILED_SPMV, dense_from_numpy, random_dd_dense, random_spd_dense, use_spmv_body
 
-# A stopped system keeps its row until the next compaction, and its discarded
-# arithmetic there may divide by zero unseen; the single solves every batched
-# result is compared with run one lane, and must stay quiet.
+# Lane blocks run with floating-point errors ignored, at every lane count: a
+# stopped system keeps its row until the next compaction, and its discarded
+# arithmetic there may divide by zero unseen.  Any other warning fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -465,6 +465,21 @@ def test_exactly_solved_systems_converge_under_an_iteration_criterion_alone(ref,
     assert report.stop_reasons == ["residual_norm"] * 2 and report.converged.all()
     assert report.iterations.tolist() == [1, 0]
     assert np.array_equal(x.values, bv) and not report.final_residual_norms.any()
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+def test_non_finite_initial_residual_fails_only_its_system(ref, algorithm):
+    """||b||^2 overflows for b = [1e200, 1], and b = [inf, 1] is inf: neither
+    system converges, while the finite one beside them keeps its single solve's bits."""
+    a = build_batch(ref, np.stack([np.diag([2.0, 4.0])] * 3))
+    bv = np.array([[1e200, 1.0], [3.0, -1.0], [np.inf, 1.0]])[:, :, None]
+    criteria = (Iteration(20), ResidualNorm(1e-12))
+    x = BatchDense.zeros(ref, 3, (2, 1))
+    report = batch_solve(algorithm, a, BatchDense.from_values(ref, bv.copy()), x, criteria)
+    assert report.converged.tolist() == [False, True, False]
+    assert report.stop_reasons[0] == report.stop_reasons[2] == "breakdown"
+    single, _ = solo_solve(ref, a.extract_system(1), bv[1, :, 0], algorithm, criteria)
+    assert np.array_equal(x.values[1, :, 0].view(np.uint64), single.view(np.uint64))
 
 
 class TestSpmvBlock:

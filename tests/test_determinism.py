@@ -18,6 +18,7 @@ import pytest
 from linopkit import kernels
 from linopkit.batched import BatchCsr, BatchDense, batch_solve
 from linopkit.container import MatrixData
+from linopkit.errors import BreakdownError
 from linopkit.executor import executor_from_name
 from linopkit.linop import Csr, Dense
 from linopkit.solver import Iteration, ResidualNorm, SolverFactory
@@ -91,6 +92,57 @@ def test_batched_system_gets_its_single_solve_bits(kind):
         single = solve(exec_, a.extract_system(k), bv[k], "cg", criteria)
         assert np.array_equal(x.values[k].view(np.uint64), single.view(np.uint64)), k
     assert report.converged.all()
+
+
+#: Finite, but its squared norm overflows: r0 is inf.
+OVERFLOWING = [1e200, 1.0]
+#: The overflowing column first, then two finite ones.
+AMONG_OTHERS = np.array([OVERFLOWING, [3.0, -1.0], [1.0, 1.0]])
+
+
+def first_column_end(algorithm, bmat):
+    """How a solve of the columns of ``bmat`` on diag(2, 4) ended (the breakdown
+    message, or None) and the bits of its first column's x."""
+    ref = executor_from_name("reference")
+    a = Csr.from_data(ref, MatrixData((2, 2), [(0, 0, 2.0), (1, 1, 4.0)]))
+    solver = SolverFactory(algorithm, (Iteration(20), ResidualNorm(1e-12))).generate(a)
+    b = Dense.create(ref, bmat.shape)
+    b.view2d()[...] = bmat
+    x = Dense.create(ref, bmat.shape)
+    try:
+        solver.solve(b, x)
+        message = None
+    except BreakdownError as err:
+        message = str(err)
+    return message, x.view2d()[:, 0].view(np.uint64).tolist()
+
+
+def first_system_end(algorithm, rhs):
+    """A batch of diag(2, 4) systems, one per row of ``rhs``: the first
+    system's stop reason, iterations, final norm and the bits of its x."""
+    ref = executor_from_name("reference")
+    num = len(rhs)
+    a = BatchCsr.from_template(ref, num, MatrixData((2, 2), [(0, 0, 1.0), (1, 1, 1.0)]),
+                               np.tile([2.0, 4.0], (num, 1)))
+    x = BatchDense.zeros(ref, num, (2, 1))
+    report = batch_solve(algorithm, a, BatchDense.from_values(ref, rhs[:, :, None]), x,
+                         (Iteration(20), ResidualNorm(1e-12)))
+    return (report.stop_reasons[0], int(report.iterations[0]),
+            float(report.final_residual_norms[0]), x.values[0, :, 0].view(np.uint64).tolist())
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_overflowing_column_ends_alone_as_among_others(algorithm):
+    """No lane count has floating-point errors of its own: alone, the column
+    warns no more than beside finite ones, and ends the same way."""
+    lone = first_column_end(algorithm, np.array([OVERFLOWING]).T)
+    assert lone == first_column_end(algorithm, AMONG_OTHERS.T)
+
+
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+def test_overflowing_system_ends_alone_as_among_others(algorithm):
+    lone = first_system_end(algorithm, np.array([OVERFLOWING]))
+    assert lone == first_system_end(algorithm, AMONG_OTHERS)
 
 
 def test_results_do_not_depend_on_the_blas_thread_count():

@@ -366,6 +366,18 @@ class TestApply:
         with pytest.raises(InvalidArgumentError, match="alias"):
             m.apply(v, v)
 
+    @pytest.mark.parametrize("entry", ["apply", "advanced_apply", "solve"])
+    def test_read_only_x_rejected_before_any_work(self, ref, entry):
+        m = csr_from_numpy(ref, np.diag([2.0, 4.0]))
+        run = {"apply": m.apply,
+               "advanced_apply": lambda b, x: m.advanced_apply(1.0, b, 1.0, x),
+               "solve": SolverFactory("cg", (Iteration(5),)).generate(m).solve}[entry]
+        buf = np.array([1.0, 2.0])
+        x = Dense.create_const(ref, (2, 1), array_view(ref, 2, buf))
+        with pytest.raises(InvalidArgumentError, match="x is read-only"):
+            run(dense_from_numpy(ref, [1.0, 1.0]), x)
+        assert buf.tolist() == [1.0, 2.0]
+
 
 class TestPatternSafety:
     """An out-of-range or changed pattern raises on both SpMV bodies.

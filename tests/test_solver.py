@@ -38,8 +38,8 @@ from helpers import (
     use_spmv_body,
 )
 
-# Multi-column solves keep stopped columns' rows until a compaction, and only
-# that arithmetic may divide by zero unseen; one column alone must stay quiet.
+# Lane blocks run with floating-point errors ignored, at every lane count; any
+# warning raised outside them (set-up, LU, the report) fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -77,6 +77,12 @@ class TestCriteria:
 
     def test_zero_initial_residual_fires_immediately(self):
         assert fires((ResidualNorm(1e-30),), 0, 0.0, 0.0)
+
+    def test_non_finite_initial_residual_never_fires(self):
+        for factor in (1e-6, 1.0, math.inf):
+            assert not fires((ResidualNorm(factor),), 0, math.inf, math.inf)
+            assert not fires((ResidualNorm(factor),), 0, math.nan, math.nan)
+        assert fires((ResidualNorm(math.inf),), 0, 1.0, 1e300)  # a finite r0 keeps its inf target
 
     @given(
         factor=st.floats(1e-12, 1.0),
@@ -118,6 +124,17 @@ def test_exactly_solved_lane_converges_under_an_iteration_criterion_alone(ref, a
     assert (report.stop_reason, report.converged) == ("residual_norm", True)
     assert (report.iterations, report.final_residual_norm) == (1 if any(bvec) else 0, 0.0)
     assert np.array_equal(x.view2d()[:, 0], bvec)
+
+
+@pytest.mark.parametrize("bvec", [[1e200, 1.0], [np.inf, 1.0]])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
+def test_non_finite_initial_residual_does_not_converge(ref, algorithm, bvec):
+    """||b||^2 overflows for the finite b, and r0 is inf for both: no reduction of
+    it can be measured, so the lane breaks down instead of converging at x = 0."""
+    solver = make_solver(ref, np.diag([2.0, 4.0]), algorithm=algorithm)
+    with pytest.raises(BreakdownError) as err:
+        solver.solve(dense_from_numpy(ref, bvec), Dense.create(ref, (2, 1)))
+    assert err.value.iterations == 0
 
 
 class TestCg:
@@ -495,6 +512,30 @@ class TestSolverAsOperator:
         x = dense_from_numpy(ref, [np.nan, np.inf])
         solver.advanced_apply(2.0, b, 0.0, x)  # beta = 0 ignores x, as for matrices
         assert np.allclose(x.view2d()[:, 0], [2.0, 2.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_solver_in_operator_position_applies_from_a_zero_guess(self, ref, rng, cols):
+        """An outer CG over an inner CG solves A^-1 x = b, so x = A b.  Every
+        inner solve starts from zero, as ``advanced_apply``'s do, so the outer
+        initial residual is ||b||."""
+        a = random_spd_dense(rng, 12)
+        guesses = []
+
+        class Inner(Solver):
+            def _apply(self, b, x):
+                guesses.append(x.view2d().copy())
+                super()._apply(b, x)
+
+        factory = SolverFactory("cg", (Iteration(200), ResidualNorm(1e-14)))
+        outer = Solver(factory, Inner(factory, csr_from_numpy(ref, a)))
+        bmat = rng.normal(size=(12, cols)) * np.array([1.0, 1e3, 1e-3])[:cols]
+        x = Dense.create(ref, (12, cols))
+        report = outer.solve(dense_from_numpy(ref, bmat), x)
+        assert len(guesses) > cols and not np.any(guesses)
+        assert report.converged
+        assert report.initial_residual_norm == pytest.approx(np.linalg.norm(bmat), rel=1e-12)
+        ab = a @ bmat
+        assert (np.linalg.norm(x.view2d() - ab, axis=0) <= 1e-9 * np.linalg.norm(ab, axis=0)).all()
 
     def test_solver_preconditions_another_solver(self, ref, rng):
         # an operator-valued sanity check: x = S(b) with S a solver behaves
