@@ -127,9 +127,8 @@ def batched(h):
     for kind, workers in KINDS:
         exec_ = executor_from_name(kind, workers)
         rng = np.random.default_rng(30)
-        nnz = Csr.from_data(exec_, template).num_stored_elements
         base = Csr.from_data(exec_, template).get_values().numpy()
-        values = base * rng.uniform(0.5, 1.5, size=(num, nnz))
+        values = base * rng.uniform(0.5, 1.5, size=(num, base.size))
         a = BatchCsr.from_template(exec_, num, template, values)
         rhs = rng.normal(size=(num, n, 1))
         for algorithm in ("cg", "bicgstab"):
