@@ -17,7 +17,7 @@ from helpers import COMPILED_SPMV, dense_from_numpy, random_dd_dense, random_spd
 
 # Lane blocks run with floating-point errors ignored, at every lane count: a
 # stopped system keeps its row until the next compaction, and its discarded
-# arithmetic there may divide by zero unseen.  Any other warning fails the test.
+# arithmetic there may divide by zero unseen.  Any other RuntimeWarning fails.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 

@@ -38,8 +38,8 @@ from helpers import (
     use_spmv_body,
 )
 
-# Lane blocks run with floating-point errors ignored, at every lane count; any
-# warning raised outside them (set-up, LU, the report) fails the test.
+# Lane blocks run with floating-point errors ignored, at every lane count; a
+# RuntimeWarning raised outside them (set-up, LU, the report) fails the test.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
