@@ -248,14 +248,14 @@ class Solver(LinOp):
         lu = lu_factorize(a) if factory.algorithm in ("lu", "gmres_lu") else None
         block, invd, singular = _lane_setup(factory.algorithm, pos,
                                             None if pos is None else a._values.numpy()[None],
-                                            factory.restart, lu)
+                                            factory.restart)
         if singular is not None and singular[0]:
             missing = np.flatnonzero(pos < 0)
             if missing.size:
                 raise SingularPreconditionerError(f"row {missing[0]} has no stored diagonal entry")
             zero = np.flatnonzero(a._values.numpy().take(pos) == 0.0)[0]
             raise SingularPreconditionerError(f"zero diagonal entry at row {zero}")
-        self._invd, self._block = (None if invd is None else invd[0]), block
+        self._invd, self._lu, self._block = (None if invd is None else invd[0]), lu, block
 
     @property
     def system_matrix(self) -> Csr:
@@ -313,7 +313,7 @@ class Solver(LinOp):
         invd = None if self._invd is None else np.broadcast_to(self._invd, (cols, n))
         monitor = callback and (lambda k, lanes: callback(k, math.hypot(*lanes.residual_norms())))
         r0, message = self._block(self._lanes_apply, None, bv, x.view2d().T, self._criteria, invd,
-                                  None, out, monitor)
+                                  None, out, monitor, lu=self._lu)
         iterations, finals, reasons = (a.tolist() for a in out)  # Python scalars are cheaper
         reason = next((r for r in reasons if r not in _CONVERGED), reasons[0])
         report = SolveReport(max(iterations), math.hypot(*r0.tolist()), math.hypot(*finals),
@@ -359,15 +359,15 @@ def _diagonal_positions(pattern) -> np.ndarray:
     return pos
 
 
-def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART, lu=None):
+def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART):
     """``(block, invd, singular)``: the block that runs ``algorithm`` and, for
     Jacobi (``diag_pos`` from :func:`_diagonal_positions`, else None), every
     lane's 1 / d from its row of ``vals``, 0 where d is 0 or not stored, and
     the lanes with such a row (a missing entry makes every lane singular)."""
     if algorithm == "lu":
-        block = functools.partial(_lu_block, lu=lu)
+        block = _lu_block
     elif algorithm in ("gmres", "gmres_lu"):
-        block = functools.partial(_gmres_block, restart=restart, lu=lu)
+        block = functools.partial(_gmres_block, restart=restart)
     else:
         block = _cg_block if algorithm == "cg" else _bicgstab_block
     if diag_pos is None:
@@ -455,18 +455,19 @@ class _Lanes:
     twice the live ones, and all compactions together copy fewer rows than the
     block has lanes.  Work arrays named in ``scratch`` (the first takes A x in
     :meth:`residual`) carry nothing across a check, which truncates them.
-    ``apply(vals, src, dst)`` is the block's operator; ``invd`` is each lane's
-    inverse diagonal for Jacobi, or None; lanes in ``singular`` stop at once.
-    ``monitor(k, lanes)`` sees every residual."""
+    ``apply(vals, src, dst)`` is the block's operator and :meth:`precondition`
+    its M^-1, from each lane's Jacobi inverse diagonal ``invd`` or the LU
+    factors ``lu`` all lanes share (both None: no preconditioner); lanes in
+    ``singular`` stop at once.  ``monitor(k, lanes)`` sees every residual."""
 
-    def __init__(self, apply, vals, bv, xv, criteria, invd, singular, out, state, scratch,
+    def __init__(self, apply, vals, bv, xv, criteria, invd, lu, singular, out, state, scratch,
                  monitor):
         self._out, self._ids, self._scratch, self.monitor = (xv, *out), None, scratch, monitor
         self.apply, self.b, self.message = apply, bv, None
         self.count = self.held = xv.shape[0]
         self.live = None
         # order="C": np.array keeps a transposed view's order, and lane rows must be contiguous
-        self.x, self.vals, self.invd = np.array(xv, order="C"), vals, invd
+        self.x, self.vals, self.invd, self.lu = np.array(xv, order="C"), vals, invd, lu
         for name in ("r",) + state + scratch:
             setattr(self, name, np.empty(xv.shape))
         self.residual()
@@ -488,6 +489,16 @@ class _Lanes:
         """``rr = r . r`` and ``rk = ||r||``; unpreconditioned CG's rho is rr."""
         self.rr = rowdot(self.r, self.r)
         self.rk = np.sqrt(self.rr)
+
+    def precondition(self, src, dst, rows=None):
+        """M^-1 ``src``: ``src`` itself with no preconditioner, else written into
+        ``dst``; both hold the lanes in ``rows`` (None: every row held)."""
+        if self.lu is not None:
+            dst[...] = lu_solve_dense(*self.lu, src.T).T
+            return dst
+        if self.invd is None:
+            return src
+        return np.multiply(src, self.invd if rows is None else self.invd[rows], out=dst)
 
     def live_only(self, mask):
         """``mask`` (over the rows held) without the dead rows."""
@@ -555,10 +566,11 @@ def _lane_block(state, scratch):
 
     def wrap(recurrence):
         @functools.wraps(recurrence)
-        def block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, **kwargs):
+        def block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, lu=None,
+                  **kwargs):
             with np.errstate(all="ignore"):
-                lanes = _Lanes(apply, vals, bv, xv, criteria, invd, singular, out, state, scratch,
-                               monitor)
+                lanes = _Lanes(apply, vals, bv, xv, criteria, invd, lu, singular, out, state,
+                               scratch, monitor)
                 recurrence(lanes, **kwargs)
             return lanes._r0, lanes.message
 
@@ -570,11 +582,17 @@ def _lane_block(state, scratch):
 @_lane_block(("p",), ("q",))
 def _cg_block(lanes):
     """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane."""
-    z = lanes.r if lanes.invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
-    np.copyto(lanes.p, z)
-    lanes.rho = lanes.rr if lanes.invd is None else rowdot(lanes.r, z)
     k = 0
     while lanes.count:
+        z = lanes.precondition(lanes.r, lanes.q)
+        rho = lanes.rr if z is lanes.r else rowdot(lanes.r, z)
+        if k:  # p = z + beta p; rho is 0 only where b is 0, which the breakdown test misses
+            beta = np.zeros(lanes.held)
+            np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
+            np.add(z, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)
+        else:
+            np.copyto(lanes.p, z)
+        lanes.rho = rho
         k += 1
         lanes.apply(lanes.vals, lanes.p, lanes.q)
         pq = rowdot(lanes.p, lanes.q)
@@ -589,15 +607,6 @@ def _cg_block(lanes):
         lanes.x += np.multiply(alpha, lanes.p, out=lanes.q)  # q is free now, and z is kept in it
         lanes.measure()
         lanes.check(k)
-        if not lanes.count:
-            break
-        z = lanes.r if lanes.invd is None else np.multiply(lanes.r, lanes.invd, out=lanes.q)
-        rho_new = lanes.rr if lanes.invd is None else rowdot(lanes.r, z)
-        # rho is 0 only where b is 0, which the breakdown test cannot catch.
-        beta = np.zeros(lanes.held)
-        np.divide(rho_new, lanes.rho, out=beta, where=lanes.rho != 0.0)
-        np.add(z, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)  # z + beta p
-        lanes.rho = rho_new
 
 
 @_lane_block(("rhat", "p", "v"), ("s", "t", "phat", "shat"))
@@ -635,7 +644,7 @@ def _bicgstab_block(lanes):
                 np.copyto(lanes.rhat, lanes.r, where=restart[:, None])
                 rho = np.where(restart, lanes.rr, rho)
         lanes.rho = rho
-        phat = lanes.p if lanes.invd is None else np.multiply(lanes.p, lanes.invd, out=lanes.phat)
+        phat = lanes.precondition(lanes.p, lanes.phat)
         lanes.apply(lanes.vals, phat, lanes.v)
         rhat_v = rowdot(lanes.rhat, lanes.v)
         lanes.stop((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1, STOP_BREAKDOWN,
@@ -656,7 +665,7 @@ def _bicgstab_block(lanes):
             lanes.stop(half, k, STOP_RESIDUAL)
             if not lanes.count:
                 break
-        shat = s if lanes.invd is None else np.multiply(s, lanes.invd, out=lanes.shat)
+        shat = lanes.precondition(s, lanes.shat)
         lanes.apply(lanes.vals, shat, lanes.t)
         t = lanes.t
         tt = rowdot(t, t)
@@ -677,9 +686,8 @@ def _bicgstab_block(lanes):
 
 
 @_lane_block((), ("w", "z"))
-def _gmres_block(lanes, restart=DEFAULT_RESTART, lu=None):
-    """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
-    by ``invd`` (Jacobi), the ``lu`` factors or nothing.
+def _gmres_block(lanes, restart=DEFAULT_RESTART):
+    """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned.
 
     Arnoldi orthogonalizes by classical Gram-Schmidt run twice (CGS2: two
     products with the basis and two updates per step).  ``rot`` keeps the
@@ -692,15 +700,6 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART, lu=None):
     lanes.basis = np.empty((held, restart + 1, n))
     lanes.rot = np.empty((held, restart + 1, restart + 1))
     lanes.hess = np.empty((held, restart, restart))
-
-    def precondition(v, rows=slice(None)):
-        """M^-1 v in place, ``v`` holding the lanes in ``rows``."""
-        if lu is not None:
-            v[...] = lu_solve_dense(*lu, v.T).T
-        elif lanes.invd is not None:
-            v *= lanes.invd[rows]
-        return v
-
     k = 0
     while lanes.count:
         lanes.beta = lanes.rk
@@ -711,8 +710,7 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART, lu=None):
         for j in range(restart):
             k += 1
             basis = lanes.basis[:, : j + 1]
-            np.copyto(lanes.z, basis[:, j])
-            lanes.apply(lanes.vals, precondition(lanes.z), lanes.w)
+            lanes.apply(lanes.vals, lanes.precondition(basis[:, j], lanes.z), lanes.w)
             w = lanes.w
             h = rowdot(basis, w[:, None])
             w -= _einsum("ij,ijk->ik", h, basis)
@@ -747,7 +745,7 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART, lu=None):
                 g = lanes.beta[rows, None] * lanes.rot[rows, : j + 1, 0]
                 y = np.linalg.solve(lanes.hess[rows, : j + 1, : j + 1], g[:, :, None])[:, :, 0]
                 step = _einsum("ij,ijk->ik", y, lanes.basis[rows, : j + 1])
-                lanes.x[rows] += precondition(step, rows)
+                lanes.x[rows] += lanes.precondition(step, step, rows)
             if restarting:
                 lanes.residual()
             else:
