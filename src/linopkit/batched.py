@@ -30,7 +30,6 @@ the library goes through.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +265,10 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     xvals = x.values[:, :, 0]
 
     group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
-    spmv = functools.partial(block_spmv, block_pattern(a._pattern, max(1, min(group, num))))
+    pattern = block_pattern(a._pattern, max(1, min(group, num)))
+
+    def spmv(vals, src, dst, live):  # dead rows too: one call for the whole group
+        block_spmv(pattern, vals, src, dst)
 
     def body(lo, hi):
         for start in range(lo, hi, group):

@@ -332,10 +332,14 @@ class Solver(LinOp):
 # Every algorithm is written once, over lanes: (m, n) arrays whose row l is
 # lane l's vector, for the columns of a Solver's solve or the systems of a
 # batched group, whose block and Jacobi diagonals :func:`_lane_setup` builds
-# for both.  ``apply(vals, src, dst)`` writes every held lane's operator
-# times ``src`` into ``dst``, both C-contiguous lane arrays of the block's
-# own; ``vals`` holds the lanes' matrix values for a batch, None for a Solver.
-# ``xv`` is the caller's storage, lane-major (a Solver passes its x
+# for both.  ``apply(vals, src, dst, live)`` writes the operator times each
+# lane of ``src`` into ``dst``, a C-contiguous lane array of the block's own;
+# ``vals`` holds the lanes' matrix values for a batch, None for a Solver, and
+# ``live`` marks the lanes still iterating (None while all are).  A matrix,
+# single or batched, multiplies every row held in one SpMV call; any other
+# operator sees the live rows only, and a dead row's ``dst`` stays zero.
+# Every recurrence applies M^-1 (Jacobi, LU or none) through
+# :meth:`_Lanes.precondition`.  ``xv`` is the caller's storage, lane-major (a Solver passes its x
 # transposed): a block iterates on its own copy and writes each lane's x back
 # when the lane stops.  Updates run in place, in the textbook formulas'
 # operand order, and no lane's arithmetic depends on another's, so a batched
@@ -389,27 +393,29 @@ def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART):
 def _lane_apply(a: LinOp):
     """A Solver's block apply: ``a`` times each lane.
 
-    A plain ``Csr`` multiplies all lanes with one ``block_spmv`` call on its
-    own pattern, every lane sharing its values, as ``Csr.apply`` does its
-    columns; the rows are C-contiguous, so the compiled body runs on a
-    checked pattern without copies.  Any other operator gets each lane
-    wrapped in an (n, 1) ``Dense`` per call (a lane-major block is no
-    row-major ``Dense``) and its ``_apply``, or its ``apply`` if a subclass
-    overrides that (to trace it, say), into a zeroed ``dst``, as
+    A plain ``Csr`` multiplies every row held, dead ones too, with one
+    ``block_spmv`` call on its own pattern, every lane sharing its values, as
+    ``Csr.apply`` does its columns; C-contiguous rows let the compiled body
+    run on a checked pattern without copies.  Any other operator gets each
+    live lane wrapped in an (n, 1) ``Dense`` per call (a lane-major block is
+    no row-major ``Dense``) and its ``_apply``, or its ``apply`` if a
+    subclass overrides that (to trace it, say), into a zeroed ``dst``, as
     ``LinOp.advanced_apply`` applies into a fresh zero block: a Solver reads
-    its x as the initial guess.  The lanes are vectors the block owns, so the
-    public method's checks are skipped."""
+    its x as the initial guess.  A dead lane's discarded arithmetic (a NaN
+    from 0/0, say) never reaches the operator, and its ``dst`` row stays
+    zero.  The lanes are vectors the block owns, so the public method's
+    checks are skipped."""
     if type(a) is Csr:
         pattern, values = a._pattern, a._values.numpy()[None]
-        return lambda vals, src, dst: block_spmv(pattern, values, src, dst)
+        return lambda vals, src, dst, live: block_spmv(pattern, values, src, dst)
     op = a._apply if type(a).apply is LinOp.apply else a.apply
     exec_, n = a.executor, a.size.rows
 
-    def apply(vals, src, dst):
+    def apply(vals, src, dst, live):
         dst.fill(0.0)
-        for s, d in zip(src, dst):
-            op(Dense.from_array(exec_, (n, 1), array_view(exec_, n, s)),
-               Dense.from_array(exec_, (n, 1), array_view(exec_, n, d)))
+        for i in range(len(src)) if live is None else np.flatnonzero(live):
+            op(Dense.from_array(exec_, (n, 1), array_view(exec_, n, src[i])),
+               Dense.from_array(exec_, (n, 1), array_view(exec_, n, dst[i])))
 
     return apply
 
@@ -455,10 +461,11 @@ class _Lanes:
     twice the live ones, and all compactions together copy fewer rows than the
     block has lanes.  Work arrays named in ``scratch`` (the first takes A x in
     :meth:`residual`) carry nothing across a check, which truncates them.
-    ``apply(vals, src, dst)`` is the block's operator and :meth:`precondition`
-    its M^-1, from each lane's Jacobi inverse diagonal ``invd`` or the LU
-    factors ``lu`` all lanes share (both None: no preconditioner); lanes in
-    ``singular`` stop at once.  ``monitor(k, lanes)`` sees every residual."""
+    ``apply(vals, src, dst, live)`` is the block's operator and
+    :meth:`precondition` its M^-1, from each lane's Jacobi inverse diagonal
+    ``invd`` or the LU factors ``lu`` all lanes share (both None: no
+    preconditioner); lanes in ``singular`` stop at once.  ``monitor(k,
+    lanes)`` sees every residual."""
 
     def __init__(self, apply, vals, bv, xv, criteria, invd, lu, singular, out, state, scratch,
                  monitor):
@@ -481,7 +488,7 @@ class _Lanes:
     def residual(self) -> None:
         """``r = b - A x`` on every row held, then :meth:`measure`."""
         ax = getattr(self, self._scratch[0])
-        self.apply(self.vals, self.x, ax)
+        self.apply(self.vals, self.x, ax, self.live)
         np.subtract(self.b, ax, out=self.r)
         self.measure()
 
@@ -594,7 +601,7 @@ def _cg_block(lanes):
             np.copyto(lanes.p, z)
         lanes.rho = rho
         k += 1
-        lanes.apply(lanes.vals, lanes.p, lanes.q)
+        lanes.apply(lanes.vals, lanes.p, lanes.q, lanes.live)
         pq = rowdot(lanes.p, lanes.q)
         lanes.stop(np.abs(lanes.rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
                    "cg: rho fell below the breakdown tolerance")
@@ -645,7 +652,7 @@ def _bicgstab_block(lanes):
                 rho = np.where(restart, lanes.rr, rho)
         lanes.rho = rho
         phat = lanes.precondition(lanes.p, lanes.phat)
-        lanes.apply(lanes.vals, phat, lanes.v)
+        lanes.apply(lanes.vals, phat, lanes.v, lanes.live)
         rhat_v = rowdot(lanes.rhat, lanes.v)
         lanes.stop((rhat_v == 0.0) | ~np.isfinite(rhat_v), k - 1, STOP_BREAKDOWN,
                    "bicgstab: rhat . A p degenerate")
@@ -666,7 +673,7 @@ def _bicgstab_block(lanes):
             if not lanes.count:
                 break
         shat = lanes.precondition(s, lanes.shat)
-        lanes.apply(lanes.vals, shat, lanes.t)
+        lanes.apply(lanes.vals, shat, lanes.t, lanes.live)
         t = lanes.t
         tt = rowdot(t, t)
         lanes.stop((tt == 0.0) | ~np.isfinite(tt), k - 1, STOP_BREAKDOWN,
@@ -710,7 +717,7 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART):
         for j in range(restart):
             k += 1
             basis = lanes.basis[:, : j + 1]
-            lanes.apply(lanes.vals, lanes.precondition(basis[:, j], lanes.z), lanes.w)
+            lanes.apply(lanes.vals, lanes.precondition(basis[:, j], lanes.z), lanes.w, lanes.live)
             w = lanes.w
             h = rowdot(basis, w[:, None])
             w -= _einsum("ij,ijk->ik", h, basis)
@@ -762,7 +769,7 @@ def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, 
     r = np.empty(xv.shape)
 
     def residual_norms(x):
-        apply(vals, x, r)
+        apply(vals, x, r, None)
         np.subtract(bv, r, out=r)
         return np.sqrt(rowdot(r, r))
 

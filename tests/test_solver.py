@@ -537,6 +537,24 @@ class TestSolverAsOperator:
         ab = a @ bmat
         assert (np.linalg.norm(x.view2d() - ab, axis=0) <= 1e-9 * np.linalg.norm(ab, axis=0)).all()
 
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_inner_solver_sees_live_columns_only(self, ref, rng, cols):
+        """A zero column stops at iteration 0 and keeps its row; its discarded
+        arithmetic (0/0 in CG's alpha) must not reach the inner solver, whose
+        NaN right-hand side would break the outer solve down."""
+        a = random_spd_dense(rng, 12)
+        factory = SolverFactory("cg", (Iteration(200), ResidualNorm(1e-14)))
+        outer = Solver(factory, Solver(factory, csr_from_numpy(ref, a)))
+        bmat = rng.normal(size=(12, cols))
+        bmat[:, 1:2] = 0.0
+        x = Dense.create(ref, (12, cols))
+        assert outer.solve(dense_from_numpy(ref, bmat), x).converged
+        for j in range(cols):
+            xj = Dense.create(ref, (12, 1))
+            assert outer.solve(dense_from_numpy(ref, bmat[:, j]), xj).converged
+            assert np.array_equal(x.view2d()[:, j].view(np.uint64),
+                                  xj.view2d()[:, 0].view(np.uint64)), j
+
     def test_solver_preconditions_another_solver(self, ref, rng):
         # an operator-valued sanity check: x = S(b) with S a solver behaves
         # like A^{-1} b up to the inner tolerance
