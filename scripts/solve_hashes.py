@@ -18,7 +18,8 @@ residual norms, stop reasons, callback histories and breakdown messages.
 - kinetics: the batched kinetics step, on reference and parallel(2).
 
 Everything prints twice: on SpMV's compiled body (the numpy body when scipy
-is missing) and with the numpy body forced.
+is missing) and with the numpy body forced.  The two bodies must give equal
+bits, so the script exits 1 when the two totals differ.
 """
 
 import hashlib
@@ -152,7 +153,7 @@ GROUPS = (heat, euler, solver, batched, kinetics)
 
 
 def main():
-    compiled = kernels._SPARSETOOLS
+    compiled, totals = kernels._SPARSETOOLS, []
     for body, tools in (("compiled" if compiled is not None else "numpy", compiled),
                         ("numpy", None)):
         kernels._SPARSETOOLS = tools
@@ -163,7 +164,11 @@ def main():
             total.update(h.digest())
             print(f"{body:8s} {group.__name__:9s} {h.hexdigest()}")
         print(f"{body:8s} {'total':9s} {total.hexdigest()}")
+        totals.append(total.hexdigest())
     kernels._SPARSETOOLS = compiled
+    if totals[0] != totals[1]:
+        print("the compiled and numpy SpMV bodies gave different bits", file=sys.stderr)
+        return 1
     return 0
 
 

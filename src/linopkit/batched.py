@@ -226,7 +226,7 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     criteria : sequence of StoppingCriterion
         Evaluated per system against that system's own residual history.
     preconditioner : str or None
-        ``"jacobi"`` or None.
+        ``"jacobi"``, or ``"none"`` or None for none.
 
     Returns
     -------

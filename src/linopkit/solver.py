@@ -4,8 +4,11 @@ A :class:`SolverFactory` holds algorithm choice and stopping parameters; its
 :meth:`~SolverFactory.generate` binds them to a system matrix and returns a
 :class:`Solver`, which is itself a :class:`~linopkit.linop.LinOp` of the same
 size.  Applying a solver means approximately applying the inverse of its
-matrix, so solvers can stand in wherever an operator is expected, including
-as preconditioners for other solvers.
+matrix, so solvers can stand in wherever an operator is expected, as another
+solver's system operator too.  The preconditioners are Jacobi (for cg,
+bicgstab and gmres) and LU (``gmres_lu``).  A solver cannot be another's
+M^-1: a Krylov solve is not linear in b, so that would need flexible GMRES
+(Saad 1993).
 
 Stopping is governed by a non-empty collection of criteria combined as a
 disjunction: the first one that fires ends the solve, and the report records
@@ -179,7 +182,8 @@ class SolverFactory:
     criteria : sequence of StoppingCriterion
         Non-empty; combined as a disjunction.
     preconditioner : str or None
-        ``"jacobi"`` or None.  Ignored by ``lu`` and ``gmres_lu``.
+        ``"jacobi"``, or ``"none"`` or None for none.  Ignored by ``lu`` and
+        by ``gmres_lu``, which is GMRES preconditioned by the LU factors.
     restart : int
         GMRES restart length.
     """
@@ -205,7 +209,8 @@ def _checked_options(criteria, preconditioner) -> tuple:
         if not isinstance(crit, (Iteration, ResidualNorm)):
             raise InvalidArgumentError(f"unknown stopping criterion {crit!r}")
     if preconditioner not in (None, "none", "jacobi"):
-        raise InvalidArgumentError(f"unknown preconditioner '{preconditioner}'; valid: jacobi")
+        raise InvalidArgumentError(
+            f"unknown preconditioner '{preconditioner}'; valid: none, jacobi")
     return criteria
 
 
@@ -694,7 +699,9 @@ def _bicgstab_block(lanes):
 
 @_lane_block((), ("w", "z"))
 def _gmres_block(lanes, restart=DEFAULT_RESTART):
-    """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned.
+    """Restarted GMRES on every lane, like :func:`_cg_block`, right-preconditioned
+    by :meth:`_Lanes.precondition`, which reads each basis vector into ``z``
+    (or passes it on as it is, unpreconditioned).
 
     Arnoldi orthogonalizes by classical Gram-Schmidt run twice (CGS2: two
     products with the basis and two updates per step).  ``rot`` keeps the

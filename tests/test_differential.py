@@ -29,7 +29,13 @@ from linopkit.container import MatrixData
 from linopkit.errors import BreakdownError
 from linopkit.executor import executor_from_name
 from linopkit.linop import Csr
-from linopkit.solver import STOP_BREAKDOWN, Iteration, ResidualNorm, SolverFactory
+from linopkit.solver import (
+    STOP_BREAKDOWN,
+    STOP_RESIDUAL,
+    Iteration,
+    ResidualNorm,
+    SolverFactory,
+)
 
 from helpers import COMPILED_SPMV, dense_from_numpy
 
@@ -124,7 +130,7 @@ def test_a_column_gets_its_lone_bits_among_others(exec_, body, algorithm, precon
     reports = [rep for _, rep in alone]
     assert iterations == max(it for it, _, _ in reports)
     assert final == math.hypot(*(norm for _, _, norm in reports))
-    unconverged = [r for _, r, _ in reports if r != "residual_norm"]
+    unconverged = [r for _, r, _ in reports if r != STOP_RESIDUAL]
     if STOP_BREAKDOWN not in unconverged:  # a breakdown raises, without the others' reasons
         assert reason == (unconverged or [reports[0][1]])[0]
 
