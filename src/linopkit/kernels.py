@@ -8,9 +8,12 @@ obtain a bound callable.
 Each kernel is written once and registered for every kind, so the executor
 changes where a body runs, never what it computes.  Only ``run_partitioned``
 hands work to the worker pool; every other kernel runs on the calling thread
-on both kinds.  Threads were measured not to pay for them: SpMV and the
-reductions hold the GIL for most of their time, and the element-wise kernels
-found no vector length at which the pool won reliably on two workers.
+on both kinds.  Threads were measured not to pay for them.  The compiled
+SpMV loop releases the GIL, but one heat product split over ``parallel(2)``'s
+pool took 165-178 us against 138-141 us on the calling thread (2-vCPU host):
+the pool round trip costs more than the half it saves.  The numpy SpMV body
+and the reductions hold the GIL, and the element-wise kernels found no
+vector length at which the pool won reliably on two workers.
 
 Every SpMV of the library goes through one function, :func:`block_spmv`,
 once per apply: ``Csr.apply`` for all its columns, a ``Solver`` for all its
@@ -20,19 +23,18 @@ It has two bodies with the same bits.  The numpy body (``np.bincount`` over
 the gathered products) is the definition and runs everywhere.  When scipy is
 installed, the compiled row loop of its sparsetools extension
 (``csr_matvec``) takes over, about four times faster on the 40,000-row heat
-matrix.  It is optional and guarded three ways:
+matrix, whose checked pattern is int32 (:func:`index_dtype`): 12 bytes per
+stored entry, not 16.  It is optional and guarded three ways:
 
 * the extension module is loaded on its own, not through ``scipy.sparse``;
-* at import it must reproduce the numpy body's bits on a probe that
-  includes a row a fused multiply-add would round differently, -0.0, inf
-  and NaN, or it is not used;
+* at import it must reproduce the numpy body's bits, with int32 and with
+  int64 indices, on a probe that includes a row a fused multiply-add would
+  round differently, -0.0, inf and NaN, or it is not used;
 * it does not bounds-check, so it runs only on a :class:`BlockPattern` that
   a ``Csr`` or ``BatchCsr`` checked and froze, or one expanded from it,
   while its index arrays stay read-only.  A matrix over borrowed arrays
   takes the numpy body, which checks its indices on every call, and so does
   a raw ``spmv`` kernel call, which the library does not make.
-
-Like the numpy body it holds the GIL, so it gains nothing from threads.
 
 Solves run by these determinism rules, which the tests check bitwise:
 
@@ -238,7 +240,8 @@ class BlockPattern:
     sets.
     """
 
-    __slots__ = ("row_ptrs", "col_idxs", "cols", "lanes", "rows", "nnz", "checked", "_row_ids")
+    __slots__ = ("row_ptrs", "col_idxs", "cols", "lanes", "rows", "nnz", "checked", "_row_ids",
+                 "_intp_cols")
 
     def __init__(self, row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int, lanes: int = 1,
                  checked: bool = False):
@@ -246,7 +249,7 @@ class BlockPattern:
         self.rows = (row_ptrs.shape[0] - 1) // lanes
         self.nnz = col_idxs.shape[0] // lanes
         self.checked = checked
-        self._row_ids = None
+        self._row_ids = self._intp_cols = None
 
     def frozen(self) -> bool:
         """True while the compiled loop may read this pattern: it was checked,
@@ -255,17 +258,31 @@ class BlockPattern:
         return self.checked and not (self.row_ptrs.flags.writeable or self.col_idxs.flags.writeable)
 
     def row_ids(self) -> np.ndarray:
-        """The block row of every stored entry.  It is kept, from first use,
-        only while the pattern is :meth:`frozen` (workers that race here
-        build equal arrays); arrays that may still change are expanded on
-        every call, so a moved row boundary shows at once."""
-        if self._row_ids is None or not self.frozen():
-            ids = np.repeat(np.arange(self.lanes * self.rows, dtype=np.int64),
-                            np.diff(self.row_ptrs))
-            if not self.frozen():
-                return ids
-            self._row_ids = ids
-        return self._row_ids
+        """The block row of every stored entry, as intp.  It is kept, from
+        first use, only while the pattern is :meth:`frozen` (workers that race
+        here build equal arrays); arrays that may still change are expanded
+        on every call, so a moved row boundary shows at once."""
+        return self._kept("_row_ids", lambda: np.repeat(
+            np.arange(self.lanes * self.rows, dtype=np.intp), np.diff(self.row_ptrs)))
+
+    def intp_cols(self) -> np.ndarray:
+        """``col_idxs`` as intp, which the numpy body's ``take`` reads without
+        converting them on every call; kept as :meth:`row_ids` is."""
+        return self._kept("_intp_cols", lambda: self.col_idxs.astype(np.intp, copy=False))
+
+    def _kept(self, slot, build):
+        if not self.frozen():
+            return build()
+        if getattr(self, slot) is None:
+            setattr(self, slot, build())
+        return getattr(self, slot)
+
+
+def index_dtype(rows: int, cols: int, nnz: int, lanes: int = 1) -> np.dtype:
+    """The index type of a checked pattern: int32 when ``lanes`` copies of a
+    ``rows`` x ``cols`` pattern of ``nnz`` entries keep every stored index and
+    the row and column counts the compiled loop takes within int32, else int64."""
+    return np.dtype(np.int32 if lanes * max(rows, cols, nnz) < 2**31 else np.int64)
 
 
 def freeze_checked_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int) -> BlockPattern:
@@ -273,7 +290,8 @@ def freeze_checked_pattern(row_ptrs: np.ndarray, col_idxs: np.ndarray, cols: int
 
     The caller vouches that ``row_ptrs`` starts at 0 and never decreases,
     that ``col_idxs`` has ``row_ptrs[-1]`` entries in ``[0, cols)``, and that
-    both are int64 arrays it owns, of which no writable view was handed out.
+    both are arrays of :func:`index_dtype` it owns, of which no writable view
+    was handed out.
     """
     row_ptrs.flags.writeable = col_idxs.flags.writeable = False
     return BlockPattern(row_ptrs, col_idxs, int(cols), checked=True)
@@ -288,11 +306,12 @@ def block_pattern(pattern: BlockPattern, lanes: int) -> BlockPattern:
     if pattern.lanes != 1 or not pattern.frozen():
         raise InvalidArgumentError("only a checked, read-only one-lane pattern expands to a block")
     rows, cols, nnz = pattern.rows, pattern.cols, pattern.nnz
-    lane = np.arange(lanes, dtype=np.int64)[:, None]
-    block_ptrs = np.empty(lanes * rows + 1, dtype=np.int64)
+    dtype = index_dtype(rows, cols, nnz, lanes)
+    lane = np.arange(lanes, dtype=dtype)[:, None]
+    block_ptrs = np.empty(lanes * rows + 1, dtype=dtype)
     np.add(pattern.row_ptrs[:-1], lane * nnz, out=block_ptrs[:-1].reshape(lanes, rows))
     block_ptrs[-1] = lanes * nnz
-    block_cols = np.empty(lanes * nnz, dtype=np.int64)
+    block_cols = np.empty(lanes * nnz, dtype=dtype)
     np.add(pattern.col_idxs, lane * cols, out=block_cols.reshape(lanes, nnz))
     block_ptrs.flags.writeable = block_cols.flags.writeable = False
     return BlockPattern(block_ptrs, block_cols, cols, lanes, checked=True)
@@ -337,11 +356,11 @@ def block_spmv(block: BlockPattern, vals: np.ndarray, xb: np.ndarray, out: np.nd
     if not frozen:
         _check_indices(block.row_ptrs, block.col_idxs)
     if shared:  # the numpy body multiplies the lanes as columns
-        _spmv_numpy(block.row_ptrs, block.row_ids(), block.col_idxs, vals[0], xb.T, out.T)
+        _spmv_numpy(block.row_ptrs, block.row_ids(), block.intp_cols(), vals[0], xb.T, out.T)
         return out
     y = out.reshape(-1, 1)  # a view of out unless its layout forbids one
     _spmv_numpy(block.row_ptrs[: k * rows + 1], block.row_ids()[: k * nnz],
-                block.col_idxs[: k * nnz], vals.reshape(-1), xb.reshape(-1, 1), y)
+                block.intp_cols()[: k * nnz], vals.reshape(-1), xb.reshape(-1, 1), y)
     if not np.may_share_memory(y, out):
         out[...] = y.reshape(k, rows)
     return out
@@ -392,7 +411,7 @@ def _agrees_with_numpy(tools) -> bool:
     Further rows sum -0.0 products, meet inf and NaN, or are empty.  The loop
     runs once per column of ``b`` into a ``y`` of +0.0, as :func:`block_spmv`
     runs it on each lane of shared values, and both columns start with that
-    row.
+    row.  sparsetools compiles one loop per index type, and the probe runs both.
     """
     e = 2.0**-30
     row_ptrs = np.array([0, 2, 4, 6, 8, 8], dtype=np.int64)
@@ -404,10 +423,12 @@ def _agrees_with_numpy(tools) -> bool:
         for column in b:
             want = np.empty((5, 1))
             _spmv_numpy(row_ptrs, row_ids, col_idxs, values, column[:, None], want)
-            got = np.zeros(5)
-            tools.csr_matvec(5, 6, row_ptrs, col_idxs, values, column, got)
-            if not np.array_equal(got.view(np.uint64), want[:, 0].view(np.uint64)):
-                return False
+            for itype in (np.int32, np.int64):
+                got = np.zeros(5)
+                tools.csr_matvec(5, 6, row_ptrs.astype(itype), col_idxs.astype(itype), values,
+                                 column, got)
+                if not np.array_equal(got.view(np.uint64), want[:, 0].view(np.uint64)):
+                    return False
     except (TypeError, ValueError):  # a body that cannot run the probe is not used either
         return False
     return True

@@ -27,7 +27,7 @@ from .container import (
 )
 from .errors import DimensionError, InvalidArgumentError
 from .executor import Executor, dispatch
-from .kernels import BlockPattern, block_spmv, freeze_checked_pattern
+from .kernels import BlockPattern, block_spmv, freeze_checked_pattern, index_dtype
 
 
 class LinOp(abc.ABC):
@@ -222,12 +222,14 @@ def check_pattern(size, rp: np.ndarray, ci: np.ndarray, nvals: int | None = None
 
 
 def checked_pattern(size, row_ptrs, col_idxs, nvals: int | None = None) -> BlockPattern:
-    """int64 copies of ``row_ptrs``/``col_idxs``, checked by :func:`check_pattern`
-    and frozen as a checked one-lane pattern."""
+    """Copies of ``row_ptrs``/``col_idxs``, checked by :func:`check_pattern` as
+    int64 and frozen as a checked one-lane pattern of ``kernels.index_dtype``."""
     rp = np.array(row_ptrs, dtype=np.int64)
     ci = np.array(col_idxs, dtype=np.int64)
     check_pattern(size, rp, ci, nvals)
-    return freeze_checked_pattern(rp, ci, size[1])
+    dtype = index_dtype(size[0], size[1], ci.shape[0])
+    return freeze_checked_pattern(rp.astype(dtype, copy=False), ci.astype(dtype, copy=False),
+                                  size[1])
 
 
 class Csr(LinOp):
@@ -235,7 +237,9 @@ class Csr(LinOp):
 
     Within each row the stored column indices are strictly increasing and
     duplicate-free; :meth:`from_data` establishes that normal form by sorting
-    and summing duplicates.  Indices are int64, values float64.
+    and summing duplicates.  Values are float64.  The index arrays that
+    :meth:`from_data` and :meth:`from_arrays` build are int32 when every
+    index and dimension fits, else int64 (``kernels.index_dtype``).
 
     Every apply is one ``kernels.block_spmv`` call on the pattern, all
     columns at once.  :meth:`from_data` and :meth:`from_arrays` build index
@@ -282,42 +286,37 @@ class Csr(LinOp):
         rows, cols = data.size
         r, c, v = data.arrays()
         nnz = len(v)
-        if nnz:
-            order = same = None  # both stay None for input already in normal form
-            if rows * cols < 2**63:
-                key = r * cols
-                key += c
-                if not (key[1:] > key[:-1]).all():
-                    order = np.argsort(key, kind="stable")  # duplicates keep insertion order
-                    key = key[order]
-                    same = key[1:] == key[:-1]
-            else:
-                order = np.lexsort((c, r))
-                rs, cs = r[order], c[order]
-                same = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
-            if order is None:  # the key is spent, and its buffer takes the values
-                vals = np.add(v, 0.0, out=key.view(np.float64))
-            elif same.any():  # sum each run of equal keys, in insertion order
-                first = np.ones(nnz, dtype=bool)
-                first[1:] = ~same
-                vals = np.bincount(np.cumsum(first) - 1, weights=v[order])
-                order = order[first]
-                r = r[order]
-            else:
-                vals = v[order]
-                vals += 0.0
-            col_idxs = c.copy() if order is None else c[order]
-            # viewed as unsigned, a negative index compares above every dimension
-            if r.view(np.uint64).max() >= rows or col_idxs.view(np.uint64).max() >= cols:
-                raise InvalidArgumentError(f"an entry lies outside the {rows}x{cols} matrix: "
-                                           "its arrays were written after they were added")
-            counts = np.bincount(r, minlength=rows)
+        order = same = None  # both stay None for input already in normal form
+        if rows * cols < 2**63:
+            key = r * cols
+            key += c
+            if not (key[1:] > key[:-1]).all():
+                order = np.argsort(key, kind="stable")  # duplicates keep insertion order
+                key = key[order]
+                same = key[1:] == key[:-1]
         else:
-            vals = np.zeros(0)
-            col_idxs = np.zeros(0, dtype=np.int64)
-            counts = np.zeros(rows, dtype=np.int64)
-        row_ptrs = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=row_ptrs[1:])
+            order = np.lexsort((c, r))
+            rs, cs = r[order], c[order]
+            same = (rs[1:] == rs[:-1]) & (cs[1:] == cs[:-1])
+        if order is None:  # the key is spent, and its buffer takes the values
+            vals = np.add(v, 0.0, out=key.view(np.float64))
+        elif same.any():  # sum each run of equal keys, in insertion order
+            first = np.ones(nnz, dtype=bool)
+            first[1:] = ~same
+            vals = np.bincount(np.cumsum(first) - 1, weights=v[order])
+            order = order[first]
+            r = r[order]
+        else:
+            vals = v[order]
+            vals += 0.0
+        # viewed as unsigned, a negative index compares above every dimension
+        if nnz and (r.view(np.uint64).max() >= rows or c.view(np.uint64).max() >= cols):
+            raise InvalidArgumentError(f"an entry lies outside the {rows}x{cols} matrix: "
+                                       "its arrays were written after they were added")
+        dtype = index_dtype(rows, cols, vals.shape[0])  # checked as int64, converted once
+        col_idxs = c.astype(dtype) if order is None else c[order].astype(dtype, copy=False)
+        row_ptrs = np.zeros(rows + 1, dtype=dtype)
+        np.cumsum(np.bincount(r, minlength=rows), out=row_ptrs[1:])
         _count_conversion()
         return cls._over(executor, data.size, freeze_checked_pattern(row_ptrs, col_idxs, cols),
                          Array(executor, vals, Ownership.OWNING))

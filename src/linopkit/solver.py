@@ -361,7 +361,8 @@ _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 
 def _diagonal_positions(pattern) -> np.ndarray:
     """Where each row's diagonal entry sits in a one-lane CSR ``pattern`` in normal form, or -1."""
-    row_ids = pattern.row_ids()
+    rp = pattern.row_ptrs  # row ids at the pattern's width, for this search only: none are kept
+    row_ids = np.repeat(np.arange(pattern.rows, dtype=rp.dtype), np.diff(rp))
     on_diag = np.flatnonzero(pattern.col_idxs == row_ids)
     pos = np.full(pattern.rows, -1, dtype=np.int64)
     pos[row_ids.take(on_diag)] = on_diag

@@ -27,10 +27,11 @@ from linopkit.apps.mtx import read_matrix_market
 from linopkit.batched import BatchCsr
 from linopkit.container import MatrixData
 from linopkit.errors import ConfigurationError, ParseError, UnsupportedFormatError
+from linopkit.facade import AppVector, SolverOptions, create_solver
 from linopkit.linop import Csr, Dense
 from linopkit.solver import Iteration, ResidualNorm, SolverFactory
 
-from helpers import csr_from_numpy, dense_from_numpy
+from helpers import csr_from_numpy, dense_from_numpy, use_spmv_body
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LATTICE = REPO_ROOT / "data" / "spd_lattice.mtx"
@@ -468,6 +469,23 @@ class TestHeatDemo:
 
         for got, want in zip(assemble_poisson(n)._data.arrays(), slot_table(n)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_the_heat_matrix_is_int32_and_runs_the_compiled_body(self, ref, monkeypatch):
+        """create_solver's heat matrix holds int32 indices, runs the compiled
+        body with Jacobi without keeping row ids, and gets the numpy body's bits."""
+        solver = create_solver(ref, assemble_poisson(200),
+                               SolverOptions("cg", max_iters=5, preconditioner="jacobi"))
+        pattern = solver._matrix._pattern
+        assert pattern.row_ptrs.dtype == pattern.col_idxs.dtype == np.int32 and pattern.frozen()
+        b = AppVector.from_values(np.linspace(0.0, 1.0, pattern.rows))
+        outcomes = []
+        for body in ("compiled", "numpy"):
+            spy, x = use_spmv_body(monkeypatch, body), AppVector(pattern.rows)
+            report = solver.solve(b, x)
+            outcomes.append((x.data().tobytes(), report.iterations, report.stop_reason))
+            if spy is not None:
+                assert spy.calls == 6 and pattern._row_ids is None  # 5 iterations and r0
+        assert outcomes[0] == outcomes[1] and outcomes[0][1] == 5
 
     def test_assembly_allocates_little_besides_what_it_keeps(self):
         assemble_poisson(200)  # first-call costs stay out of the count

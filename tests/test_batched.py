@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-import ctypes
-
 from linopkit import batched, kernels, solver
 from linopkit.batched import BatchCsr, BatchDense, batch_solve
 from linopkit.container import MatrixData, array_view, copy_stats, reset_copy_stats
@@ -633,7 +631,7 @@ class TestSpmvBlock:
 
 def _writable_alias(arr):
     """A writable array over ``arr``'s memory, made without numpy's consent."""
-    buf = (ctypes.c_int64 * arr.shape[0]).from_address(arr.ctypes.data)
+    buf = (np.ctypeslib.as_ctypes_type(arr.dtype) * arr.shape[0]).from_address(arr.ctypes.data)
     return np.ctypeslib.as_array(buf)
 
 
@@ -645,7 +643,7 @@ class TestBlockPatternSafety:
     FORGERIES = {
         "raw writable copies": lambda a: (a.row_ptrs.copy(), a.col_idxs.copy()),
         "frozen copies nobody checked": lambda a: tuple(
-            np.frombuffer(arr.tobytes(), dtype=np.int64) for arr in (a.row_ptrs, a.col_idxs)
+            np.frombuffer(arr.tobytes(), dtype=arr.dtype) for arr in (a.row_ptrs, a.col_idxs)
         ),
         "forged writable views": lambda a: (_writable_alias(a.row_ptrs), _writable_alias(a.col_idxs)),
     }

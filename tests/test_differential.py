@@ -11,7 +11,11 @@ both SpMV bodies:
    combined in the Frobenius sense), for cg, bicgstab, gmres (restart 4) and
    gmres_lu, with and without Jacobi;
 2. a system of a cg or bicgstab batch gets the x, iteration count, stop reason
-   and final residual norm of its single solve over ``extract_system``.
+   and final residual norm of its single solve over ``extract_system``;
+3. a matrix over the caller's int64 arrays (the public constructor, so the
+   numpy body) and the same matrix from ``Csr.from_arrays`` (int32 indices,
+   so the compiled body when scipy is installed) give every column the same
+   x, iteration count, stop reason and final residual norm.
 
 The profile is derandomized with a fixed ``max_examples``, so every run draws
 the same cases.
@@ -25,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from linopkit import kernels
 from linopkit.batched import BatchCsr, BatchDense, batch_solve
-from linopkit.container import MatrixData
+from linopkit.container import MatrixData, array_view
 from linopkit.errors import BreakdownError
 from linopkit.executor import executor_from_name
 from linopkit.linop import Csr
@@ -152,3 +156,26 @@ def test_a_batched_system_gets_its_single_solve(exec_, body, algorithm, precondi
         assert np.array_equal(bits(x.values[k, :, 0]), bits(xk[:, 0])), k
         assert (rep.iterations[k], rep.stop_reasons[k]) == (iterations, reason), k
         assert rep.final_residual_norms[k] == final, k
+
+
+@pytest.mark.parametrize("preconditioner", [None, "jacobi"])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres", "gmres_lu"])
+@PROPERTY
+@given(case=systems(1, 3))
+def test_a_matrix_gets_the_same_bits_at_either_index_width(exec_, body, algorithm,
+                                                            preconditioner, case):
+    n, rows, cols, values, b, x0, criteria = case  # np.nonzero's order is CSR normal form
+    row_ptrs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=row_ptrs[1:])
+    arrays = (row_ptrs, cols.astype(np.int64), values[0].copy())
+    callers = Csr(exec_, (n, n), *(array_view(exec_, len(a), a) for a in arrays))
+    owned = Csr.from_arrays(exec_, (n, n), *arrays)
+    uncopied = callers._pattern.col_idxs
+    assert uncopied.dtype == np.int64 and np.shares_memory(uncopied, arrays[1])
+    assert not callers._pattern.frozen()
+    assert owned._pattern.col_idxs.dtype == np.int32 and owned._pattern.frozen()
+    wide, narrow = (SolverFactory(algorithm, criteria, preconditioner, RESTART).generate(a)
+                    for a in (callers, owned))
+    for j in range(len(b)):
+        (x64, rep64), (x32, rep32) = solve(wide, b[j], x0[j]), solve(narrow, b[j], x0[j])
+        assert np.array_equal(bits(x64), bits(x32)) and rep64 == rep32, j

@@ -483,6 +483,20 @@ class TestCompiledSpmvSelection:
         monkeypatch.setattr(kernels, "_load_sparsetools", lambda: fused)
         assert kernels._verified_sparsetools() is None
 
+    @pytest.mark.parametrize("fused_type", [np.int32, np.int64])
+    def test_check_rejects_a_fused_loop_of_either_index_type(self, monkeypatch, fused_type):
+        """sparsetools compiles one loop per index type, and both must round
+        every product."""
+        class OneLoopFused(_RowLoop):
+            def csr_matvec(self, n_row, n_col, row_ptrs, *args):
+                self.fused = row_ptrs.dtype == fused_type
+                super().csr_matvec(n_row, n_col, row_ptrs, *args)
+
+        loop = OneLoopFused(fused=False)
+        assert not kernels._agrees_with_numpy(loop)
+        monkeypatch.setattr(kernels, "_load_sparsetools", lambda: loop)
+        assert kernels._verified_sparsetools() is None
+
     def test_check_rejects_a_body_that_fails(self, monkeypatch):
         class Broken:
             def csr_matvec(self, *args):

@@ -315,6 +315,59 @@ class TestCsrRawAccess:
         assert np.array_equal(m.get_values(const=True).numpy(), before)
 
 
+class TestIndexWidth:
+    """Checked patterns hold int32 indices while every stored index and every
+    row and column count the compiled loop takes fits in int32
+    (``kernels.index_dtype``), and int64 otherwise."""
+
+    # (lanes, extent) with lanes x extent at 2^31 - 1, which fits, or at 2^31
+    EDGES = [((1, 2**31 - 1), np.int32), ((1, 2**31), np.int64),
+             ((2**31 - 1, 1), np.int32), ((2, 2**30), np.int64), ((2, 2**30 - 1), np.int32)]
+
+    @pytest.mark.parametrize("extent", ["rows", "cols", "nnz"])
+    @pytest.mark.parametrize("lanes_extent, want", EDGES)
+    def test_the_width_switches_at_2_to_the_31(self, extent, lanes_extent, want):
+        lanes, value = lanes_extent
+        sizes = {"rows": 1, "cols": 1, "nnz": 1, extent: value}
+        assert kernels.index_dtype(**sizes, lanes=lanes) == want
+
+    def test_every_checked_pattern_is_int32_and_frozen(self, ref):
+        dense = np.eye(4) + np.eye(4, k=1)
+        m = Csr.from_data(ref, data_from_numpy(dense))
+        rp, ci = m.get_row_ptrs().numpy(), m.get_col_idxs().numpy()
+        batch = BatchCsr(ref, 3, (4, 4), rp, ci, np.tile(m.get_values().numpy(), (3, 1)))
+        patterns = {"from_data": m._pattern, "from_arrays":
+                    Csr.from_arrays(ref, (4, 4), rp, ci, m.get_values().numpy())._pattern,
+                    "BatchCsr": batch._pattern, "extract_system": batch.extract_system(1)._pattern,
+                    "block_pattern": kernels.block_pattern(batch._pattern, 3),
+                    "empty": Csr.from_data(ref, MatrixData((4, 4)))._pattern}
+        for name, p in patterns.items():
+            assert p.row_ptrs.dtype == p.col_idxs.dtype == np.int32 and p.frozen(), name
+        assert batch.row_ptrs.dtype == batch.col_idxs.dtype == np.int32
+        assert np.array_equal(m.to_dense(), dense) and list(patterns["empty"].row_ptrs) == [0] * 5
+
+    def test_a_matrix_wider_than_int32_keeps_int64(self, ref):
+        size, cols = (2, 2**31), [0, 2**31 - 1]
+        data = MatrixData(size)
+        data.add_entries([1, 0], cols[::-1], [2.0, 1.0])
+        for m in (Csr.from_arrays(ref, size, [0, 1, 2], cols, [1.0, 2.0]), Csr.from_data(ref, data)):
+            p = m._pattern
+            assert p.row_ptrs.dtype == p.col_idxs.dtype == np.int64 and p.frozen()
+            assert list(p.col_idxs) == cols
+
+    def test_the_numpy_body_keeps_intp_columns_and_jacobi_keeps_no_row_ids(self, ref, monkeypatch):
+        use_spmv_body(monkeypatch, "numpy")
+        m = csr_from_numpy(ref, random_spd_dense(np.random.default_rng(3), 6))
+        pattern = m._pattern
+        SolverFactory("cg", (Iteration(5),), "jacobi").generate(m)
+        assert pattern._row_ids is None and pattern._intp_cols is None
+        b, x = dense_from_numpy(ref, np.ones(6)), Dense.create(ref, (6, 1))
+        m.apply(b, x)
+        kept = pattern.intp_cols()
+        assert kept.dtype == np.intp and kept is pattern.intp_cols() and kept.flags.writeable
+        assert np.array_equal(kept, pattern.col_idxs)
+
+
 class TestApply:
     def test_spmv_matches_triple_loop_oracle(self, ref, par, rng):
         data, dense = random_sparse_dense(rng, 12, 9)
@@ -504,7 +557,8 @@ class TestPatternSafety:
 
     def test_misaligned_view_of_a_checked_pattern(self, ref, spmv_body):
         owner = csr_from_numpy(ref, np.eye(3)).get_col_idxs().numpy()
-        shifted = np.ndarray((2,), dtype=np.int64, buffer=owner, offset=4)  # straddles entries
+        # half an entry in: each index straddles two of the owner's entries
+        shifted = np.ndarray((2,), dtype=owner.dtype, buffer=owner, offset=owner.itemsize // 2)
         two = Csr.from_arrays(ref, (3, 3), [0, 1, 2, 2], [0, 1], np.ones(2))
         with pytest.raises(IndexError):
             dispatch(ref, "spmv")(two.get_row_ptrs().numpy(), two._pattern.row_ids(), shifted,
