@@ -55,7 +55,6 @@ from .solver import (
     Solver,
     SolverFactory,
     lu_factorize,
-    lu_solve_dense,
 )
 
 __all__ = [
@@ -100,7 +99,6 @@ __all__ = [
     "dispatch",
     "executor_from_name",
     "lu_factorize",
-    "lu_solve_dense",
     "memory_copy",
     "reset_copy_stats",
 ]

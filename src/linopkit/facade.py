@@ -139,9 +139,10 @@ class SolverOptions:
     """The complete, fixed option set an application configures a solver with.
 
     ``wrap_in_gmres`` only matters for ``algorithm="lu"``: it selects GMRES
-    right-preconditioned by the LU factorization instead of a plain direct
-    solve, which turns an outdated factorization into a preconditioner rather
-    than a wrong answer.
+    right-preconditioned by the LU factors instead of a plain direct solve, so
+    the solve stops by ``max_iters`` and ``reduction_factor`` (a plain LU solve
+    ignores both).  Either way the factors never go stale:
+    ``update_matrix_values`` refactorizes.
     """
 
     algorithm: str

@@ -2,8 +2,9 @@
 
 Everything that maps vectors to vectors (matrices, preconditioners, solvers)
 implements :class:`LinOp`, so algorithms written against ``apply`` compose
-freely: a solver can precondition with another solver, a time stepper can
-treat a solver as the inverse of its system matrix, and so on.
+freely: a solver can take another solver as its system operator, a time
+stepper can treat a solver as the inverse of its system matrix, and so on.
+Preconditioners are Jacobi and LU only: a solver cannot be another's M^-1.
 
 Vectors are column blocks stored as :class:`Dense` with ``cols`` right-hand
 sides side by side.

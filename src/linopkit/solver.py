@@ -15,9 +15,9 @@ disjunction: the first one that fires ends the solve, and the report records
 which one it was (the residual target when it is met on the iteration the cap
 is reached).  Iterative solves track the recurrence residual; the
 iteration-zero residual is evaluated against the criteria before any work
-happens, so a converged initial guess costs nothing.  Every algorithm runs
-all columns in lockstep, CG and BiCGStab through the recurrences batched
-solves run too.
+happens, so a converged initial guess costs nothing.  Every algorithm, LU
+too, runs all columns in lockstep through :func:`_lane_block`, CG and BiCGStab
+through the recurrences batched solves run too.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ STOP_RESIDUAL = "residual_norm"
 STOP_DIRECT = "direct"
 STOP_BREAKDOWN = "breakdown"
 STOP_SINGULAR_PRECONDITIONER = "singular_preconditioner"
-
-ALGORITHMS = ("cg", "bicgstab", "gmres", "lu", "gmres_lu")
 
 
 @dataclass(frozen=True)
@@ -154,20 +152,6 @@ def lu_factorize(a):
     return perm, lower, upper
 
 
-def lu_solve_dense(perm, lower, upper, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs given lu_factorize output. rhs has shape (n, k).
-
-    The sweeps run on the transposed right-hand sides, one row each, so every
-    column gets the bits it would get alone."""
-    y = np.asarray(rhs, dtype=np.float64).T.take(perm, axis=1)
-    for i in range(lower.shape[0]):
-        y[:, i] -= rowdot(y[:, :i], lower[i, :i])
-    for i in reversed(range(lower.shape[0])):
-        y[:, i] -= rowdot(y[:, i + 1 :], upper[i, i + 1 :])
-        y[:, i] /= upper[i, i]
-    return y.T
-
-
 # --- factory and solver -------------------------------------------------------
 
 
@@ -180,7 +164,7 @@ class SolverFactory:
     algorithm : str
         One of ``cg``, ``bicgstab``, ``gmres``, ``lu``, ``gmres_lu``.
     criteria : sequence of StoppingCriterion
-        Non-empty; combined as a disjunction.
+        Non-empty; combined as a disjunction.  ``lu`` checks but ignores them.
     preconditioner : str or None
         ``"jacobi"``, or ``"none"`` or None for none.  Ignored by ``lu`` and
         by ``gmres_lu``, which is GMRES preconditioned by the LU factors.
@@ -233,7 +217,7 @@ class Solver(LinOp):
         criteria = _checked_options(factory.criteria, factory.preconditioner)
         if factory.restart < 1:
             raise InvalidArgumentError(f"restart must be >= 1, got {factory.restart}")
-        factorized = factory.algorithm in ("lu", "gmres_lu")  # these ignore the preconditioner
+        factorized = factory.algorithm in _FACTORED
         jacobi = factory.preconditioner == "jacobi" and not factorized
         if (factorized or jacobi) and not isinstance(a, Csr):  # both read stored entries
             raise InvalidArgumentError(f"{factory.algorithm} with preconditioner "
@@ -250,7 +234,7 @@ class Solver(LinOp):
         """The lane block and what the matrix values determine; a singular Jacobi
         diagonal raises, naming a missing entry before a stored zero."""
         factory, a, pos = self._factory, self._a, self._diag_pos
-        lu = lu_factorize(a) if factory.algorithm in ("lu", "gmres_lu") else None
+        lu = lu_factorize(a) if factory.algorithm in _FACTORED else None
         block, invd, singular = _lane_setup(factory.algorithm, pos,
                                             None if pos is None else a._values.numpy()[None],
                                             factory.restart)
@@ -265,14 +249,6 @@ class Solver(LinOp):
     @property
     def system_matrix(self) -> Csr:
         return self._a
-
-    @property
-    def algorithm(self) -> str:
-        return self._factory.algorithm
-
-    @property
-    def criteria(self):
-        return self._criteria
 
     def refresh(self) -> None:
         """Rebuild value-derived state after the matrix values changed.
@@ -299,7 +275,7 @@ class Solver(LinOp):
             residual evaluation, iteration 0 included; in lockstep the norm
             covers all columns, stopped ones at their final norm.  GMRES
             evaluates its residual estimate, and the true residual at every
-            restart.
+            restart.  LU reports its iteration-0 residual only.
 
         Returns
         -------
@@ -352,7 +328,7 @@ class Solver(LinOp):
 # multi-column solve.  Every sum over a vector's length is a ``rowdot``; einsum
 # sums only over GMRES's basis index, at most restart + 1 terms (its
 # ``__array_function__`` dispatch, ~1 us a call on plain ndarrays, is skipped).
-# CG, BiCGStab and GMRES run through :func:`_lane_block`, with numpy
+# CG, BiCGStab, GMRES and LU (as one M^-1) run through :func:`_lane_block`, with numpy
 # floating-point errors ignored at every lane count: a failure comes back as a
 # stop reason (from a Solver as ``BreakdownError``), never as a numpy warning.
 
@@ -374,12 +350,9 @@ def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART):
     Jacobi (``diag_pos`` from :func:`_diagonal_positions`, else None), every
     lane's 1 / d from its row of ``vals``, 0 where d is 0 or not stored, and
     the lanes with such a row (a missing entry makes every lane singular)."""
-    if algorithm == "lu":
-        block = _lu_block
-    elif algorithm in ("gmres", "gmres_lu"):
-        block = functools.partial(_gmres_block, restart=restart)
-    else:
-        block = _cg_block if algorithm == "cg" else _bicgstab_block
+    block = _BLOCKS[algorithm]
+    if block is _gmres_block:
+        block = functools.partial(block, restart=restart)
     if diag_pos is None:
         return block, None, None
     if (diag_pos < 0).any():  # the lanes may store no entry at all
@@ -434,7 +407,10 @@ def _targets(criteria, r0):
     exactly when a residual criterion is met, as rounding is monotone (fmax skips
     NaN bounds), or rk = 0: an exactly solved lane converges whatever the criteria.
     A lane whose r0 is not finite (its b, or ||b||^2, overflowed) has target 0:
-    no reduction of it is measured, so it never converges."""
+    no reduction of it is measured, so it never converges.  No criteria (None, a
+    direct solve) give target -inf, which no rk meets, and no cap."""
+    if criteria is None:
+        return np.full(r0.shape, -np.inf), None
     target, cap = None, None
     for crit in criteria:
         if isinstance(crit, ResidualNorm):
@@ -486,7 +462,7 @@ class _Lanes:
         self.residual()
         self._r0 = self.rk  # rk is replaced, never written in place
         self.target, self.cap = _targets(criteria, self._r0)
-        self.bd_tol = TOL_BREAKDOWN * rowdot(bv, bv)
+        self.bd_tol = None if criteria is None else TOL_BREAKDOWN * rowdot(bv, bv)  # LU tests none
         if singular is not None:
             self.stop(singular, 0, STOP_SINGULAR_PRECONDITIONER)
         self.check(0)
@@ -506,8 +482,14 @@ class _Lanes:
     def precondition(self, src, dst, rows=None):
         """M^-1 ``src``: ``src`` itself with no preconditioner, else written into
         ``dst``; both hold the lanes in ``rows`` (None: every row held)."""
-        if self.lu is not None:
-            dst[...] = lu_solve_dense(*self.lu, src.T).T
+        if self.lu is not None:  # substitution on all lanes at once, each by its own rowdots
+            perm, lower, upper = self.lu
+            np.take(src, perm, axis=1, out=dst)  # buffered, so src may be dst
+            for i in range(len(perm)):
+                dst[:, i] -= rowdot(dst[:, :i], lower[i, :i])
+            for i in reversed(range(len(perm))):
+                dst[:, i] -= rowdot(dst[:, i + 1 :], upper[i, i + 1 :])
+                dst[:, i] /= upper[i, i]
             return dst
         if self.invd is None:
             return src
@@ -569,21 +551,21 @@ class _Lanes:
         return norms
 
 
-def _lane_block(state, scratch):
+def _lane_block(state, scratch, direct=False):
     """Makes a recurrence over :class:`_Lanes` with ``state`` and ``scratch`` arrays
     a block: called with ``_Lanes``' arguments (and the recurrence's keywords), it
     returns every lane's initial residual norm and the first breakdown's message
-    (or None).  It runs with floating-point errors ignored at every lane count: a
-    dead row's discarded arithmetic may overflow or divide by zero, and so may a
-    live lane's, whose failure comes back as a stop reason."""
+    (or None); a ``direct`` block ignores the criteria.  It runs with floating-point
+    errors ignored at every lane count: a dead row's discarded arithmetic may
+    overflow or divide by zero, and so may a live lane's, whose failure becomes a stop reason."""
 
     def wrap(recurrence):
         @functools.wraps(recurrence)
         def block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, lu=None,
                   **kwargs):
             with np.errstate(all="ignore"):
-                lanes = _Lanes(apply, vals, bv, xv, criteria, invd, lu, singular, out, state,
-                               scratch, monitor)
+                lanes = _Lanes(apply, vals, bv, xv, None if direct else criteria, invd, lu,
+                               singular, out, state, scratch, monitor)
                 recurrence(lanes, **kwargs)
             return lanes._r0, lanes.message
 
@@ -771,21 +753,19 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART):
                 break
 
 
-def _lu_block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, lu=None):
-    """Dense LU on every lane at once, with :func:`_cg_block`'s arguments (the
-    factors in ``lu``; criteria, preconditioner and monitor play no part)."""
-    r = np.empty(xv.shape)
+@_lane_block((), ("q",), direct=True)
+def _lu_block(lanes):
+    """Dense LU on every lane, whatever the criteria: x = M^-1 b with the factors
+    as M^-1, then one residual.  A lane whose b - A x0 is exactly 0 (not just its
+    norm, which underflows) stops first, as ``residual_norm`` with x as given."""
+    lanes.stop(~lanes.r.any(axis=1), 0, STOP_RESIDUAL)
+    lanes.precondition(lanes.b, lanes.x)
+    lanes.residual()
+    lanes.stop(np.ones(lanes.held, dtype=bool), 0, STOP_DIRECT)
 
-    def residual_norms(x):
-        apply(vals, x, r, None)
-        np.subtract(bv, r, out=r)
-        return np.sqrt(rowdot(r, r))
 
-    r0 = residual_norms(np.array(xv, order="C"))
-    x = lu_solve_dense(*lu, bv.T).T
-    iterations, finals, reasons = out
-    iterations.fill(0)
-    finals[...] = residual_norms(x)
-    xv[...] = x
-    reasons.fill(STOP_DIRECT)
-    return r0, None
+#: Each algorithm's recurrence; ``gmres_lu`` is GMRES with the LU factors as M^-1.
+_BLOCKS = {"cg": _cg_block, "bicgstab": _bicgstab_block, "gmres": _gmres_block,
+           "lu": _lu_block, "gmres_lu": _gmres_block}
+ALGORITHMS = tuple(_BLOCKS)
+_FACTORED = ("lu", "gmres_lu")  # they factorize the matrix and ignore the preconditioner

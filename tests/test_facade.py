@@ -253,6 +253,19 @@ class TestBehavioralEquivalence:
             assert np.array_equal(x.to_array(), xd.view2d()[:, 0])
 
 
+def test_lu_solves_whatever_the_criteria(ref):
+    dense, b = np.diag([2.0, 4.0]), [1.0, 1.0]
+    x = Dense.create(ref, (2, 1))
+    factory = SolverFactory("lu", (Iteration(0),))
+    report = factory.generate(csr_from_numpy(ref, dense)).solve(dense_from_numpy(ref, b), x)
+    app_x = AppVector(2)
+    app_report = create_solver(ref, app_matrix_from_dense(dense),
+                               SolverOptions("lu", max_iters=0)).solve(AppVector.from_values(b), app_x)
+    for rep, solution in ((report, x.view2d()[:, 0]), (app_report, app_x.to_array())):
+        assert rep.stop_reason == "direct" and rep.converged
+        assert list(solution) == [0.5, 0.25]
+
+
 class TestMatrixUpdate:
     def test_lu_refactorizes(self, ref):
         solver = create_solver(

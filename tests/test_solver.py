@@ -24,7 +24,6 @@ from linopkit.solver import (
     Solver,
     SolverFactory,
     lu_factorize,
-    lu_solve_dense,
 )
 
 from helpers import (
@@ -452,11 +451,48 @@ class TestLu:
         with pytest.raises(SingularMatrixError, match="column 1"):
             lu_factorize(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    def test_solve_multiple_rhs(self, rng):
+    def test_solve_multiple_rhs(self, ref, rng):
         a = rng.normal(size=(6, 6)) + 6 * np.eye(6)
         rhs = rng.normal(size=(6, 3))
-        x = lu_solve_dense(*lu_factorize(a.copy()), rhs)
-        assert np.allclose(a @ x, rhs, atol=1e-10)
+        x = Dense.create(ref, (6, 3))
+        report = make_solver(ref, a, algorithm="lu").solve(dense_from_numpy(ref, rhs), x)
+        assert report.stop_reason == "direct"
+        assert np.allclose(a @ x.view2d(), rhs, atol=1e-10)
+
+    def test_callback_sees_the_initial_residual_once(self, ref):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        x0 = np.array([1.0, -1.0])
+        b = np.array([1.0, 2.0])
+        history = []
+        make_solver(ref, a, algorithm="lu").solve(
+            dense_from_numpy(ref, b), dense_from_numpy(ref, x0),
+            callback=lambda k, norm: history.append((k, norm)))
+        assert history == [(0, float(np.linalg.norm(b - a @ x0)))]
+
+    @pytest.mark.parametrize("b, x0", [([0.0, 0.0], [0.0, 0.0]), ([5.0, 4.0], [1.0, 1.0])],
+                             ids=["zero b", "exact guess"])
+    def test_solved_guess_stops_on_the_residual(self, ref, b, x0):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        x = dense_from_numpy(ref, x0)
+        report = make_solver(ref, a, algorithm="lu").solve(dense_from_numpy(ref, b), x)
+        assert (report.stop_reason, report.converged, report.iterations) == ("residual_norm", True, 0)
+        assert report.initial_residual_norm == report.final_residual_norm == 0.0
+        assert list(x.view2d()[:, 0]) == x0
+
+    def test_underflowing_residual_is_still_solved(self, ref):
+        # ||b - A x0||^2 underflows to 0, but b - A x0 is not 0: the guess is no solution
+        x = Dense.create(ref, (2, 1))
+        report = make_solver(ref, np.diag([2.0, 4.0]), algorithm="lu").solve(
+            dense_from_numpy(ref, [1e-170, 1e-170]), x)
+        assert report.stop_reason == "direct" and report.initial_residual_norm == 0.0
+        assert list(x.view2d()[:, 0]) == [5e-171, 2.5e-171]
+
+    def test_overflowing_rhs_stays_quiet(self, ref):
+        # a RuntimeWarning fails this module's tests: LU's arithmetic runs as the lanes' does
+        solver = make_solver(ref, np.array([[4.0, 1.0], [1.0, 3.0]]), algorithm="lu")
+        report = solver.solve(dense_from_numpy(ref, [1e200, 1e200]), Dense.create(ref, (2, 1)))
+        assert report.stop_reason == "direct"
+        assert report.initial_residual_norm == math.inf
 
     def test_direct_solver_report(self, ref, rng):
         a = random_dd_dense(rng, 8)
