@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..executor import executor_from_name
-from ..facade import AppMatrix, AppVector, SolverOptions, create_solver
+from ..facade import AppMatrix, AppVector, create_solver
 from .config import RunConfig, lcg_uniform, parse_rhs_spec
 from .mtx import read_matrix_market
 
@@ -74,14 +74,7 @@ def run_benchmark(cfg: RunConfig) -> BenchReport:
 
     b = AppVector.from_values(_build_rhs(cfg, rows))
     x = AppVector(cols)
-    options = SolverOptions(
-        algorithm=cfg.solver,
-        max_iters=cfg.max_iters,
-        reduction_factor=cfg.reduction_factor,
-        wrap_in_gmres=False,
-        preconditioner=cfg.preconditioner,
-    )
-    solver = create_solver(exec_, matrix, options, restart=cfg.restart)
+    solver = create_solver(exec_, matrix, cfg.solver_options(), restart=cfg.restart)
 
     start = time.perf_counter()
     report = solver.solve(b, x)

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from ..errors import LibraryError
+from ..executor import BACKENDS
+from ..facade import VALID_ALGORITHMS
+from ..solver import PRECONDITIONERS
 from .bench import run_benchmark
-from .config import build_run_config
+from .config import RunConfig, build_run_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -20,10 +24,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="linopkit-bench",
         description="Run one sparse solve and print a flat JSON report.",
     )
-    parser.add_argument("--backend", help="execution backend: reference | parallel")
+    parser.add_argument("--backend", help="execution backend: " + " | ".join(BACKENDS))
     parser.add_argument("--matrix", help="Matrix Market file (coordinate real)")
-    parser.add_argument("--solver", help="algorithm: cg | bicgstab | gmres | lu")
-    parser.add_argument("--preconditioner", help="none | jacobi")
+    parser.add_argument("--solver", help="algorithm: " + " | ".join(VALID_ALGORITHMS))
+    parser.add_argument("--preconditioner", help=" | ".join(PRECONDITIONERS))
     parser.add_argument("--max-iters", type=int, dest="max_iters")
     parser.add_argument("--reduction-factor", type=float, dest="reduction_factor")
     parser.add_argument("--restart", type=int, help="GMRES restart length")
@@ -35,17 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    flags = {
-        "backend": args.backend,
-        "matrix": args.matrix,
-        "solver": args.solver,
-        "preconditioner": args.preconditioner,
-        "max_iters": args.max_iters,
-        "reduction_factor": args.reduction_factor,
-        "restart": args.restart,
-        "rhs": args.rhs,
-        "output": args.output,
-    }
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}  # dests are field names
     try:
         cfg = build_run_config(flags, config_path=args.config)
         report = run_benchmark(cfg)

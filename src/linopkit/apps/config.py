@@ -12,11 +12,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import ConfigurationError, ParseError
-from ..executor import EXECUTOR_NAMES
-from ..facade import VALID_ALGORITHMS, VALID_PRECONDITIONERS
+from ..executor import executor_from_name
+from ..facade import SolverOptions, _validate_options
+from ..solver import DEFAULT_RESTART
 
-_INT_FIELDS = ("max_iters", "restart")
-_FLOAT_FIELDS = ("reduction_factor",)
+#: What file text must spell for a numeric field, by the type of its default.
+_NUMBERS = {int: "an integer", float: "a number"}
 
 
 @dataclass
@@ -24,12 +25,16 @@ class RunConfig:
     backend: str = "reference"
     matrix: str | None = None
     solver: str = "cg"
-    preconditioner: str = "none"
-    max_iters: int = 1000
-    reduction_factor: float = 1e-10
-    restart: int = 30
+    preconditioner: str = SolverOptions.preconditioner
+    max_iters: int = SolverOptions.max_iters
+    reduction_factor: float = SolverOptions.reduction_factor
+    restart: int = DEFAULT_RESTART
     rhs: str = "ones"
     output: str | None = None
+
+    def solver_options(self) -> SolverOptions:
+        return SolverOptions(self.solver, self.max_iters, self.reduction_factor,
+                             preconditioner=self.preconditioner)
 
 
 #: config-file key -> RunConfig field
@@ -68,40 +73,26 @@ def build_run_config(flags: dict, config_path=None) -> RunConfig:
         if value is not None:
             merged[field] = value
     for field, value in merged.items():
-        if field in _INT_FIELDS and not isinstance(value, int):
+        kind = type(getattr(cfg, field))
+        if kind in _NUMBERS and not isinstance(value, kind):
             try:
-                value = int(value)
+                value = kind(value)
             except ValueError:
-                raise ConfigurationError(f"{field} must be an integer, got '{value}'")
-        if field in _FLOAT_FIELDS and not isinstance(value, float):
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigurationError(f"{field} must be a number, got '{value}'")
+                raise ConfigurationError(f"{field} must be {_NUMBERS[kind]}, got '{value}'")
         setattr(cfg, field, value)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.backend not in EXECUTOR_NAMES:
-        valid = ", ".join(sorted(EXECUTOR_NAMES))
-        raise ConfigurationError(f"unknown backend '{cfg.backend}'; valid backends: {valid}")
-    if cfg.solver not in VALID_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown solver '{cfg.solver}'; valid: {', '.join(VALID_ALGORITHMS)}"
-        )
-    if cfg.preconditioner not in VALID_PRECONDITIONERS:
-        raise ConfigurationError(
-            f"unknown preconditioner '{cfg.preconditioner}'; "
-            f"valid: {', '.join(VALID_PRECONDITIONERS)}"
-        )
+    """The layers that own the backend and solver options check them; the CLI's own
+    rules: a matrix, ``max_iters >= 1``, ``restart >= 1`` and a valid rhs spec."""
+    executor_from_name(cfg.backend)
+    _validate_options(cfg.solver_options())
     if cfg.matrix is None:
         raise ConfigurationError("no matrix file given (use --matrix or a config file)")
     if cfg.max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {cfg.max_iters}")
-    if not cfg.reduction_factor > 0:
-        raise ConfigurationError(f"reduction_factor must be > 0, got {cfg.reduction_factor}")
     if cfg.restart < 1:
         raise ConfigurationError(f"restart must be >= 1, got {cfg.restart}")
     parse_rhs_spec(cfg.rhs)

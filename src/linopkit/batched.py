@@ -232,10 +232,7 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     -------
     BatchSolveReport
     """
-    if algorithm not in BATCH_ALGORITHMS:
-        raise InvalidArgumentError(
-            f"unknown batched algorithm '{algorithm}'; valid: {', '.join(BATCH_ALGORITHMS)}"
-        )
+    criteria = _checked_options(BATCH_ALGORITHMS, algorithm, criteria, preconditioner)
     if not isinstance(a, BatchCsr):
         raise InvalidArgumentError("batch_solve expects a BatchCsr system block")
     if a.size.rows != a.size.cols:
@@ -253,7 +250,6 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
             raise InvalidArgumentError(
                 f"{name} has {vec.size.rows} rows, systems have {a.size.rows}"
             )
-    criteria = _checked_options(criteria, preconditioner)
 
     num = a.num_systems
     iters = np.zeros(num, dtype=np.int64)

@@ -47,11 +47,8 @@ class Executor:
 
 _REFERENCE = Executor(ExecutorKind.REFERENCE, 1)
 
-#: Accepted spellings for configuration strings, case sensitive.
-EXECUTOR_NAMES = {
-    "reference": ExecutorKind.REFERENCE,
-    "parallel": ExecutorKind.PARALLEL,
-}
+#: The kinds' configuration names, read from the enum, for code that names no kind.
+BACKENDS = tuple(kind.value for kind in ExecutorKind)
 
 
 def create_executor(kind: ExecutorKind, worker_count: int | None = None) -> Executor:
@@ -73,13 +70,11 @@ def create_executor(kind: ExecutorKind, worker_count: int | None = None) -> Exec
 
 
 def executor_from_name(name: str, worker_count: int | None = None) -> Executor:
-    """Map a configuration string to an executor, or raise ConfigurationError."""
-    try:
-        kind = EXECUTOR_NAMES[name]
-    except KeyError:
-        valid = ", ".join(sorted(EXECUTOR_NAMES))
-        raise ConfigurationError(f"unknown backend '{name}'; valid backends: {valid}") from None
-    return create_executor(kind, worker_count)
+    """Map one of ``BACKENDS`` to an executor, or raise ConfigurationError."""
+    if name not in BACKENDS:  # nor an ExecutorKind, which ExecutorKind(name) would take
+        valid = ", ".join(sorted(BACKENDS))
+        raise ConfigurationError(f"unknown backend '{name}'; valid backends: {valid}")
+    return create_executor(ExecutorKind(name), worker_count)
 
 
 # --- kernel registry -------------------------------------------------------

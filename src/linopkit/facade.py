@@ -29,10 +29,10 @@ from .solver import (
     ResidualNorm,
     SolveReport,
     SolverFactory,
+    _checked_options,
 )
 
 VALID_ALGORITHMS = ("cg", "bicgstab", "gmres", "lu")
-VALID_PRECONDITIONERS = ("none", "jacobi")
 
 class AppVector:
     """A vector as an application would own it: one flat float64 buffer.
@@ -173,18 +173,13 @@ class BackendSolver(AbstractSolver):
 
     def __init__(self, executor: Executor, matrix: AppMatrix, options: SolverOptions,
                  restart: int | None = None):
-        _validate_options(options)
+        criteria = _validate_options(options)
         self._executor = executor
         self._matrix = Csr.from_data(executor, matrix._data)  # the one conversion copy
-        algorithm = options.algorithm
-        if algorithm == "lu" and options.wrap_in_gmres:
-            algorithm = "gmres_lu"
-        factory = SolverFactory(
-            algorithm=algorithm,
-            criteria=(Iteration(options.max_iters), ResidualNorm(options.reduction_factor)),
-            preconditioner=None if options.preconditioner == "none" else options.preconditioner,
-            restart=DEFAULT_RESTART if restart is None else restart,
-        )
+        wrapped = options.algorithm == "lu" and options.wrap_in_gmres
+        factory = SolverFactory("gmres_lu" if wrapped else options.algorithm, criteria,
+                                options.preconditioner,
+                                DEFAULT_RESTART if restart is None else restart)
         self._solver = factory.generate(self._matrix)
         self.iteration_callback = None
 
@@ -205,22 +200,20 @@ class BackendSolver(AbstractSolver):
             raise
 
 
-def _validate_options(options: SolverOptions) -> None:
-    if options.algorithm not in VALID_ALGORITHMS:
-        raise ConfigurationError(
-            f"unknown algorithm '{options.algorithm}'; valid: {', '.join(VALID_ALGORITHMS)}"
-        )
-    if options.preconditioner not in VALID_PRECONDITIONERS:
-        raise ConfigurationError(
-            f"unknown preconditioner '{options.preconditioner}'; "
-            f"valid: {', '.join(VALID_PRECONDITIONERS)}"
-        )
+def _validate_options(options: SolverOptions) -> tuple:
+    """The criteria ``options`` set, checked by ``solver._checked_options`` against
+    ``VALID_ALGORITHMS`` and ``solver.PRECONDITIONERS`` (None, the solver's "none", is
+    no value here) and by the facade's rules: ``max_iters >= 0``, ``reduction_factor > 0``."""
+    criteria = (Iteration(options.max_iters), ResidualNorm(options.reduction_factor))
+    try:
+        _checked_options(VALID_ALGORITHMS, options.algorithm, criteria, str(options.preconditioner))
+    except InvalidArgumentError as exc:
+        raise ConfigurationError(str(exc)) from None
     if options.max_iters < 0:
         raise ConfigurationError(f"max_iters must be >= 0, got {options.max_iters}")
     if not options.reduction_factor > 0:
-        raise ConfigurationError(
-            f"reduction_factor must be > 0, got {options.reduction_factor}"
-        )
+        raise ConfigurationError(f"reduction_factor must be > 0, got {options.reduction_factor}")
+    return criteria
 
 
 def create_solver(executor: Executor, matrix: AppMatrix, options: SolverOptions,

@@ -40,6 +40,8 @@ from .kernels import block_spmv, rowdot
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
+#: The preconditioner names a factory accepts; None means "none" too.
+PRECONDITIONERS = ("none", "jacobi")
 #: A lane breaks down once |rho| < this times ||b||^2 (in BiCGStab, once r.r is too).
 TOL_BREAKDOWN = 1e-30
 #: LU rejects a pivot of at most this times its column's largest magnitude.
@@ -184,17 +186,24 @@ class SolverFactory:
         return Solver(self, a)
 
 
-def _checked_options(criteria, preconditioner) -> tuple:
-    """``criteria`` as a tuple, after checking it and ``preconditioner``."""
+def _checked_options(algorithms, algorithm, criteria, preconditioner,
+                     restart=DEFAULT_RESTART) -> tuple:
+    """``criteria`` as a tuple, after checking every option a factory holds: ``algorithm``
+    against the entry point's ``algorithms`` (``ALGORITHMS``, ``batched.BATCH_ALGORITHMS``
+    or ``facade.VALID_ALGORITHMS``), ``preconditioner`` against ``PRECONDITIONERS``."""
+    if algorithm not in algorithms:
+        raise InvalidArgumentError(f"unknown algorithm '{algorithm}'; valid: {', '.join(algorithms)}")
     criteria = tuple(criteria)
     if not criteria:
         raise InvalidArgumentError("at least one stopping criterion is required")
     for crit in criteria:
         if not isinstance(crit, (Iteration, ResidualNorm)):
             raise InvalidArgumentError(f"unknown stopping criterion {crit!r}")
-    if preconditioner not in (None, "none", "jacobi"):
-        raise InvalidArgumentError(
-            f"unknown preconditioner '{preconditioner}'; valid: none, jacobi")
+    if preconditioner not in (None, *PRECONDITIONERS):
+        raise InvalidArgumentError(f"unknown preconditioner '{preconditioner}'; "
+                                   f"valid: {', '.join(PRECONDITIONERS)}")
+    if restart < 1:
+        raise InvalidArgumentError(f"restart must be >= 1, got {restart}")
     return criteria
 
 
@@ -208,15 +217,10 @@ class Solver(LinOp):
     """
 
     def __init__(self, factory: SolverFactory, a: LinOp):
-        if factory.algorithm not in ALGORITHMS:
-            raise InvalidArgumentError(
-                f"unknown algorithm '{factory.algorithm}'; valid: {', '.join(ALGORITHMS)}"
-            )
+        criteria = _checked_options(ALGORITHMS, factory.algorithm, factory.criteria,
+                                    factory.preconditioner, factory.restart)
         if a.size.rows != a.size.cols:
             raise InvalidArgumentError(f"system matrix must be square, got {a.size}")
-        criteria = _checked_options(factory.criteria, factory.preconditioner)
-        if factory.restart < 1:
-            raise InvalidArgumentError(f"restart must be >= 1, got {factory.restart}")
         factorized = factory.algorithm in _FACTORED
         jacobi = factory.preconditioner == "jacobi" and not factorized
         if (factorized or jacobi) and not isinstance(a, Csr):  # both read stored entries
@@ -757,10 +761,13 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART):
 def _lu_block(lanes):
     """Dense LU on every lane, whatever the criteria: x = M^-1 b with the factors
     as M^-1, then one residual.  A lane whose b - A x0 is exactly 0 (not just its
-    norm, which underflows) stops first, as ``residual_norm`` with x as given."""
+    norm, which underflows) stops first, as ``residual_norm`` with x as given; one
+    whose final residual norm is not finite (b held inf or NaN, or x overflowed)
+    breaks down."""
     lanes.stop(~lanes.r.any(axis=1), 0, STOP_RESIDUAL)
     lanes.precondition(lanes.b, lanes.x)
     lanes.residual()
+    lanes.stop(~np.isfinite(lanes.rk), 0, STOP_BREAKDOWN, "lu: solution not finite")
     lanes.stop(np.ones(lanes.held, dtype=bool), 0, STOP_DIRECT)
 
 

@@ -24,12 +24,19 @@ from linopkit.apps.euler import ImplicitEulerStepper, integrate_decay
 from linopkit.apps.heat import assemble_poisson, manufactured_solution, run_heat_demo
 from linopkit.apps.kinetics import cell_matrix_values, run_kinetics_step
 from linopkit.apps.mtx import read_matrix_market
-from linopkit.batched import BatchCsr
+from linopkit.batched import BatchCsr, BatchDense, batch_solve
 from linopkit.container import MatrixData
-from linopkit.errors import ConfigurationError, ParseError, UnsupportedFormatError
-from linopkit.facade import AppVector, SolverOptions, create_solver
+from linopkit.errors import (
+    ConfigurationError,
+    InvalidArgumentError,
+    LibraryError,
+    ParseError,
+    UnsupportedFormatError,
+)
+from linopkit.executor import ExecutorKind, executor_from_name
+from linopkit.facade import AppMatrix, AppVector, SolverOptions, create_solver
 from linopkit.linop import Csr, Dense
-from linopkit.solver import Iteration, ResidualNorm, SolverFactory
+from linopkit.solver import Iteration, ResidualNorm, Solver, SolverFactory
 
 from helpers import csr_from_numpy, dense_from_numpy, use_spmv_body
 
@@ -204,7 +211,7 @@ class TestRunConfig:
         "flags, message",
         [
             ({"matrix": "m.mtx", "backend": "simd"}, "unknown backend 'simd'"),
-            ({"matrix": "m.mtx", "solver": "sor"}, "unknown solver 'sor'"),
+            ({"matrix": "m.mtx", "solver": "sor"}, "unknown algorithm 'sor'"),
             ({"matrix": "m.mtx", "preconditioner": "amg"}, "unknown preconditioner"),
             ({}, "no matrix file"),
             ({"matrix": "m.mtx", "max_iters": 0}, "max_iters"),
@@ -222,6 +229,47 @@ class TestRunConfig:
         assert parse_rhs_spec("ones") == ("ones", None)
         assert parse_rhs_spec("random(42)") == ("random", 42)
         assert parse_rhs_spec("values.txt") == ("file", "values.txt")
+
+
+def _batch_solve(ref, algorithm):
+    a = BatchCsr(ref, 1, (1, 1), [0, 1], [0], [[2.0]])
+    b, x = BatchDense.from_values(ref, [[[1.0]]]), BatchDense.zeros(ref, 1, (1, 1))
+    batch_solve(algorithm, a, b, x, (Iteration(5),))
+
+
+def _create_solver(ref, **options):
+    matrix = AppMatrix(1, 1)
+    matrix.add_entry(0, 0, 2.0)
+    create_solver(ref, matrix, SolverOptions(**{"algorithm": "cg", **options}))
+
+
+@pytest.mark.parametrize("error, call", [
+    (ConfigurationError, lambda ref: _create_solver(ref, algorithm="gmres_lu")),
+    (ConfigurationError, lambda ref: _create_solver(ref, preconditioner=None)),
+    (ConfigurationError, lambda ref: _create_solver(ref, max_iters=-1)),
+    (ConfigurationError, lambda ref: _create_solver(ref, reduction_factor=0.0)),
+    (ConfigurationError, lambda ref: _create_solver(ref, reduction_factor=-1.0)),
+    (ConfigurationError, lambda ref: _create_solver(ref, reduction_factor=math.nan)),
+    (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx", "backend": "simd"})),
+    (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx", "solver": "sor"})),
+    (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx",
+                                                       "preconditioner": "amg"})),
+    (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx", "max_iters": 0})),
+    (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx", "restart": 0})),
+    (ConfigurationError, lambda ref: executor_from_name(ExecutorKind.REFERENCE)),
+    (InvalidArgumentError, lambda ref: _batch_solve(ref, "gmres")),
+    (InvalidArgumentError, lambda ref: Solver(SolverFactory("gmres", (Iteration(1),), restart=0),
+                                              csr_from_numpy(ref, np.eye(2)))),
+], ids=["facade gmres_lu", "facade preconditioner None", "facade max_iters -1",
+        "facade reduction 0", "facade reduction -1", "facade reduction nan", "cli backend",
+        "cli solver", "cli preconditioner", "cli max_iters 0", "cli restart 0",
+        "executor kind member", "batched gmres", "solver restart 0"])
+def test_each_layer_refuses_with_its_own_error_class(ref, error, call):
+    """Every option an entry point refuses, it refuses with the class it always
+    did, whichever layer owns the check."""
+    with pytest.raises(LibraryError) as err:
+        call(ref)
+    assert err.type is error
 
 
 class TestLcg:

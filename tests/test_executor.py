@@ -21,7 +21,6 @@ from linopkit.errors import (
     UnsupportedBackendError,
 )
 from linopkit.executor import (
-    EXECUTOR_NAMES,
     Executor,
     ExecutorKind,
     create_executor,
@@ -82,9 +81,6 @@ class TestCreation:
         with pytest.raises(ConfigurationError) as err:
             executor_from_name(name)
         assert "parallel, reference" in str(err.value)
-
-    def test_name_table_covers_both_kinds(self):
-        assert set(EXECUTOR_NAMES.values()) == set(ExecutorKind)
 
 
 class TestDispatch:

@@ -11,6 +11,7 @@ import pytest
 import linopkit.facade
 from linopkit.container import copy_stats, reset_copy_stats
 from linopkit.errors import (
+    BreakdownError,
     ConfigurationError,
     InvalidArgumentError,
     SingularMatrixError,
@@ -264,6 +265,32 @@ def test_lu_solves_whatever_the_criteria(ref):
     for rep, solution in ((report, x.view2d()[:, 0]), (app_report, app_x.to_array())):
         assert rep.stop_reason == "direct" and rep.converged
         assert list(solution) == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("dense, b, finite", [
+    ([[4.0, 1.0], [1.0, 3.0]], [np.inf, 1.0], False),
+    ([[4.0, 1.0], [1.0, 3.0]], [np.nan, 1.0], False),
+    ([[1.0, 0.0], [0.0, 1e-12]], [1.0, 1e300], False),  # the substitution overflows
+    ([[4.0, 1.0], [1.0, 3.0]], [1e200, 1e200], True),  # only ||r0||^2 overflows
+], ids=["inf b", "nan b", "overflowing x", "overflowing r0 norm"])
+def test_lu_breaks_down_unless_its_residual_is_finite(ref, dense, b, finite):
+    """A Solver and the facade end an LU solve ``direct`` only with a finite
+    residual norm; otherwise they raise, the x reached left in place."""
+    dense, x, app_x = np.array(dense), Dense.create(ref, (2, 1)), AppVector(2)
+    single = SolverFactory("lu", (Iteration(1),)).generate(csr_from_numpy(ref, dense))
+    app = create_solver(ref, app_matrix_from_dense(dense), SolverOptions("lu"))
+    for solve, solution in ((lambda: single.solve(dense_from_numpy(ref, b), x),
+                             lambda: x.view2d()[:, 0]),
+                            (lambda: app.solve(AppVector.from_values(b), app_x), app_x.to_array)):
+        if finite:
+            report = solve()
+            assert report.stop_reason == "direct" and report.converged
+            assert np.isfinite(report.final_residual_norm) and np.isfinite(solution()).all()
+            continue
+        with pytest.raises(BreakdownError, match="lu: solution not finite") as err:
+            solve()
+        assert err.value.iterations == 0 and not np.isfinite(err.value.residual_norm)
+        assert not np.isfinite(solution()).all()
 
 
 class TestMatrixUpdate:
