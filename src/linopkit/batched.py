@@ -14,8 +14,9 @@ still iterating fall to half the rows held, and only then is the state
 compacted to them.
 
 On parallel executors the batch is split into contiguous system ranges
-through the ``run_partitioned`` kernel, and each range is solved in
-contiguous groups of at most ``GROUP_ENTRIES`` stored entries' worth of
+through the ``run_partitioned`` kernel: the calling thread solves the first
+and the pool's ``worker_count - 1`` threads the rest.  Each range is solved
+in contiguous groups of at most ``GROUP_ENTRIES`` stored entries' worth of
 systems.  Groups touch only their own slice of every array and never call
 the dispatched kernels, which keeps the worker pool free of nested
 submissions, so neither the partitioning nor the grouping can change any

@@ -8,12 +8,13 @@ import-time property of the code.  No module outside this one and the
 kernel definitions ever branches on the kind.
 
 Two kinds exist.  ``reference`` runs every kernel serially and serves as
-ground truth; ``parallel`` owns a shared thread pool of ``worker_count``
-threads.  Every kernel has one body that both kinds run, and only
-``run_partitioned`` hands work to the pool (see ``kernels.py``), so results
-are bitwise identical across kinds and worker counts.  The library's own
-SpMVs are not dispatched: they call ``kernels.block_spmv``, which runs the
-same on both kinds.
+ground truth; ``parallel`` runs ``worker_count`` threads: the caller plus a
+shared pool of ``worker_count - 1`` threads (``parallel(1)`` has no pool).
+Every kernel has one body that both kinds run, and only ``run_partitioned``
+hands work to the pool (see ``kernels.py``), so results are bitwise
+identical across kinds and worker counts.  The library's own SpMVs are not
+dispatched: they call ``kernels.block_spmv``, which runs the same on both
+kinds.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def create_executor(kind: ExecutorKind, worker_count: int | None = None) -> Exec
 
     ``worker_count`` must be >= 1 when given.  Reference executors ignore the
     value (they always run serially); parallel executors default to the host
-    CPU count.
+    CPU count, and run on the caller plus ``worker_count - 1`` pool threads.
     """
     if worker_count is not None and worker_count < 1:
         raise InvalidArgumentError(f"worker_count must be >= 1, got {worker_count}")
@@ -127,7 +128,7 @@ def worker_pool(exec_: Executor) -> _ThreadPool:
     with _POOL_LOCK:
         pool = _POOLS.get(exec_.worker_count)
         if pool is None:
-            pool = _ThreadPool(max_workers=exec_.worker_count)
+            pool = _ThreadPool(max_workers=exec_.worker_count - 1)  # the caller is one
             _POOLS[exec_.worker_count] = pool
         return pool
 

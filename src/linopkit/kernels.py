@@ -43,8 +43,9 @@ Solves run by these determinism rules, which the tests check bitwise:
   :func:`rowdot`, whose sums depend on no other lane and no BLAS thread count;
 * no lane's arithmetic reads another lane, so a column of a multi-column
   solve, or a system of a batch, gets the bits of its own solve;
-* ``run_partitioned`` hands each worker a slice of slots that it alone
-  writes, so the worker count cannot change a result.
+* ``run_partitioned`` hands each worker (the caller and each pool thread) a
+  slice of slots that it alone writes, so the worker count cannot change a
+  result.
 
 Together these make a solve's result bitwise identical across kinds and
 worker counts.
@@ -63,6 +64,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from concurrent.futures import wait
 
 import numpy as np
 
@@ -83,14 +85,20 @@ def _run_partitioned(exec_, count, body):
     """Run ``body(lo, hi)`` over disjoint slices of ``range(count)``.
 
     Callers must make ``body`` write only into slot ranges derived from its
-    slice; results are then independent of the partitioning.  One worker
-    gets one slice, run on the calling thread.
+    slice; results are then independent of the partitioning.  The calling
+    thread runs slice 0 and the pool's ``worker_count - 1`` threads the rest,
+    so one slice needs no pool.  Only once every slice has ended does the
+    first failure, in slice order, propagate.
     """
     ranges = split_ranges(count, exec_.worker_count)
-    if len(ranges) > 1:
-        list(worker_pool(exec_).map(lambda r: body(*r), ranges))
-    elif ranges:
-        body(*ranges[0])
+    futures = [worker_pool(exec_).submit(body, *r) for r in ranges[1:]]
+    try:
+        if ranges:
+            body(*ranges[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 # --- element-wise ----------------------------------------------------------

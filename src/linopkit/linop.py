@@ -317,7 +317,7 @@ class Csr(LinOp):
         dtype = index_dtype(rows, cols, vals.shape[0])  # checked as int64, converted once
         col_idxs = c.astype(dtype) if order is None else c[order].astype(dtype, copy=False)
         row_ptrs = np.zeros(rows + 1, dtype=dtype)
-        np.cumsum(np.bincount(r, minlength=rows), out=row_ptrs[1:])
+        np.add.accumulate(np.bincount(r, minlength=rows), out=row_ptrs[1:])
         _count_conversion()
         return cls._over(executor, data.size, freeze_checked_pattern(row_ptrs, col_idxs, cols),
                          Array(executor, vals, Ownership.OWNING))

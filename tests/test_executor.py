@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -540,8 +542,6 @@ class TestRunPartitioned:
         assert calls == [(0, 10)]
 
     def test_parallel_slices_are_disjoint_and_cover(self, par):
-        import threading
-
         seen = []
         lock = threading.Lock()
 
@@ -558,3 +558,48 @@ class TestRunPartitioned:
     def test_zero_count_is_a_no_op(self, ref, par):
         for exec_ in (ref, par):
             dispatch(exec_, "run_partitioned")(0, lambda lo, hi: pytest.fail("called"))
+
+    def test_caller_runs_slice_zero_and_the_pool_the_rest(self):
+        # all three slices must be running at once to pass the barrier
+        barrier = threading.Barrier(3, timeout=30)
+        threads = {}
+
+        def body(lo, hi):
+            threads[lo] = threading.get_ident()
+            barrier.wait()
+
+        dispatch(executor_from_name("parallel", 3), "run_partitioned")(3, body)
+        assert threads[0] == threading.get_ident()
+        assert len(set(threads.values())) == 3
+
+    def test_one_worker_runs_inline_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(kernels, "worker_pool", lambda e: pytest.fail("pool requested"))
+        calls = []
+        dispatch(executor_from_name("parallel", 1), "run_partitioned")(
+            10, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+        assert calls == [(0, 10, threading.get_ident())]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_failing_slice_raises_only_after_every_slice_ends(self, workers):
+        ended = threading.Event()
+
+        def body(lo, hi):
+            if lo == 0:
+                raise ValueError("slice 0")
+            if lo == 1:
+                time.sleep(0.05)
+                ended.set()
+
+        with pytest.raises(ValueError, match="slice 0"):
+            dispatch(executor_from_name("parallel", workers), "run_partitioned")(workers, body)
+        assert ended.is_set()
+
+    def test_the_first_failure_in_slice_order_is_raised(self):
+        def body(lo, hi):
+            if lo == 1:
+                time.sleep(0.05)
+            if lo:
+                raise ValueError(f"slice {lo}")
+
+        with pytest.raises(ValueError, match="slice 1"):
+            dispatch(executor_from_name("parallel", 3), "run_partitioned")(3, body)
