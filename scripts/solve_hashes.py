@@ -15,7 +15,9 @@ residual norms, stop reasons, callback histories and breakdown messages.
   before and after a refresh, plus a 2 x 2 indefinite system that breaks down;
 - batched: 30-system cg and bicgstab batches, with and without Jacobi, on
   reference and parallel(2);
-- kinetics: the batched kinetics step, on reference and parallel(2).
+- kinetics: the batched kinetics step, on reference and parallel(2);
+- nested: an outer cg and an outer GMRES(10) over an inner cg + Jacobi
+  Solver of the 40 x 40 matrix, on 1 and 3 columns (the second one zero).
 
 Everything prints twice: on SpMV's compiled body (the numpy body when scipy
 is missing) and with the numpy body forced.  The two bodies must give equal
@@ -36,6 +38,7 @@ from linopkit import (
     Iteration,
     MatrixData,
     ResidualNorm,
+    Solver,
     SolverFactory,
     batch_solve,
     executor_from_name,
@@ -149,7 +152,21 @@ def kinetics(h):
              rep.solve.stop_reasons)
 
 
-GROUPS = (heat, euler, solver, batched, kinetics)
+def nested(h):
+    exec_ = executor_from_name("reference")
+    a = Csr.from_data(exec_, lattice(40, np.random.default_rng(7)))
+    inner = SolverFactory("cg", CRITERIA[1], "jacobi").generate(a)
+    rhs = np.random.default_rng(41).normal(size=(40, 3))
+    rhs[:, 1] = 0.0
+    for algorithm in ("cg", "gmres"):
+        factory = SolverFactory(algorithm, (Iteration(100), ResidualNorm(1e-10)), restart=10)
+        for cols in (1, 3):
+            b = Dense.create(exec_, (40, cols))
+            b.view2d()[...] = rhs[:, :cols]
+            solve_case(h, Solver(factory, inner), b)
+
+
+GROUPS = (heat, euler, solver, batched, kinetics, nested)
 
 
 def main():

@@ -36,19 +36,13 @@ def read_matrix_market(path) -> MatrixData:
     if symmetry not in ("general", "symmetric"):
         raise UnsupportedFormatError(f"unsupported symmetry '{symmetry}'")
 
-    size_line = None
-    body_start = None
-    for idx in range(1, len(lines)):
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size_line = (idx + 1, stripped)
-        body_start = idx + 1
-        break
-    if size_line is None:
+    # (line number, text) of every line after the header that is neither blank nor a comment
+    content = [(idx + 1, text) for idx, line in enumerate(lines)
+               if idx and (text := line.strip()) and not text.startswith("%")]
+    if not content:
         raise ParseError("missing size line", line_number=len(lines))
 
-    lineno, text = size_line
+    (lineno, text), entries = content[0], content[1:]
     parts = text.split()
     if len(parts) != 3:
         raise ParseError(f"size line needs 'rows cols nnz', got '{text}'", line_number=lineno)
@@ -62,16 +56,9 @@ def read_matrix_market(path) -> MatrixData:
         raise ParseError("symmetric matrix must be square", line_number=lineno)
 
     data = MatrixData((rows, cols))
-    seen = 0
-    for idx in range(body_start, len(lines)):
-        lineno = idx + 1
-        stripped = lines[idx].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
+    for seen, (lineno, stripped) in enumerate(entries):
         if seen == declared:
-            raise ParseError(
-                f"more than the declared {declared} entries", line_number=lineno
-            )
+            raise ParseError(f"more than the declared {declared} entries", line_number=lineno)
         parts = stripped.split()
         if len(parts) != 3:
             raise ParseError(f"entry needs 'row col value', got '{stripped}'", line_number=lineno)
@@ -87,9 +74,7 @@ def read_matrix_market(path) -> MatrixData:
         data.add(i - 1, j - 1, value)
         if symmetry == "symmetric" and i != j:
             data.add(j - 1, i - 1, value)
-        seen += 1
-    if seen != declared:
-        raise ParseError(
-            f"expected {declared} entries, file ends after {seen}", line_number=len(lines)
-        )
+    if len(entries) != declared:
+        raise ParseError(f"expected {declared} entries, file ends after {len(entries)}",
+                         line_number=len(lines))
     return data

@@ -257,7 +257,7 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     finals = np.zeros(num)
     reasons = np.empty(num, dtype=object)
 
-    diag_pos = _diagonal_positions(a._pattern) if preconditioner == "jacobi" else None
+    diag_pos = _diagonal_positions(a.row_ptrs, a.col_idxs) if preconditioner == "jacobi" else None
     bvals = b.values[:, :, 0]
     xvals = x.values[:, :, 0]
 

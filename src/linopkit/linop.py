@@ -1,10 +1,13 @@
 """Linear operators: the abstract contract plus dense and CSR matrices.
 
-Everything that maps vectors to vectors (matrices, preconditioners, solvers)
-implements :class:`LinOp`, so algorithms written against ``apply`` compose
-freely: a solver can take another solver as its system operator, a time
-stepper can treat a solver as the inverse of its system matrix, and so on.
-Preconditioners are Jacobi and LU only: a solver cannot be another's M^-1.
+Everything that maps vectors to vectors (matrices, solvers) implements
+:class:`LinOp`, so algorithms written against ``apply`` compose freely: a
+solver can take another solver as its system operator, a time stepper can
+treat a solver as the inverse of its system matrix, and so on.  A solver
+applies its operator to its lanes through :meth:`LinOp._apply_lanes`: a
+:class:`Csr` that overrides nothing is one SpMV, a ``Solver`` one lockstep
+inner solve over the live lanes from zero, and a class that overrides
+``apply`` or ``_apply`` gets one (n, 1) column per live lane.
 
 Vectors are column blocks stored as :class:`Dense` with ``cols`` right-hand
 sides side by side.
@@ -95,6 +98,29 @@ class LinOp(abc.ABC):
 
     @abc.abstractmethod
     def _apply(self, b: "Dense", x: "Dense") -> None: ...
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if ({"apply", "_apply"} & vars(cls).keys()) and "_apply_lanes" not in vars(cls):
+            cls._apply_lanes = LinOp._apply_lanes  # the override sees every lane apply
+
+    def _apply_lanes(self, vals, src, dst, live) -> None:
+        """``dst[l] = op(src[l])`` for the lanes ``l`` of a solver's block: row l of
+        ``src`` and of ``dst``, a C-contiguous array of the block's own.  ``vals``
+        is None, ``live`` marks the lanes still iterating (None: all), and no
+        vector is checked.  A :class:`Csr` that overrides nothing is one SpMV over
+        every row, dead ones too; a ``Solver`` one lockstep solve of the live lanes
+        from a zero guess.  This loop serves a class that overrides ``apply`` or
+        ``_apply`` and not this method: each live lane goes as an (n, 1) ``Dense``
+        through ``apply`` if overridden (to trace it, say), else ``_apply``, into a
+        zeroed ``dst``, so a dead lane's discarded arithmetic (0/0, say) never
+        reaches it."""
+        op = self._apply if type(self).apply is LinOp.apply else self.apply
+        (rows, cols), exec_ = self._size, self._executor
+        dst.fill(0.0)
+        for i in range(len(src)) if live is None else np.flatnonzero(live):
+            op(Dense.from_array(exec_, (cols, 1), array_view(exec_, cols, src[i])),
+               Dense.from_array(exec_, (rows, 1), array_view(exec_, rows, dst[i])))
 
 
 class Dense(LinOp):
@@ -376,4 +402,7 @@ class Csr(LinOp):
 
     def _apply(self, b: "Dense", x: "Dense") -> None:
         block_spmv(self._pattern, self._values.numpy()[None], b.view2d().T, x.view2d().T)
+
+    def _apply_lanes(self, vals, src, dst, live) -> None:
+        block_spmv(self._pattern, self._values.numpy()[None], src, dst)
 

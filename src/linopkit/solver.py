@@ -15,9 +15,8 @@ disjunction: the first one that fires ends the solve, and the report records
 which one it was (the residual target when it is met on the iteration the cap
 is reached).  Iterative solves track the recurrence residual; the
 iteration-zero residual is evaluated against the criteria before any work
-happens, so a converged initial guess costs nothing.  Every algorithm, LU
-too, runs all columns in lockstep through :func:`_lane_block`, CG and BiCGStab
-through the recurrences batched solves run too.
+happens, so a converged initial guess costs nothing.  Every algorithm runs
+all columns in lockstep (see the algorithm internals below).
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .container import array_view
 from .errors import (
     BreakdownError,
     InvalidArgumentError,
     SingularMatrixError,
     SingularPreconditionerError,
 )
-from .kernels import block_spmv, rowdot
+from .kernels import rowdot
 from .linop import Csr, Dense, LinOp
 
 DEFAULT_RESTART = 30
@@ -230,8 +228,9 @@ class Solver(LinOp):
         self._factory = factory
         self._a = a
         self._criteria = criteria
-        self._lanes_apply = _lane_apply(a)
-        self._diag_pos = _diagonal_positions(a._pattern) if jacobi else None
+        self._lanes_apply = a._apply_lanes
+        self._diag_pos = (_diagonal_positions(a.get_row_ptrs().numpy(), a.get_col_idxs().numpy())
+                          if jacobi else None)
         self._setup()
 
     def _setup(self) -> None:
@@ -239,14 +238,13 @@ class Solver(LinOp):
         diagonal raises, naming a missing entry before a stored zero."""
         factory, a, pos = self._factory, self._a, self._diag_pos
         lu = lu_factorize(a) if factory.algorithm in _FACTORED else None
-        block, invd, singular = _lane_setup(factory.algorithm, pos,
-                                            None if pos is None else a._values.numpy()[None],
-                                            factory.restart)
+        vals = None if pos is None else a.get_values(const=True).numpy()[None]
+        block, invd, singular = _lane_setup(factory.algorithm, pos, vals, factory.restart)
         if singular is not None and singular[0]:
             missing = np.flatnonzero(pos < 0)
             if missing.size:
                 raise SingularPreconditionerError(f"row {missing[0]} has no stored diagonal entry")
-            zero = np.flatnonzero(a._values.numpy().take(pos) == 0.0)[0]
+            zero = np.flatnonzero(vals[0].take(pos) == 0.0)[0]
             raise SingularPreconditionerError(f"zero diagonal entry at row {zero}")
         self._invd, self._lu, self._block = (None if invd is None else invd[0]), lu, block
 
@@ -273,7 +271,8 @@ class Solver(LinOp):
             Columns are solved independently, in lockstep, each to the bits of
             its own solve; the report aggregates them (iteration maximum, norms
             combined in the Frobenius sense, the first unconverged column's
-            stop reason).  A breakdown raises once the other columns are solved.
+            stop reason).  A breakdown raises once the other columns are solved;
+            the operator's (an inner Solver's) stops every live column at once.
         callback : callable, optional
             Invoked as ``callback(iteration, residual_norm)`` after every
             residual evaluation, iteration 0 included; in lockstep the norm
@@ -290,15 +289,10 @@ class Solver(LinOp):
 
     def _solve(self, b: Dense, x: Dense, callback) -> SolveReport:
         """Columns run as lanes over the caller's x, transposed."""
-        cols, n = b.size.cols, b.size.rows
-        if not cols:
+        if not b.size.cols:
             raise InvalidArgumentError("a solve needs at least one column")
-        out = (np.zeros(cols, dtype=np.int64), np.zeros(cols), np.empty(cols, dtype=object))
-        bv = np.ascontiguousarray(b.view2d().T)
-        invd = None if self._invd is None else np.broadcast_to(self._invd, (cols, n))
         monitor = callback and (lambda k, lanes: callback(k, math.hypot(*lanes.residual_norms())))
-        r0, message = self._block(self._lanes_apply, None, bv, x.view2d().T, self._criteria, invd,
-                                  None, out, monitor, lu=self._lu)
+        r0, out, message = self._run(np.ascontiguousarray(b.view2d().T), x.view2d().T, monitor)
         iterations, finals, reasons = (a.tolist() for a in out)  # Python scalars are cheaper
         reason = next((r for r in reasons if r not in _CONVERGED), reasons[0])
         report = SolveReport(max(iterations), math.hypot(*r0.tolist()), math.hypot(*finals),
@@ -308,8 +302,28 @@ class Solver(LinOp):
                                  residual_norm=report.final_residual_norm)
         return report
 
+    def _run(self, bv, xv, monitor=None):
+        """``(r0, out, message)`` of one block solving ``bv`` into ``xv`` (lane-major)."""
+        cols, n = bv.shape
+        out = (np.zeros(cols, dtype=np.int64), np.zeros(cols), np.empty(cols, dtype=object))
+        invd = None if self._invd is None else np.broadcast_to(self._invd, (cols, n))
+        r0, message = self._block(self._lanes_apply, None, bv, xv, self._criteria, invd, None,
+                                  out, monitor, lu=self._lu)
+        return r0, out, message
+
     def _apply(self, b: Dense, x: Dense) -> None:
         self._solve(b, x, None)
+
+    def _apply_lanes(self, vals, src, dst, live) -> None:
+        """The live lanes as one block from zero; a breakdown raises once all have stopped."""
+        dst.fill(0.0)  # the guess: every live row's, and what a dead row keeps
+        rows = slice(None) if live is None else np.flatnonzero(live)  # dead rows stay out
+        x = dst[rows]  # a view of dst while every lane is live, else a gathered copy
+        message = self._run(src[rows], x)[2]
+        if live is not None:
+            dst[rows] = x
+        if message:
+            raise BreakdownError(message)
 
 
 # --- algorithm internals -------------------------------------------------------
@@ -318,33 +332,35 @@ class Solver(LinOp):
 # lane l's vector, for the columns of a Solver's solve or the systems of a
 # batched group, whose block and Jacobi diagonals :func:`_lane_setup` builds
 # for both.  ``apply(vals, src, dst, live)`` writes the operator times each
-# lane of ``src`` into ``dst``, a C-contiguous lane array of the block's own;
-# ``vals`` holds the lanes' matrix values for a batch, None for a Solver, and
-# ``live`` marks the lanes still iterating (None while all are).  A matrix,
-# single or batched, multiplies every row held in one SpMV call; any other
-# operator sees the live rows only, and a dead row's ``dst`` stays zero.
-# Every recurrence applies M^-1 (Jacobi, LU or none) through
-# :meth:`_Lanes.precondition`.  ``xv`` is the caller's storage, lane-major (a Solver passes its x
-# transposed): a block iterates on its own copy and writes each lane's x back
-# when the lane stops.  Updates run in place, in the textbook formulas'
-# operand order, and no lane's arithmetic depends on another's, so a batched
-# system reproduces its single solve bit for bit, and so does a column of a
-# multi-column solve.  Every sum over a vector's length is a ``rowdot``; einsum
-# sums only over GMRES's basis index, at most restart + 1 terms (its
-# ``__array_function__`` dispatch, ~1 us a call on plain ndarrays, is skipped).
-# CG, BiCGStab, GMRES and LU (as one M^-1) run through :func:`_lane_block`, with numpy
-# floating-point errors ignored at every lane count: a failure comes back as a
-# stop reason (from a Solver as ``BreakdownError``), never as a numpy warning.
+# lane of ``src`` into ``dst``; ``vals`` holds a batch's matrix values (None
+# for a Solver), ``live`` marks the lanes still iterating.  A batched group is
+# one SpMV over every row held.  A Solver's operator applies through its
+# :meth:`~linopkit.linop.LinOp._apply_lanes`: a Csr that overrides nothing is
+# one SpMV, a Solver one lockstep inner solve over the live lanes from zero,
+# and a class that overrides ``apply`` or ``_apply`` gets one (n, 1) column
+# per live lane.  Every recurrence applies M^-1 (Jacobi, LU or none) through
+# :meth:`_Lanes.precondition`.  ``xv`` is the caller's storage, lane-major (a
+# Solver passes its x transposed): a block iterates on its own copy and writes
+# each lane's x back when the lane stops.  Updates run in place, in the
+# textbook formulas' operand order, and no lane's arithmetic depends on
+# another's, so a batched system, a column of a multi-column solve and a lane
+# of a nested solve each get their single solve's bits.  Every sum over a
+# vector's length is a ``rowdot``; einsum sums only over GMRES's basis index,
+# at most restart + 1 terms (its ``__array_function__`` dispatch, ~1 us a
+# call on plain ndarrays, is skipped).  Every algorithm runs through
+# :func:`_lane_block`, with numpy floating-point errors ignored: a failure
+# comes back as a stop reason (from a Solver as ``BreakdownError``), never as
+# a numpy warning.
 
 _CONVERGED = (STOP_RESIDUAL, STOP_DIRECT)
 
 
-def _diagonal_positions(pattern) -> np.ndarray:
-    """Where each row's diagonal entry sits in a one-lane CSR ``pattern`` in normal form, or -1."""
-    rp = pattern.row_ptrs  # row ids at the pattern's width, for this search only: none are kept
-    row_ids = np.repeat(np.arange(pattern.rows, dtype=rp.dtype), np.diff(rp))
-    on_diag = np.flatnonzero(pattern.col_idxs == row_ids)
-    pos = np.full(pattern.rows, -1, dtype=np.int64)
+def _diagonal_positions(rp, ci) -> np.ndarray:
+    """Where each row's diagonal entry sits in a CSR pattern in normal form, or -1."""
+    rows = rp.shape[0] - 1  # row ids at the pattern's width, for this search only: none are kept
+    row_ids = np.repeat(np.arange(rows, dtype=rp.dtype), np.diff(rp))
+    on_diag = np.flatnonzero(ci == row_ids)
+    pos = np.full(rows, -1, dtype=np.int64)
     pos[row_ids.take(on_diag)] = on_diag
     return pos
 
@@ -371,36 +387,6 @@ def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART):
     if singular.any():
         invd[zero] = 0.0
     return block, invd, singular
-
-
-def _lane_apply(a: LinOp):
-    """A Solver's block apply: ``a`` times each lane.
-
-    A plain ``Csr`` multiplies every row held, dead ones too, with one
-    ``block_spmv`` call on its own pattern, every lane sharing its values, as
-    ``Csr.apply`` does its columns; C-contiguous rows let the compiled body
-    run on a checked pattern without copies.  Any other operator gets each
-    live lane wrapped in an (n, 1) ``Dense`` per call (a lane-major block is
-    no row-major ``Dense``) and its ``_apply``, or its ``apply`` if a
-    subclass overrides that (to trace it, say), into a zeroed ``dst``, as
-    ``LinOp.advanced_apply`` applies into a fresh zero block: a Solver reads
-    its x as the initial guess.  A dead lane's discarded arithmetic (a NaN
-    from 0/0, say) never reaches the operator, and its ``dst`` row stays
-    zero.  The lanes are vectors the block owns, so the public method's
-    checks are skipped."""
-    if type(a) is Csr:
-        pattern, values = a._pattern, a._values.numpy()[None]
-        return lambda vals, src, dst, live: block_spmv(pattern, values, src, dst)
-    op = a._apply if type(a).apply is LinOp.apply else a.apply
-    exec_, n = a.executor, a.size.rows
-
-    def apply(vals, src, dst, live):
-        dst.fill(0.0)
-        for i in range(len(src)) if live is None else np.flatnonzero(live):
-            op(Dense.from_array(exec_, (n, 1), array_view(exec_, n, src[i])),
-               Dense.from_array(exec_, (n, 1), array_view(exec_, n, dst[i])))
-
-    return apply
 
 
 _einsum = np.einsum.__wrapped__  # see the section comment
@@ -434,39 +420,38 @@ def _targets(criteria, r0):
 class _Lanes:
     """The lanes of a block, set up from ``xv``, and which of them still iterate.
 
-    Public array attributes hold one row per held lane in block order;
-    ``_ids`` maps rows to block slots (None while they agree); ``x`` starts as
-    a C-contiguous copy of ``xv``.  A lane that stops writes its x into ``xv``
+    Public array attributes hold one row per held lane in block order; ``_ids``
+    maps rows to block slots (None while they agree); ``x`` starts as a
+    C-contiguous copy of ``xv``.  A lane that stops writes its x into ``xv``
     and its report into ``out`` = (iterations, final norms, reasons) at once,
     but keeps its row, marked dead in ``live`` (None while every row held is
-    live), so no array changes shape within an iteration.  Its later
-    arithmetic is discarded, and may overflow or divide by zero (see
-    :func:`_lane_block`).  Only at the end of :meth:`check`, once the live
-    lanes are down to half the rows held, are they compacted, one ``take`` per
-    array (``b`` and ``vals`` too): after a check the rows held are fewer than
-    twice the live ones, and all compactions together copy fewer rows than the
-    block has lanes.  Work arrays named in ``scratch`` (the first takes A x in
-    :meth:`residual`) carry nothing across a check, which truncates them.
-    ``apply(vals, src, dst, live)`` is the block's operator and
-    :meth:`precondition` its M^-1, from each lane's Jacobi inverse diagonal
-    ``invd`` or the LU factors ``lu`` all lanes share (both None: no
-    preconditioner); lanes in ``singular`` stop at once.  ``monitor(k,
-    lanes)`` sees every residual."""
+    live), so no array changes shape within an iteration; its later arithmetic
+    is discarded.  Only at the end of :meth:`check`, once the live lanes are
+    down to half the rows held, are they compacted, one ``take`` per array
+    (``b`` and ``vals`` too), so all compactions together copy fewer rows than
+    the block has lanes.  Work arrays named in ``scratch`` (the first takes
+    A x in :meth:`residual`) carry nothing across a check, which truncates
+    them.  ``apply(vals, src, dst, live)`` is the block's operator and
+    :meth:`precondition` its M^-1 (each lane's Jacobi ``invd``, the LU factors
+    ``lu`` all lanes share, or neither); ``k`` counts the iterations of the
+    last check, and ``monitor(k, lanes)`` sees every residual."""
 
-    def __init__(self, apply, vals, bv, xv, criteria, invd, lu, singular, out, state, scratch,
-                 monitor):
+    def __init__(self, apply, vals, bv, xv, invd, lu, out, state, scratch, monitor):
         self._out, self._ids, self._scratch, self.monitor = (xv, *out), None, scratch, monitor
         self.apply, self.b, self.message = apply, bv, None
         self.count = self.held = xv.shape[0]
-        self.live = None
+        self.live, self.k, self._r0 = None, 0, None
         # order="C": np.array keeps a transposed view's order, and lane rows must be contiguous
         self.x, self.vals, self.invd, self.lu = np.array(xv, order="C"), vals, invd, lu
         for name in ("r",) + state + scratch:
             setattr(self, name, np.empty(xv.shape))
+
+    def start(self, criteria, singular) -> None:
+        """The initial residual and targets; lanes in ``singular`` stop; then check 0."""
         self.residual()
         self._r0 = self.rk  # rk is replaced, never written in place
         self.target, self.cap = _targets(criteria, self._r0)
-        self.bd_tol = None if criteria is None else TOL_BREAKDOWN * rowdot(bv, bv)  # LU tests none
+        self.bd_tol = None if criteria is None else TOL_BREAKDOWN * rowdot(self.b, self.b)  # LU tests none
         if singular is not None:
             self.stop(singular, 0, STOP_SINGULAR_PRECONDITIONER)
         self.check(0)
@@ -529,6 +514,7 @@ class _Lanes:
     def check(self, k) -> None:
         """Show iteration ``k`` to the monitor, stop lanes by the criteria, and
         compact the rows held once the live lanes are down to half of them."""
+        self.k = k
         if self.monitor:
             self.monitor(k, self)
         self.stop(self.rk <= self.target, k, STOP_RESIDUAL)
@@ -556,21 +542,25 @@ class _Lanes:
 
 
 def _lane_block(state, scratch, direct=False):
-    """Makes a recurrence over :class:`_Lanes` with ``state`` and ``scratch`` arrays
-    a block: called with ``_Lanes``' arguments (and the recurrence's keywords), it
-    returns every lane's initial residual norm and the first breakdown's message
-    (or None); a ``direct`` block ignores the criteria.  It runs with floating-point
-    errors ignored at every lane count: a dead row's discarded arithmetic may
-    overflow or divide by zero, and so may a live lane's, whose failure becomes a stop reason."""
+    """Makes a recurrence over :class:`_Lanes` with ``state`` and ``scratch`` arrays a
+    block, which returns every lane's initial residual norm and the first breakdown's
+    message (or None); a ``direct`` block ignores the criteria.  A failure in a live
+    lane's arithmetic becomes a stop reason, and so does a ``BreakdownError`` that the
+    operator raises (a nested Solver's), for every live lane, after the last check."""
 
     def wrap(recurrence):
         @functools.wraps(recurrence)
         def block(apply, vals, bv, xv, criteria, invd, singular, out, monitor=None, lu=None,
                   **kwargs):
             with np.errstate(all="ignore"):
-                lanes = _Lanes(apply, vals, bv, xv, None if direct else criteria, invd, lu,
-                               singular, out, state, scratch, monitor)
-                recurrence(lanes, **kwargs)
+                lanes = _Lanes(apply, vals, bv, xv, invd, lu, out, state, scratch, monitor)
+                try:
+                    lanes.start(None if direct else criteria, singular)
+                    recurrence(lanes, **kwargs)
+                except BreakdownError as err:  # a nested Solver's, raised by the operator
+                    if lanes._r0 is None:  # raised by the first residual: no norm is known
+                        lanes._r0 = lanes.rk = np.full(lanes.held, np.nan)
+                    lanes.stop(np.ones(lanes.held, dtype=bool), lanes.k, STOP_BREAKDOWN, str(err))
             return lanes._r0, lanes.message
 
         return block
@@ -581,23 +571,21 @@ def _lane_block(state, scratch, direct=False):
 @_lane_block(("p",), ("q",))
 def _cg_block(lanes):
     """Preconditioned conjugate gradients (Hestenes-Stiefel) on every lane."""
-    k = 0
     while lanes.count:
         z = lanes.precondition(lanes.r, lanes.q)
         rho = lanes.rr if z is lanes.r else rowdot(lanes.r, z)
-        if k:  # p = z + beta p; rho is 0 only where b is 0, which the breakdown test misses
+        if lanes.k:  # p = z + beta p; rho is 0 only where b is 0, which the breakdown test misses
             beta = np.zeros(lanes.held)
             np.divide(rho, lanes.rho, out=beta, where=lanes.rho != 0.0)
             np.add(z, np.multiply(beta[:, None], lanes.p, out=lanes.p), out=lanes.p)
         else:
             np.copyto(lanes.p, z)
         lanes.rho = rho
-        k += 1
         lanes.apply(lanes.vals, lanes.p, lanes.q, lanes.live)
         pq = rowdot(lanes.p, lanes.q)
-        lanes.stop(np.abs(lanes.rho) < lanes.bd_tol, k - 1, STOP_BREAKDOWN,
+        lanes.stop(np.abs(lanes.rho) < lanes.bd_tol, lanes.k, STOP_BREAKDOWN,
                    "cg: rho fell below the breakdown tolerance")
-        lanes.stop((pq == 0.0) | ~np.isfinite(pq), k - 1, STOP_BREAKDOWN,
+        lanes.stop((pq == 0.0) | ~np.isfinite(pq), lanes.k, STOP_BREAKDOWN,
                    "cg: search direction lost conjugacy (p . Ap degenerate)")
         if not lanes.count:
             break
@@ -605,7 +593,7 @@ def _cg_block(lanes):
         lanes.r -= np.multiply(alpha, lanes.q, out=lanes.q)
         lanes.x += np.multiply(alpha, lanes.p, out=lanes.q)  # q is free now, and z is kept in it
         lanes.measure()
-        lanes.check(k)
+        lanes.check(lanes.k + 1)
 
 
 @_lane_block(("rhat", "p", "v"), ("s", "t", "phat", "shat"))
@@ -617,9 +605,8 @@ def _bicgstab_block(lanes):
     der Vorst, 1995); only a vanished r breaks it down."""
     np.copyto(lanes.rhat, lanes.r)
     lanes.rho, lanes.alpha, lanes.omega = (np.ones(lanes.held) for _ in range(3))
-    k = 0
     while lanes.count:
-        k += 1
+        k = lanes.k + 1
         rho = rowdot(lanes.rhat, lanes.r)
         collapsed = np.abs(rho) < lanes.bd_tol
         lanes.stop(collapsed & (lanes.rr < lanes.bd_tol), k - 1, STOP_BREAKDOWN,
@@ -701,7 +688,6 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART):
     lanes.basis = np.empty((held, restart + 1, n))
     lanes.rot = np.empty((held, restart + 1, restart + 1))
     lanes.hess = np.empty((held, restart, restart))
-    k = 0
     while lanes.count:
         lanes.beta = lanes.rk
         np.divide(lanes.r, lanes.beta[:, None], out=lanes.basis[:, 0])
@@ -709,8 +695,9 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART):
         lanes.rot[:, 0, 0] = 1.0
         lanes.hess.fill(0.0)
         for j in range(restart):
-            k += 1
+            k = lanes.k + 1
             basis = lanes.basis[:, : j + 1]
+            lanes.rk = lanes.beta  # x is the cycle's start for every live lane
             lanes.apply(lanes.vals, lanes.precondition(basis[:, j], lanes.z), lanes.w, lanes.live)
             w = lanes.w
             h = rowdot(basis, w[:, None])
@@ -721,7 +708,6 @@ def _gmres_block(lanes, restart=DEFAULT_RESTART):
             h_next = np.sqrt(rowdot(w, w))
             col = rowdot(lanes.rot[:, : j + 1, : j + 1], h[:, None])
             denom = np.hypot(col[:, j], h_next)
-            lanes.rk = lanes.beta  # x is the cycle's start for every live lane
             lanes.stop((denom == 0.0) | ~np.isfinite(denom), k - 1, STOP_BREAKDOWN,
                        "gmres: Hessenberg column degenerate (zero or not finite)")
             if not lanes.count:

@@ -282,7 +282,8 @@ class TestJacobiPreconditioner:
             for k in range(ptrs[r], ptrs[r + 1]):
                 if cols[k] == r:
                     want[r] = k
-        assert solver_module._diagonal_positions(m._pattern).tolist() == want
+        assert solver_module._diagonal_positions(m.get_row_ptrs().numpy(),
+                                                  m.get_col_idxs().numpy()).tolist() == want
         missing = [r for r in range(n) if want[r] < 0]
         zero = [r for r in range(n) if want[r] >= 0 and vals[want[r]] == 0.0]
         if missing or zero:
@@ -574,23 +575,53 @@ class TestSolverAsOperator:
         assert (np.linalg.norm(x.view2d() - ab, axis=0) <= 1e-9 * np.linalg.norm(ab, axis=0)).all()
 
     @pytest.mark.parametrize("cols", [1, 3])
-    def test_inner_solver_sees_live_columns_only(self, ref, rng, cols):
+    @pytest.mark.parametrize("algorithm", ["cg", "gmres"])
+    def test_inner_solver_sees_live_columns_only(self, ref, rng, monkeypatch, algorithm, cols):
         """A zero column stops at iteration 0 and keeps its row; its discarded
         arithmetic (0/0 in CG's alpha) must not reach the inner solver, whose
-        NaN right-hand side would break the outer solve down."""
+        NaN right-hand side would break the outer solve down.  The live columns
+        reach it together: one inner block per outer lane apply."""
         a = random_spd_dense(rng, 12)
         factory = SolverFactory("cg", (Iteration(200), ResidualNorm(1e-14)))
-        outer = Solver(factory, Solver(factory, csr_from_numpy(ref, a)))
+        inner = Solver(factory, csr_from_numpy(ref, a))
+        applies, blocks, real = [], [], inner._apply_lanes
+        monkeypatch.setattr(inner, "_apply_lanes", lambda *args: applies.append(1) or real(*args))
+        outer = Solver(SolverFactory(algorithm, factory.criteria), inner)
         bmat = rng.normal(size=(12, cols))
         if cols > 1:
             bmat[:, 1] = 0.0
         x = Dense.create(ref, (12, cols))
-        assert outer.solve(dense_from_numpy(ref, bmat), x).converged
+
+        class CountedLanes(solver_module._Lanes):
+            def __init__(self, *args):
+                blocks.append(1)
+                super().__init__(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_Lanes", CountedLanes)
+            assert outer.solve(dense_from_numpy(ref, bmat), x).converged
+        assert len(applies) > 3 and len(blocks) == 1 + len(applies)
         for j in range(cols):
             xj = Dense.create(ref, (12, 1))
             assert outer.solve(dense_from_numpy(ref, bmat[:, j]), xj).converged
             assert np.array_equal(x.view2d()[:, j].view(np.uint64),
                                   xj.view2d()[:, 0].view(np.uint64)), j
+
+    def test_an_inner_breakdown_raises_the_outer_solves_error(self, ref):
+        """The inner CG breaks down on every column (p . A p = 0): the outer solve
+        raises with its own x, iteration count and residual norm.  A guess the
+        inner solve breaks down on stops the outer before any norm is known."""
+        factory = SolverFactory("cg", (Iteration(10), ResidualNorm(1e-12)))
+        outer = Solver(factory, Solver(factory, csr_from_numpy(ref, [[0.0, 1.0], [1.0, 0.0]])))
+        b = dense_from_numpy(ref, np.eye(2))
+        for guess, norm in ((np.zeros((2, 2)), math.sqrt(2.0)), (np.eye(2), math.nan)):
+            x = dense_from_numpy(ref, guess)
+            with pytest.raises(BreakdownError, match="conjugacy") as err:
+                outer.solve(b, x)
+            assert err.value.best is x
+            assert err.value.iterations == 0
+            assert err.value.residual_norm == pytest.approx(norm, nan_ok=True)
+            assert np.array_equal(x.view2d(), guess)
 
     def test_solver_preconditions_another_solver(self, ref, rng):
         # an operator-valued sanity check: x = S(b) with S a solver behaves
@@ -977,10 +1008,16 @@ def test_krylov_loops_skip_the_vector_checks(ref, rng, monkeypatch, algorithm):
         solver.system_matrix.apply(v, v)
 
 
+class _PlainCsr(Csr):
+    """A Csr subclass that overrides nothing, so it keeps Csr's lane apply."""
+
+
+@pytest.mark.parametrize("matrix", [Csr, _PlainCsr], ids=["Csr", "Csr subclass"])
 @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
-def test_plain_csr_lanes_go_straight_to_the_spmv_kernel(ref, rng, monkeypatch, algorithm):
-    """No Dense is built per lane apply for a plain Csr."""
-    solver = make_solver(ref, random_spd_dense(rng, 12), algorithm=algorithm)
+def test_plain_csr_lanes_go_straight_to_the_spmv_kernel(ref, rng, monkeypatch, algorithm, matrix):
+    """No Dense is built per lane apply for a Csr that overrides no apply."""
+    factory = SolverFactory(algorithm, (Iteration(200), ResidualNorm(1e-12)))
+    solver = factory.generate(matrix.from_data(ref, data_from_numpy(random_spd_dense(rng, 12))))
     b, x = dense_from_numpy(ref, rng.normal(size=12)), Dense.create(ref, (12, 1))
     built, real = [], Dense.__init__
     monkeypatch.setattr(Dense, "__init__", lambda *args: built.append(1) or real(*args))
