@@ -17,7 +17,8 @@ residual norms, stop reasons, callback histories and breakdown messages.
   reference and parallel(2);
 - kinetics: the batched kinetics step, on reference and parallel(2);
 - nested: an outer cg and an outer GMRES(10) over an inner cg + Jacobi
-  Solver of the 40 x 40 matrix, on 1 and 3 columns (the second one zero).
+  Solver of the 40 x 40 matrix, on 1 and 3 columns (the second one zero);
+- batched_gmres: the batched set-up solved by GMRES (at its default restart).
 
 Everything prints twice: on SpMV's compiled body (the numpy body when scipy
 is missing) and with the numpy body forced.  The two bodies must give equal
@@ -125,7 +126,7 @@ def solver(h):
         solve_case(h, SolverFactory(algorithm, CRITERIA[1]).generate(indefinite), b)
 
 
-def batched(h):
+def batched(h, algorithms=("cg", "bicgstab")):
     n, num = 16, 30
     template = lattice(n, np.random.default_rng(16))
     for kind, workers in KINDS:
@@ -135,7 +136,7 @@ def batched(h):
         values = base * rng.uniform(0.5, 1.5, size=(num, base.size))
         a = BatchCsr.from_template(exec_, num, template, values)
         rhs = rng.normal(size=(num, n, 1))
-        for algorithm in ("cg", "bicgstab"):
+        for algorithm in algorithms:
             for preconditioner in (None, "jacobi"):
                 for criteria in CRITERIA:
                     x = BatchDense.zeros(exec_, num, (n, 1))
@@ -166,7 +167,11 @@ def nested(h):
             solve_case(h, Solver(factory, inner), b)
 
 
-GROUPS = (heat, euler, solver, batched, kinetics, nested)
+def batched_gmres(h):
+    batched(h, ("gmres",))
+
+
+GROUPS = (heat, euler, solver, batched, kinetics, nested, batched_gmres)
 
 
 def main():

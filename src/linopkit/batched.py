@@ -2,8 +2,8 @@
 
 A :class:`BatchCsr` stores one copy of the CSR structure and a (num_systems,
 nnz) value block; a :class:`BatchDense` stacks the per-system vectors.
-:func:`batch_solve` runs the systems in lockstep through the same CG and
-BiCGStab recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
+:func:`batch_solve` runs the systems in lockstep through the same CG, BiCGStab
+and GMRES recurrences a :class:`~linopkit.solver.Solver` runs, with one lane
 per system, set up by the same function (which builds every group's Jacobi
 inverse diagonals too), so each system gets exactly the bits of its single
 solve (see the solver's algorithm internals).  A system leaves the lockstep
@@ -16,8 +16,10 @@ compacted to them.
 On parallel executors the batch is split into contiguous system ranges
 through the ``run_partitioned`` kernel: the calling thread solves the first
 and the pool's ``worker_count - 1`` threads the rest.  Each range is solved
-in contiguous groups of at most ``GROUP_ENTRIES`` stored entries' worth of
-systems.  Groups touch only their own slice of every array and never call
+in contiguous groups of as many systems as ``GROUP_WORDS`` holds lanes of
+the algorithm's block (:func:`~linopkit.solver._lane_words`; GMRES runs at
+``DEFAULT_RESTART``, with no ``restart`` argument until a caller needs
+another).  Groups touch only their own slice of every array and never call
 the dispatched kernels, which keeps the worker pool free of nested
 submissions, so neither the partitioning nor the grouping can change any
 result.
@@ -42,19 +44,16 @@ from .kernels import block_pattern, block_spmv
 from .linop import Csr, checked_pattern
 from .solver import (
     STOP_RESIDUAL,
+    _UNFACTORED,
     _checked_options,
     _diagonal_positions,
     _lane_setup,
+    _lane_words,
 )
 
-#: No GMRES: groups are sized by nnz, and GMRES holds O(restart^2) per lane for any pattern.
-BATCH_ALGORITHMS = ("cg", "bicgstab")
-
-#: Systems are solved in groups of at most this many stored pattern entries,
-#: so every state array and SpMV temporary of a group stays near a megabyte
-#: however large the batch: the working set stays cache-sized and the memory
-#: a solve needs does not grow with the batch.
-GROUP_ENTRIES = 1 << 17
+#: Systems are solved in groups of at most this many float64 words of lane state (5 MiB),
+#: whatever the algorithm, so the memory a solve needs does not grow with the batch.
+GROUP_WORDS = 5 << 17
 
 
 class BatchCsr:
@@ -219,7 +218,8 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     Parameters
     ----------
     algorithm : str
-        ``"cg"`` or ``"bicgstab"``.
+        ``"cg"``, ``"bicgstab"`` or ``"gmres"``; not ``"lu"`` or ``"gmres_lu"``,
+        which factor one matrix.
     a : BatchCsr
     b, x : BatchDense
         One right-hand side per system (cols == 1); ``x`` supplies the
@@ -233,7 +233,7 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     -------
     BatchSolveReport
     """
-    criteria = _checked_options(BATCH_ALGORITHMS, algorithm, criteria, preconditioner)
+    criteria = _checked_options(_UNFACTORED, algorithm, criteria, preconditioner)
     if not isinstance(a, BatchCsr):
         raise InvalidArgumentError("batch_solve expects a BatchCsr system block")
     if a.size.rows != a.size.cols:
@@ -261,7 +261,8 @@ def batch_solve(algorithm, a, b, x, criteria, preconditioner=None) -> BatchSolve
     bvals = b.values[:, :, 0]
     xvals = x.values[:, :, 0]
 
-    group = max(1, GROUP_ENTRIES // max(1, a.num_stored_elements))
+    lane = _lane_words(algorithm, a.size.rows, a.num_stored_elements)
+    group = max(1, GROUP_WORDS // max(1, lane))
     pattern = block_pattern(a._pattern, max(1, min(group, num)))
 
     def spmv(vals, src, dst, live):  # dead rows too: one call for the whole group

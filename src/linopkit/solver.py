@@ -187,8 +187,8 @@ class SolverFactory:
 def _checked_options(algorithms, algorithm, criteria, preconditioner,
                      restart=DEFAULT_RESTART) -> tuple:
     """``criteria`` as a tuple, after checking every option a factory holds: ``algorithm``
-    against the entry point's ``algorithms`` (``ALGORITHMS``, ``batched.BATCH_ALGORITHMS``
-    or ``facade.VALID_ALGORITHMS``), ``preconditioner`` against ``PRECONDITIONERS``."""
+    against the entry point's ``algorithms`` (``ALGORITHMS``, batches' ``_UNFACTORED`` or
+    ``facade.VALID_ALGORITHMS``), ``preconditioner`` against ``PRECONDITIONERS``."""
     if algorithm not in algorithms:
         raise InvalidArgumentError(f"unknown algorithm '{algorithm}'; valid: {', '.join(algorithms)}")
     criteria = tuple(criteria)
@@ -389,6 +389,13 @@ def _lane_setup(algorithm, diag_pos, vals, restart=DEFAULT_RESTART):
     return block, invd, singular
 
 
+def _lane_words(algorithm, n, nnz):
+    """Float64 words per lane: nnz values, n per vector, GMRES's basis, rotations, Hessenberg."""
+    block, m = _BLOCKS[algorithm], DEFAULT_RESTART
+    gmres = (m + 1) * (n + m + 1) + m**2 if block is _gmres_block else 0
+    return nnz + len(block.vectors) * n + gmres
+
+
 _einsum = np.einsum.__wrapped__  # see the section comment
 
 
@@ -563,6 +570,7 @@ def _lane_block(state, scratch, direct=False):
                     lanes.stop(np.ones(lanes.held, dtype=bool), lanes.k, STOP_BREAKDOWN, str(err))
             return lanes._r0, lanes.message
 
+        block.vectors = ("x", "r", "b", "invd") + state + scratch  # each n words a lane
         return block
 
     return wrap
@@ -762,3 +770,4 @@ _BLOCKS = {"cg": _cg_block, "bicgstab": _bicgstab_block, "gmres": _gmres_block,
            "lu": _lu_block, "gmres_lu": _gmres_block}
 ALGORITHMS = tuple(_BLOCKS)
 _FACTORED = ("lu", "gmres_lu")  # they factorize the matrix and ignore the preconditioner
+_UNFACTORED = tuple(a for a in _BLOCKS if a not in _FACTORED)  # what a batch of matrices runs

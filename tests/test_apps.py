@@ -257,13 +257,13 @@ def _create_solver(ref, **options):
     (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx", "max_iters": 0})),
     (ConfigurationError, lambda ref: build_run_config({"matrix": "m.mtx", "restart": 0})),
     (ConfigurationError, lambda ref: executor_from_name(ExecutorKind.REFERENCE)),
-    (InvalidArgumentError, lambda ref: _batch_solve(ref, "gmres")),
+    (InvalidArgumentError, lambda ref: _batch_solve(ref, "lu")),
     (InvalidArgumentError, lambda ref: Solver(SolverFactory("gmres", (Iteration(1),), restart=0),
                                               csr_from_numpy(ref, np.eye(2)))),
 ], ids=["facade gmres_lu", "facade preconditioner None", "facade max_iters -1",
         "facade reduction 0", "facade reduction -1", "facade reduction nan", "cli backend",
         "cli solver", "cli preconditioner", "cli max_iters 0", "cli restart 0",
-        "executor kind member", "batched gmres", "solver restart 0"])
+        "executor kind member", "batched lu", "solver restart 0"])
 def test_each_layer_refuses_with_its_own_error_class(ref, error, call):
     """Every option an entry point refuses, it refuses with the class it always
     did, whichever layer owns the check."""

@@ -119,7 +119,7 @@ class TestAgainstSingleSolves:
     """Batched and single solves run the same recurrence, so they agree bit
     for bit, on either SpMV body."""
 
-    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
     def test_batch_equals_loop_of_singles(self, ref, rng, monkeypatch, algorithm):
         num, n = 40, 6
         if algorithm == "cg":
@@ -425,6 +425,17 @@ class TestParallelPartitioning:
                     assert_same_bits(expected[algorithm], outcome, (algorithm, wc, spy))
             assert_compiled_ran(spy)
 
+    def test_gmres_jacobi_gives_the_reference_bits(self, rng, monkeypatch):
+        """Each pool size splits the 37 systems differently; no result may move."""
+        stack, bv = mixed_exit_batch(rng)
+        args = (stack, bv, "gmres", MIXED_CRITERIA, "jacobi")
+        for spy in spmv_bodies(monkeypatch):
+            expected = solve_outcome(executor_from_name("reference"), *args)
+            for wc in (2, 3):
+                outcome = solve_outcome(executor_from_name("parallel", wc), *args)
+                assert_same_bits(expected, outcome, (wc, spy))
+            assert_compiled_ran(spy)
+
 
 class TestLaneIndependence:
     @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
@@ -440,11 +451,12 @@ class TestLaneIndependence:
             expected = {key: value[start::2] for key, value in whole.items()}
             assert_same_bits(expected, sub, (algorithm, preconditioner, start))
 
-    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+    @pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
     def test_lane_groups_give_the_same_bits(self, ref, rng, monkeypatch, algorithm):
         stack, bv = mixed_exit_batch(rng)
         whole = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
-        monkeypatch.setattr(batched, "GROUP_ENTRIES", 5 * stack.shape[1] ** 2)  # 5 systems
+        n = stack.shape[1]
+        monkeypatch.setattr(batched, "GROUP_WORDS", 5 * solver._lane_words(algorithm, n, n * n))
         for spy in spmv_bodies(monkeypatch):
             grouped = solve_outcome(ref, stack, bv, algorithm, MIXED_CRITERIA, "jacobi")
             assert_same_bits(whole, grouped, (algorithm, spy))
@@ -733,7 +745,7 @@ class TestValidation:
 
     def test_algorithm_restricted(self, ref):
         a, b, x = self._tiny(ref)
-        for algorithm in ("gmres", "lu", "gmres_lu"):
+        for algorithm in ("lu", "gmres_lu"):  # they factor one matrix
             with pytest.raises(InvalidArgumentError, match=f"'{algorithm}'"):
                 batch_solve(algorithm, a, b, x, CRITERIA)
 

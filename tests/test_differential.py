@@ -12,10 +12,10 @@ and ``parallel(2)`` executors and on both SpMV bodies:
    maximum, the first unconverged column's stop reason, norms combined in the
    Frobenius sense, a breakdown message one of the lone ones), for cg,
    bicgstab, gmres (restart 4), gmres_lu and lu, with and without Jacobi;
-2. a system of a cg or bicgstab batch gets the x, iteration count, stop reason
-   and final residual norm of its single solve over ``extract_system``, and
-   stops as ``singular_preconditioner`` where that solver's Jacobi set-up
-   raises;
+2. a system of a cg, bicgstab or gmres batch gets the x, iteration count,
+   stop reason and final residual norm of its single solve over
+   ``extract_system``, and stops as ``singular_preconditioner`` where that
+   solver's Jacobi set-up raises;
 3. a matrix over the caller's int64 arrays (the public constructor, so the
    numpy body) and the same matrix from ``Csr.from_arrays`` (int32 indices,
    so the compiled body when scipy is installed) give every column the same
@@ -176,7 +176,7 @@ def test_a_column_gets_its_lone_bits_among_others(exec_, body, algorithm, precon
 
 
 @pytest.mark.parametrize("preconditioner", [None, "jacobi"])
-@pytest.mark.parametrize("algorithm", ["cg", "bicgstab"])
+@pytest.mark.parametrize("algorithm", ["cg", "bicgstab", "gmres"])
 @PROPERTY
 @given(case=systems(1, 6))
 def test_a_batched_system_gets_its_single_solve(exec_, body, algorithm, preconditioner, case):
